@@ -58,6 +58,7 @@ from .spectrum import (
     pmf_piecewise,
     pmf_pp_analytic,
     pump_envelope,
+    standard_jsa,
 )
 from .analysis import (
     NoInteriorMaximum,
@@ -68,6 +69,7 @@ from .analysis import (
     ZeroSpectrum,
     heralding_efficiency,
     heralding_efficiency_extended,
+    jsa_purity,
     optimize_pump_bandwidth,
     pso_optimize_dc,
     purity,

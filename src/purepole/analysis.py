@@ -28,6 +28,7 @@ from .spectrum import (
     build_jsa,
     make_grid,
     measure_delta_omega,
+    standard_jsa,
 )
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "PsoSettings",
     "schmidt_decompose",
     "purity",
+    "jsa_purity",
     "heralding_efficiency",
     "heralding_efficiency_extended",
     "optimize_pump_bandwidth",
@@ -49,6 +51,13 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Pump-bandwidth search: coarse log-spaced scan points, then golden-section
+# refinement down to this width in log bandwidth.
+_N_COARSE, _LOG_BW_TOL = 21, 1e-3
+# Constriction-style particle-swarm coefficients and duty-cycle bounds.
+_PSO_INERTIA, _PSO_COGNITIVE, _PSO_SOCIAL = 0.729, 1.49, 1.49
+_DUTY_MIN, _DUTY_MAX = 0.02, 0.98
 
 
 class ZeroSpectrum(ValueError):
@@ -98,7 +107,8 @@ def purity(spectrum: SchmidtSpectrum | np.ndarray) -> float:
     return float(np.sum(c**4))
 
 
-def _jsa_purity(jsa: JointSpectrum) -> float:
+def jsa_purity(jsa: JointSpectrum) -> float:
+    """Schmidt purity Tr(rho_s^2) = sum_j c_j^4 of a joint spectrum."""
     return purity(schmidt_decompose(jsa))
 
 
@@ -142,14 +152,10 @@ def heralding_efficiency_extended(
     delta_omega: float,
     r_window: float = 10.0,
     extension: float = 7.0,
-    scheme: str = "piecewise",
 ) -> float:
     """Heralding efficiency for symmetric +-(r_window/2) dw windows, with the
     signal marginal integrated on an `extension`-times-wider grid."""
-    grid = make_grid(
-        theta_deg, delta_omega, cfg.omega_s0, cfg.omega_i0, r_mult=extension * r_window
-    )
-    jsa = build_jsa(model, cfg, structure, pump, grid, scheme=scheme, mask_invalid=True)
+    jsa = standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega, extension * r_window)
     half = 0.5 * r_window * delta_omega
     return heralding_efficiency(
         jsa,
@@ -163,30 +169,24 @@ def optimize_pump_bandwidth(
     cfg: PhaseMatchConfig,
     structure: DomainArray | DutyCycleStructure | None,
     theta_deg: float,
-    scheme: str = "piecewise",
     bounds_nm: tuple[float, float] = (0.05, 50.0),
-    n_coarse: int = 21,
-    rel_tol: float = 1e-3,
 ) -> tuple[float, float]:
     """Maximize purity over the pump bandwidth; returns (bandwidth_nm, purity).
 
     Coarse log-spaced scan followed by golden-section refinement in log
-    bandwidth down to a relative tolerance of `rel_tol`; the spectral grid is
-    rebuilt (dw re-measured) for every candidate.  Raises NoInteriorMaximum if
-    the coarse scan peaks at a bound.
+    bandwidth down to a width of 1e-3; the spectral grid is rebuilt (dw
+    re-measured) for every candidate.  Raises NoInteriorMaximum if the coarse
+    scan peaks at a bound.
     """
 
     def purity_at(log_bw: float) -> float:
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
-        dw = measure_delta_omega(model, cfg, structure, pump, theta_deg, scheme=scheme)
-        grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
-        jsa = build_jsa(model, cfg, structure, pump, grid, scheme=scheme, mask_invalid=True)
-        return _jsa_purity(jsa)
+        return jsa_purity(standard_jsa(model, cfg, structure, pump, theta_deg))
 
-    logs = np.log(np.geomspace(bounds_nm[0], bounds_nm[1], n_coarse))
+    logs = np.log(np.geomspace(bounds_nm[0], bounds_nm[1], _N_COARSE))
     values = [purity_at(x) for x in logs]
     best = int(np.argmax(values))
-    if best in (0, n_coarse - 1):
+    if best in (0, _N_COARSE - 1):
         raise NoInteriorMaximum(
             f"purity maximal at search bound {math.exp(logs[best]):.3g} nm"
         )
@@ -195,7 +195,7 @@ def optimize_pump_bandwidth(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = purity_at(x1), purity_at(x2)
-    while (b - a) > rel_tol:
+    while (b - a) > _LOG_BW_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -238,7 +238,6 @@ def purity_vs_range(
     pump: PumpSpec,
     r_values: list[float] | np.ndarray,
     theta_deg: float,
-    scheme: str = "piecewise",
     delta_omega: float | None = None,
     tag: str | None = None,
 ) -> RangeSweepCurve:
@@ -247,24 +246,24 @@ def purity_vs_range(
     dw is measured once at the R = 10 baseline and frozen for the whole sweep
     so the R axis keeps a single unit; grid points that leave the transparency
     window are masked to zero and the masked fraction reported per point.
-    `tag` labels the curve (poling scheme name) in exports.
+    `tag` labels the curve (poling scheme name) in exports; it defaults to
+    "piecewise", the phase-matching integral used.
     """
     r_values = np.asarray(r_values, dtype=float)
     if np.any(r_values < 2.0):
         raise ValueError("spectral range must be at least 2 dw")
     if delta_omega is None:
-        delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg, scheme=scheme)
+        delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
     purities = np.empty(r_values.size)
     masked = np.empty(r_values.size)
     for n, r in enumerate(r_values):
-        grid = make_grid(theta_deg, delta_omega, cfg.omega_s0, cfg.omega_i0, r_mult=float(r))
-        jsa = build_jsa(model, cfg, structure, pump, grid, scheme=scheme, mask_invalid=True)
-        purities[n] = _jsa_purity(jsa)
+        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega, float(r))
+        purities[n] = jsa_purity(jsa)
         masked[n] = jsa.masked_fraction
     return RangeSweepCurve(
         r_values=r_values,
         purities=purities,
-        scheme=tag if tag is not None else scheme,
+        scheme=tag if tag is not None else "piecewise",
         masked_fractions=masked,
         delta_omega=delta_omega,
     )
@@ -272,16 +271,11 @@ def purity_vs_range(
 
 @dataclass(frozen=True)
 class PsoSettings:
-    """Constriction-style particle swarm hyperparameters."""
+    """Particle-swarm budget, start spread, coarse grid size and stop target."""
 
     n_particles: int = 40
     n_iterations: int = 200
-    inertia: float = 0.729
-    cognitive: float = 1.49
-    social: float = 1.49
     init_spread: float = 0.05
-    duty_min: float = 0.02
-    duty_max: float = 0.98
     coarse_points: int = 100
     target_purity: float | None = None
 
@@ -315,7 +309,7 @@ def pso_optimize_dc(
         init = np.asarray(initial_profile, dtype=float)
         if init.size != n_periods:
             raise ValueError("initial profile size must equal n_periods")
-    lo, hi = settings.duty_min, settings.duty_max
+    lo, hi = _DUTY_MIN, _DUTY_MAX
     init = np.clip(init, lo, hi)
 
     dw = measure_delta_omega(
@@ -333,7 +327,7 @@ def pso_optimize_dc(
     def score(profile: np.ndarray) -> float:
         structure = dc_domains(cfg.length_m, lc, profile)
         jsa = build_jsa(model, cfg, structure, pump, coarse_grid, mask_invalid=True)
-        return _jsa_purity(jsa)
+        return jsa_purity(jsa)
 
     rng = np.random.default_rng(seed)
     x = np.clip(
@@ -355,9 +349,9 @@ def pso_optimize_dc(
         r1 = rng.uniform(size=x.shape)
         r2 = rng.uniform(size=x.shape)
         v = (
-            settings.inertia * v
-            + settings.cognitive * r1 * (best_x - x)
-            + settings.social * r2 * (g_x[None, :] - x)
+            _PSO_INERTIA * v
+            + _PSO_COGNITIVE * r1 * (best_x - x)
+            + _PSO_SOCIAL * r2 * (g_x[None, :] - x)
         )
         x = x + v
         # reflecting bounds
@@ -380,11 +374,7 @@ def pso_optimize_dc(
             break
 
     structure = dc_domains(cfg.length_m, lc, g_x)
-    final_dw = measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
-    grid = make_grid(gp.theta_deg, final_dw, cfg.omega_s0, cfg.omega_i0)
-    final_purity = _jsa_purity(
-        build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
-    )
+    final_purity = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg))
     result = DesignResult(
         domains=structure,
         scheme="dc",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .analysis import (
     PsoSettings,
+    jsa_purity,
     pso_optimize_dc,
     optimize_pump_bandwidth,
     purity_vs_range,
@@ -58,6 +59,7 @@ from .spectrum import (
     build_jsa,
     make_grid,
     measure_delta_omega,
+    standard_jsa,
     write_jsa_binary,
     write_jsa_csv,
 )
@@ -109,7 +111,6 @@ class RunConfig:
     out_dir: str = "."
     seed: int = 0
     sellmeier: str = "ktp-kato-takaoka-2002"
-    threads: int = 1
     # gvm-map ranges, nm: (lo, hi, step)
     pump_range_nm: tuple[float, float, float] | None = None
     signal_range_nm: tuple[float, float, float] | None = None
@@ -126,12 +127,17 @@ class RunConfig:
     pso_iterations: int = 200
     pump_bandwidth_nm: float | None = None
 
+    def __post_init__(self):
+        for key in ("length_mm", "pump_bandwidth_nm"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key}: must be positive, got {value}")
+
     def digest(self) -> str:
-        """sha256 over the canonical JSON, omitting execution-only fields
-        (out_dir, threads) so identical physics gives identical artifacts."""
+        """sha256 over the canonical JSON, omitting the execution-only out_dir
+        so identical physics gives identical artifacts."""
         payload = asdict(self)
         payload.pop("out_dir")
-        payload.pop("threads")
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -140,6 +146,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        # run_config.json files written before the thread-count option was
+        # removed carry a "threads" key; it never changed a result
+        data = {key: value for key, value in data.items() if key != "threads"}
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -268,7 +277,6 @@ def _design_structure(
     if cfg.scheme == "cl-scl":
         options = DesignOptions(
             purity_threshold=cfg.purity_threshold,
-            threads=cfg.threads,
             **({"beta_ladder": tuple(cfg.beta_ladder)} if cfg.beta_ladder else {}),
         )
         return design_cl_scl(model, case, options)
@@ -283,29 +291,29 @@ def _design_structure(
         beta = None
     elif cfg.scheme == "dc":
         n_periods = int(math.floor(case.length_m / (2.0 * lc) + 1e-12))
+        pp_bw = pp_purity = None
         if cfg.pump_bandwidth_nm is None:
-            # seed the duty-cycle optimization with the periodic optimum
-            bw0, _ = optimize_pump_bandwidth(model, case, periodic_domains(case.length_m, lc), gp.theta_deg)
-        else:
-            bw0 = cfg.pump_bandwidth_nm
-        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw0)
+            # seed the duty-cycle optimization with the periodic optimum,
+            # which is also the summary row's periodic baseline
+            pp_bw, pp_purity = optimize_pump_bandwidth(
+                model, case, periodic_domains(case.length_m, lc), gp.theta_deg
+            )
+        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, cfg.pump_bandwidth_nm or pp_bw)
         settings = PsoSettings(
             n_particles=cfg.pso_particles,
             n_iterations=cfg.pso_iterations,
             target_purity=cfg.purity_threshold,
         )
         _, result = pso_optimize_dc(model, case, pump, n_periods, settings, seed=cfg.seed)
+        result.pp_pump_bandwidth_nm, result.pp_purity = pp_bw, pp_purity
         return result
     else:
         raise ConfigError(f"scheme: unknown scheme {cfg.scheme!r}")
 
     if cfg.pump_bandwidth_nm is not None:
-        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, cfg.pump_bandwidth_nm)
-        dw = measure_delta_omega(model, case, structure, pump, gp.theta_deg)
-        grid = make_grid(gp.theta_deg, dw, case.omega_s0, case.omega_i0)
-        jsa = build_jsa(model, case, structure, pump, grid, mask_invalid=True)
-        svals = schmidt_decompose(jsa)
-        bw_nm, pur = cfg.pump_bandwidth_nm, float(np.sum(svals.coefficients**4))
+        bw_nm = cfg.pump_bandwidth_nm
+        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw_nm)
+        pur = jsa_purity(standard_jsa(model, case, structure, pump, gp.theta_deg))
     else:
         bw_nm, pur = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
     return DesignResult(
@@ -334,7 +342,7 @@ def cmd_design(cfg: RunConfig) -> int:
     if cfg.scheme == "pp":
         result.pp_purity = result.purity
         result.pp_pump_bandwidth_nm = result.pump_bandwidth_nm
-    else:
+    elif result.pp_purity is None:
         pp = periodic_domains(case.length_m, result.coherence_length_m)
         result.pp_pump_bandwidth_nm, result.pp_purity = optimize_pump_bandwidth(
             model, case, pp, result.theta_deg
@@ -486,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--seed", type=int, dest="seed")
         p.add_argument("--sellmeier", dest="sellmeier", help="set name or coefficient file")
-        p.add_argument("--threads", type=int, dest="threads")
 
     p_map = sub.add_parser("gvm-map", help="scan GVM angle and coherence length maps")
     common(p_map)
@@ -541,7 +548,7 @@ _TUPLE_KEYS = {"pump_range_nm", "signal_range_nm", "schemes", "r_list",
                "mqpm_orders", "beta_ladder"}
 _FLOAT_KEYS = {"pump_nm", "signal_nm", "length_mm", "r_mult", "alpha",
                "purity_threshold", "pump_bandwidth_nm"}
-_INT_KEYS = {"seed", "threads", "pso_particles", "pso_iterations"}
+_INT_KEYS = {"seed", "pso_particles", "pso_iterations"}
 
 
 def _coerce_config_value(key: str, value):
@@ -571,12 +578,9 @@ def build_run_config(argv: list[str]) -> RunConfig:
     for key, value in args.items():
         if value is None:
             continue
-        merged[key] = _coerce_config_value(key, value) if isinstance(value, str) else value
+        merged[key] = _coerce_config_value(key, value)
     if "command" not in merged:
         raise ConfigError("command: missing")
-    for key in ("schemes", "r_list", "mqpm_orders", "beta_ladder"):
-        if key in merged and isinstance(merged[key], str):
-            merged[key] = _coerce_config_value(key, merged[key])
     return RunConfig.from_dict(merged)
 
 

@@ -12,8 +12,7 @@ best design found is returned flagged below threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +34,14 @@ __all__ = ["DesignOptions", "design_cl_scl"]
 # 5.5) with modest compute; the loop stops early once l_c/beta < 1 um.
 DEFAULT_BETA_LADDER = (1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 8.0, 10.0, 12.0, 15.0, 18.0, 25.0, 35.0, 50.0)
 
-
-def _default_alphas() -> tuple[float, ...]:
-    return tuple(round(4.0 + 0.1 * k, 10) for k in range(21))
+# Gaussian width factors swept on every rung: 4.0, 4.1, ..., 6.0.
+ALPHA_VALUES = tuple(round(4.0 + 0.1 * k, 10) for k in range(21))
 
 
 @dataclass(frozen=True)
 class DesignOptions:
-    alpha_values: tuple[float, ...] = field(default_factory=_default_alphas)
     beta_ladder: tuple[float, ...] = DEFAULT_BETA_LADDER
     purity_threshold: float = 0.995
-    bounds_nm: tuple[float, float] = (0.05, 50.0)
-    threads: int = 1
 
 
 def design_cl_scl(
@@ -56,8 +51,8 @@ def design_cl_scl(
 ) -> DesignResult:
     """Search (alpha, beta, sign array, pump bandwidth) for a pure source.
 
-    Deterministic: the alpha sweep is reduced in order (ties keep the smaller
-    alpha) regardless of the thread count.
+    Deterministic: the alpha sweep runs in ascending order and ties keep the
+    smaller alpha.
     """
     gp = phase_mismatch_and_lc(model, cfg)
     lc = gp.coherence_length_m
@@ -72,19 +67,13 @@ def design_cl_scl(
     for beta in options.beta_ladder:
         if lc / beta < MIN_DOMAIN_WIDTH_M:
             break
-        if options.threads > 1:
-            with ThreadPoolExecutor(max_workers=options.threads) as pool:
-                results = list(pool.map(lambda a: tracked(a, beta), options.alpha_values))
-        else:
-            results = [tracked(a, beta) for a in options.alpha_values]
+        results = [tracked(a, beta) for a in ALPHA_VALUES]
         costs = np.array([c for _, c in results])
         pick = int(np.argmin(costs))
-        alpha = options.alpha_values[pick]
+        alpha = ALPHA_VALUES[pick]
         array = results[pick][0]
 
-        bw_nm, pur = optimize_pump_bandwidth(
-            model, cfg, array, gp.theta_deg, bounds_nm=options.bounds_nm
-        )
+        bw_nm, pur = optimize_pump_bandwidth(model, cfg, array, gp.theta_deg)
         scheme = "cl" if beta == 1.0 else "scl"
         candidate = DesignResult(
             domains=array,

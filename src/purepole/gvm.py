@@ -227,7 +227,6 @@ def gvm_map(
     """
     lps = _scan_axis(*pump_range_um, pump_step_um)
     lss = _scan_axis(*signal_range_um, signal_step_um)
-    idler_axis = _other_axis(signal_axis)
 
     lp = lps[:, None]
     ls = lss[None, :]
@@ -246,16 +245,11 @@ def gvm_map(
         for j, lam_s in enumerate(lss):
             if not valid[i, j]:
                 continue
-            th = gvm_angle(model, lam_p, lam_s, signal_axis)
             cfg = PhaseMatchConfig.from_pump_signal(lam_p, lam_s, signal_axis)
-            kp = model.wavenumber(cfg.omega_p0, Axis.Y)
-            ks = model.wavenumber(cfg.omega_s0, signal_axis)
-            ki = model.wavenumber(cfg.omega_i0, idler_axis)
-            dk0 = kp - ks - ki
-            if dk0 != 0.0:
-                lc_um[i, j] = math.pi / abs(dk0) * 1e6
-            if 0.0 <= th <= 90.0:
-                theta[i, j] = th
+            gp = phase_mismatch_and_lc(model, cfg)
+            lc_um[i, j] = gp.coherence_length_m * 1e6
+            if 0.0 <= gp.theta_deg <= 90.0:
+                theta[i, j] = gp.theta_deg
     return GvmMap(
         lambda_p_um=lps,
         lambda_s_um=lss,

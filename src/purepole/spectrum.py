@@ -41,6 +41,7 @@ __all__ = [
     "estimate_bandwidths",
     "build_jsa",
     "measure_delta_omega",
+    "standard_jsa",
     "write_jsa_csv",
     "write_jsa_binary",
     "read_jsa_binary",
@@ -361,29 +362,46 @@ def measure_delta_omega(
     structure: DomainArray | DutyCycleStructure | None,
     pump: PumpSpec,
     theta_deg: float,
-    scheme: str = "piecewise",
-    rel_tol: float = 0.02,
     max_iter: int = 12,
 ) -> float:
     """Self-consistent average peak bandwidth dw on the standard R = 10 grid.
 
     Builds a probe grid from a physics-based seed, measures the FWHMs, and
-    rebuilds until dw changes by less than `rel_tol`; the window is doubled
+    rebuilds until dw changes by less than 2 %; the window is doubled
     whenever the peak or a half crossing leaves the grid.
     """
     dw = _initial_bandwidth_guess(model, cfg, pump)
     for _ in range(max_iter):
-        grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=10.0)
-        jsa = build_jsa(model, cfg, structure, pump, grid, scheme=scheme, mask_invalid=True)
+        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega=dw)
         try:
             _, _, new = estimate_bandwidths(jsa)
         except PeakOnBoundary:
             dw *= 2.0
             continue
-        if abs(new - dw) <= rel_tol * dw:
+        if abs(new - dw) <= 0.02 * dw:
             return new
         dw = new
     return dw
+
+
+def standard_jsa(
+    model: DispersionModel,
+    cfg: PhaseMatchConfig,
+    structure: DomainArray | DutyCycleStructure | None,
+    pump: PumpSpec,
+    theta_deg: float,
+    delta_omega: float | None = None,
+    r_mult: float = 10.0,
+) -> JointSpectrum:
+    """Masked JSA on the standard grid of range R = r_mult * dw.
+
+    dw is measured with `measure_delta_omega` unless `delta_omega` is given;
+    grid points outside the transparency window are zeroed.
+    """
+    if delta_omega is None:
+        delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
+    grid = make_grid(theta_deg, delta_omega, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
+    return build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
 
 
 # -- export ------------------------------------------------------------------

@@ -203,6 +203,28 @@ class TestDesignCommand:
         assert data["alpha"] == 5.0
         assert data["purity"] > 0.85
 
+    def test_dc_scheme_searches_the_periodic_bandwidth_once(self, tmp_path, monkeypatch):
+        # the periodic optimum seeds the swarm and is also the P_PP baseline
+        from purepole import cli
+
+        calls = []
+        search = cli.optimize_pump_bandwidth
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_pump_bandwidth", counted)
+        out = tmp_path / "dc"
+        code = run([
+            "design", "--preset", "o-band-i", "--scheme", "dc", "--length-mm", "1.5",
+            "--pso-particles", "2", "--pso-iterations", "1", "--out-dir", str(out),
+        ])
+        assert code in (EXIT_OK, EXIT_BELOW_THRESHOLD)
+        assert len(calls) == 1
+        data = json.loads((out / "design_result.json").read_text())
+        assert data["pp_purity"] is not None
+
     def test_dc_scheme_small_budget(self, tmp_path):
         out = tmp_path / "dc"
         code = run([
@@ -269,8 +291,8 @@ class TestSweepRangeCommand:
 
 class TestRunConfig:
     def test_digest_ignores_execution_fields(self):
-        a = RunConfig(command="design", preset="o-band-i", out_dir="/a", threads=1)
-        b = RunConfig(command="design", preset="o-band-i", out_dir="/b", threads=8)
+        a = RunConfig(command="design", preset="o-band-i", out_dir="/a")
+        b = RunConfig(command="design", preset="o-band-i", out_dir="/b")
         assert a.digest() == b.digest()
 
     def test_digest_tracks_physics_fields(self):
@@ -289,3 +311,30 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception, match="unknown config key"):
             RunConfig.from_dict({"command": "design", "bogus": 1})
+
+    def test_config_with_removed_threads_key_still_loads(self, tmp_path):
+        cfg = RunConfig(
+            command="gvm-map", pump_range_nm=(710.0, 710.0, 1.0),
+            signal_range_nm=(1310.0, 1310.0, 1.0), out_dir=str(tmp_path / "map"),
+        )
+        data = json.loads(cfg.to_json())
+        data["threads"] = 4
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps(data))
+        assert run(["gvm-map", "--config", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["design", "--scheme", "pp", "--pump-bw-nm", "0"], "pump_bandwidth_nm"),
+        (["design", "--scheme", "pp", "--pump-bw-nm", "-1"], "pump_bandwidth_nm"),
+        (["sweep-range", "--schemes", "pp", "--r-list", "10", "--pump-bw-nm", "0"],
+         "pump_bandwidth_nm"),
+        (["design", "--scheme", "pp", "--length-mm", "0"], "length_mm"),
+    ],
+)
+def test_nonpositive_value_exit_2_names_key(tmp_path, capsys, argv, key):
+    code = run([*argv, "--preset", "o-band-i", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err

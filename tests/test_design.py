@@ -1,6 +1,5 @@
-"""Full design loop: ladder behavior, determinism, threading."""
+"""Full design loop: ladder behavior and determinism."""
 
-import numpy as np
 import pytest
 
 from purepole.design import DEFAULT_BETA_LADDER, DesignOptions, design_cl_scl
@@ -21,14 +20,6 @@ class TestDesignLoop:
         assert result.purity > 0.99
         assert not result.below_threshold
         assert result.final_cost is not None
-
-    def test_threads_do_not_change_the_result(self, model):
-        cfg = case_config("i")
-        a = design_cl_scl(model, cfg, DesignOptions(beta_ladder=(1.0,), threads=1))
-        b = design_cl_scl(model, cfg, DesignOptions(beta_ladder=(1.0,), threads=4))
-        assert np.array_equal(a.domains.signs, b.domains.signs)
-        assert a.purity == b.purity
-        assert a.alpha == b.alpha
 
     def test_unreachable_threshold_flags_best_effort(self, model):
         result = design_cl_scl(

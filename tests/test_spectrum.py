@@ -26,6 +26,7 @@ from purepole import (
     pump_envelope,
     purity,
     schmidt_decompose,
+    standard_jsa,
 )
 from purepole.spectrum import read_jsa_binary, write_jsa_binary, write_jsa_csv
 
@@ -264,6 +265,25 @@ class TestBuildJsa:
         jsa = build_jsa(model, cfg, arr, pump, grid, mask_invalid=True)
         assert jsa.masked_points > 0
         assert float(np.sum(np.abs(jsa.amplitude) ** 2)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta_omega, r_mult", [(None, 10.0), (2.0e12, 4.0)])
+    def test_standard_jsa_is_the_explicit_chain(self, model, pump_i, delta_omega, r_mult):
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        dw = delta_omega or measure_delta_omega(model, cfg, arr, pump_i, gp.theta_deg)
+        grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
+        want = build_jsa(model, cfg, arr, pump_i, grid, mask_invalid=True)
+        if delta_omega is None:
+            got = standard_jsa(model, cfg, arr, pump_i, gp.theta_deg)
+        else:
+            got = standard_jsa(model, cfg, arr, pump_i, gp.theta_deg, delta_omega, r_mult)
+        assert got.grid.delta_omega == want.grid.delta_omega
+        assert got.grid.r_mult == want.grid.r_mult
+        assert np.array_equal(got.grid.omega_s, want.grid.omega_s)
+        assert np.array_equal(got.grid.omega_i, want.grid.omega_i)
+        assert np.array_equal(got.amplitude, want.amplitude)
+        assert got.masked_points == want.masked_points
 
     def test_measure_delta_omega_deterministic(self, model, pump_i):
         cfg = case_config("i")
