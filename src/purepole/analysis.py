@@ -38,6 +38,7 @@ __all__ = [
     "SchmidtSpectrum",
     "RangeSweepCurve",
     "PsoSettings",
+    "MIN_RANGE_DW",
     "schmidt_decompose",
     "purity",
     "jsa_purity",
@@ -58,6 +59,8 @@ _N_COARSE, _LOG_BW_TOL = 21, 1e-3
 # Constriction-style particle-swarm coefficients and duty-cycle bounds.
 _PSO_INERTIA, _PSO_COGNITIVE, _PSO_SOCIAL = 0.729, 1.49, 1.49
 _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
+# Smallest spectral range R, in units of dw, that a purity grid may span.
+MIN_RANGE_DW = 2.0
 
 
 class ZeroSpectrum(ValueError):
@@ -250,8 +253,8 @@ def purity_vs_range(
     "piecewise", the phase-matching integral used.
     """
     r_values = np.asarray(r_values, dtype=float)
-    if np.any(r_values < 2.0):
-        raise ValueError("spectral range must be at least 2 dw")
+    if np.any(r_values < MIN_RANGE_DW):
+        raise ValueError(f"spectral range must be at least {MIN_RANGE_DW:g} dw")
     if delta_omega is None:
         delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
     purities = np.empty(r_values.size)

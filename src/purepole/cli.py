@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MIN_RANGE_DW,
     PsoSettings,
     jsa_purity,
     pso_optimize_dc,
@@ -49,7 +50,9 @@ from .poling import (
     DesignResult,
     DomainArray,
     DutyCycleStructure,
+    InvalidOrderList,
     TargetProfile,
+    check_mqpm_orders,
     mqpm_domains,
     periodic_domains,
     write_poling_file,
@@ -132,6 +135,20 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not value > 0:
                 raise ConfigError(f"{key}: must be positive, got {value}")
+        if not self.r_mult >= MIN_RANGE_DW:
+            raise ConfigError(f"r_mult: must be at least {MIN_RANGE_DW:g}, got {self.r_mult}")
+        if any(not r >= MIN_RANGE_DW for r in self.r_list):
+            raise ConfigError(
+                f"r_list: every range must be at least {MIN_RANGE_DW:g}, got {list(self.r_list)}")
+        if not 0 < self.purity_threshold <= 1:
+            raise ConfigError(
+                f"purity_threshold: must lie in (0, 1], got {self.purity_threshold}")
+        if not self.pso_particles >= 1:
+            raise ConfigError(f"pso_particles: must be at least 1, got {self.pso_particles}")
+        try:
+            check_mqpm_orders(self.mqpm_orders)
+        except InvalidOrderList as exc:
+            raise ConfigError(f"mqpm_orders: {exc}, got {self.mqpm_orders}") from exc
 
     def digest(self) -> str:
         """sha256 over the canonical JSON, omitting the execution-only out_dir

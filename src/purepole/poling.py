@@ -43,6 +43,7 @@ __all__ = [
     "effective_pmf_tracked",
     "greedy_track",
     "tracking_cost",
+    "check_mqpm_orders",
     "mqpm_order_map",
     "mqpm_domains",
     "dc_domains",
@@ -322,6 +323,19 @@ def _quantized_order(g: np.ndarray, orders: Sequence[int]) -> np.ndarray:
     return np.asarray(orders)[idx]
 
 
+def check_mqpm_orders(orders: Sequence[int]) -> None:
+    """Raise InvalidOrderList unless the QPM orders are odd, strictly
+    ascending and start at 1."""
+    orders = list(orders)
+    if (
+        not orders
+        or orders[0] != 1
+        or any(m % 2 == 0 or m < 1 for m in orders)
+        or any(b <= a for a, b in zip(orders, orders[1:]))
+    ):
+        raise InvalidOrderList("orders must be odd, strictly ascending, and start at 1")
+
+
 def mqpm_order_map(
     length_m: float,
     coherence_length_m: float,
@@ -337,13 +351,7 @@ def mqpm_order_map(
     from the center are symmetric half-integers.
     """
     orders = list(orders)
-    if (
-        not orders
-        or orders[0] != 1
-        or any(m % 2 == 0 or m < 1 for m in orders)
-        or any(b <= a for a, b in zip(orders, orders[1:]))
-    ):
-        raise InvalidOrderList("orders must be odd, strictly ascending, and start at 1")
+    check_mqpm_orders(orders)
     if coherence_length_m < MIN_DOMAIN_WIDTH_M:
         raise DomainTooNarrow("unit cell below the 1 um fabrication floor")
     n_cells = int(math.floor(length_m / coherence_length_m + 1e-12))

@@ -12,6 +12,16 @@ point and sign-normalized so the central mismatch is +pi/l_c (the material
 value is negative for all KTP configurations handled here; the sign flip
 conjugates the JSA and leaves every magnitude, purity and efficiency
 unchanged).
+
+The phase-matching function of a poling structure depends on the grid only
+through dk, so `pmf_piecewise` sums the exact per-segment integral on a 1-D
+lattice in dk and interpolates from it: 16 nodes per 2 pi/L across the dk
+range of the points, with the sum centred on the crystal (phase reference
+z = L/2) so that it is band-limited to |z| <= L/2, and a local 12-node
+polynomial per lattice cell.  This holds to 1e-10 x max|Phi| against the
+per-segment sum on the standard grids of all presets (about 1e-13 measured).
+Size rule: arrays with fewer points than twice the lattice nodes, scalars
+among them, take the exact sum at every point instead.
 """
 
 from __future__ import annotations
@@ -141,55 +151,128 @@ def pmf_pp_analytic(delta_k, coherence_length_m: float, length_m: float):
     return (2.0 / math.pi) * _sinc(x) * np.exp(1j * dk * (length_m / 2.0))
 
 
-def _pmf_uniform(delta_k: np.ndarray, width_m: float, signs: np.ndarray) -> np.ndarray:
-    """Exact piecewise integral for a uniform-width sign array.
+# The dk lattice of `pmf_piecewise`: nodes (2 pi/L) / LATTICE_NODES_PER_PERIOD
+# apart, and an even number LATTICE_STENCIL of nodes around each lattice cell.
+LATTICE_NODES_PER_PERIOD = 16
+LATTICE_STENCIL = 12
+_POINT_BLOCK = 8192  # points per interpolation block
+_SUM_BLOCK = 1 << 16  # point x segment terms per block of the exact sum
 
-    Uses the cancellation-free per-domain form w sinc(w dk/2) e^{i w dk/2}
-    and a Horner recurrence over domains: the result matches the direct
-    per-segment sum to better than 1e-10 relative for thousands of domains.
+
+def _interval_polynomials() -> np.ndarray:
+    """K[k, m]: coefficient of s^m, for s in [-1/2, 1/2] across one lattice
+    cell, that node k of its stencil contributes to the cell's polynomial
+    for G(dk) e^{i (dk - dk_mid) L/2}.
+
+    The Lagrange basis of the stencil nodes s_k = k - (n - 1)/2 is expanded
+    from its roots (inverting the Vandermonde matrix instead loses digits at
+    n = 12) and multiplied by the Taylor series of e^{i theta s}, theta =
+    pi / LATTICE_NODES_PER_PERIOD, truncated at the same degree.
     """
-    dk = np.asarray(delta_k, dtype=float)
-    u = 0.5 * width_m * dk
-    prefactor = width_m * _sinc(u) * np.exp(1j * u)
-    t = np.exp(1j * width_m * dk)
-    acc = np.zeros(dk.shape, dtype=complex)
-    for a in signs[::-1].astype(float):
-        acc *= t
-        acc += a
-    return prefactor * acc
+    n = LATTICE_STENCIL
+    nodes = np.arange(n) - (n - 1) / 2.0
+    lagrange = np.array([
+        np.poly(np.delete(nodes, k))[::-1] / np.prod(nodes[k] - np.delete(nodes, k))
+        for k in range(n)
+    ])
+    theta = math.pi / LATTICE_NODES_PER_PERIOD
+    series = [(1j * theta) ** q / math.factorial(q) for q in range(n)]
+    shift = np.array([[series[m - k] if m >= k else 0.0 for m in range(n)] for k in range(n)])
+    return lagrange @ shift
 
 
-def _pmf_segments(
-    delta_k: np.ndarray,
-    z_start: np.ndarray,
-    z_end: np.ndarray,
-    sign: np.ndarray,
-) -> np.ndarray:
-    """Exact piecewise integral over arbitrary constant-sign segments."""
-    dk = np.asarray(delta_k, dtype=float)
-    out = np.zeros(dk.shape, dtype=complex)
-    for zs, ze, a in zip(z_start, z_end, sign):
-        width = ze - zs
-        mid = 0.5 * (zs + ze)
-        out += a * width * _sinc(0.5 * width * dk) * np.exp(1j * dk * mid)
+_INTERVAL_POLY = _interval_polynomials()
+
+
+def _segment_sum(dk: np.ndarray, centers: np.ndarray, widths: np.ndarray, weights: np.ndarray):
+    """Exact sum_j weights_j sinc(widths_j dk/2) e^{i dk centers_j} over a
+    1-D dk, in blocks of points; sinc is evaluated once per distinct width."""
+    distinct, which = np.unique(widths, return_inverse=True)
+    out = np.empty(dk.size, dtype=complex)
+    rows = max(1, _SUM_BLOCK // widths.size)
+    for start in range(0, dk.size, rows):
+        x = dk[start : start + rows, None]
+        envelope = _sinc(0.5 * x * distinct)[:, which]
+        phase = x * centers
+        out.real[start : start + rows] = (np.cos(phase) * envelope) @ weights
+        out.imag[start : start + rows] = (np.sin(phase) * envelope) @ weights
+    return out
+
+
+def _lattice(dk: np.ndarray, length_m: float) -> tuple[float, float, np.ndarray] | None:
+    """(lo, step, nodes) of the lattice for a 1-D dk, or None when the points
+    are fewer than twice the nodes (or not all finite).  Cell c spans
+    [lo + c step, lo + (c + 1) step]; its stencil is nodes[c : c + LATTICE_STENCIL]."""
+    if dk.size < 2 * LATTICE_STENCIL:
+        return None
+    lo = float(dk.min())
+    step = 2.0 * math.pi / (length_m * LATTICE_NODES_PER_PERIOD)
+    span = (float(dk.max()) - lo) * (1.0 / step)
+    if not math.isfinite(span):
+        return None
+    n_nodes = int(span) + LATTICE_STENCIL
+    if dk.size < 2 * n_nodes:
+        return None
+    return lo, step, lo + step * (np.arange(n_nodes) - (LATTICE_STENCIL // 2 - 1))
+
+
+def _interpolate(dk: np.ndarray, lo: float, step: float, at_nodes: np.ndarray, half_length: float):
+    """e^{i dk L/2} G(dk) from G at the nodes of `_lattice`.
+
+    Each point takes the polynomial of its cell, built from the cell's
+    stencil with e^{i dk L/2} folded in, evaluated by Horner in blocks.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(at_nodes, LATTICE_STENCIL)
+    mids = lo + step * (np.arange(windows.shape[0]) + 0.5)
+    coef = (windows @ _INTERVAL_POLY) * np.exp(1j * half_length * mids)[:, None]
+    coef = np.ascontiguousarray(coef.T)
+    out = np.empty(dk.size, dtype=complex)
+    for start in range(0, dk.size, _POINT_BLOCK):
+        t = (dk[start : start + _POINT_BLOCK] - lo) * (1.0 / step)
+        cell = t.astype(np.intp)
+        s = t - cell - 0.5
+        acc = coef[-1].take(cell)
+        for row in coef[-2::-1]:
+            acc *= s
+            acc += row.take(cell)
+        out[start : start + _POINT_BLOCK] = acc
     return out
 
 
 def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
     """Exact piecewise-constant PMF integral of a poling structure.
 
-    The per-segment form dz * sinc(dk dz / 2) * e^{i dk z_mid} is free of the
-    0/0 in the naive difference quotient, so the dk -> 0 limit sum(A_j w_j) is
-    reproduced exactly at dk = 0 and the evaluation is continuous through the
-    switchover region |dk L| ~ 1e-8 to machine precision.
+    Phi(dk) = e^{i dk L/2} G(dk), G(dk) = sum_j a_j w_j sinc(w_j dk/2)
+    e^{i dk (m_j - L/2)} over the constant-sign segments (sign a_j, width
+    w_j, midpoint m_j) of a crystal of length L.  The per-segment sinc form
+    has no 0/0 at dk -> 0, so the limit sum(a_j w_j) is reproduced exactly at
+    dk = 0.  Centring the sum on the crystal makes G band-limited to
+    |z| <= L/2, half the bandwidth of Phi itself.
+
+    Size rule: an array with at least twice as many points as lattice nodes
+    is evaluated on a uniform lattice of LATTICE_NODES_PER_PERIOD nodes per
+    2 pi/L spanning its dk range, plus LATTICE_STENCIL - 1 nodes at the
+    ends.  G is summed exactly at the nodes; each point takes the degree
+    LATTICE_STENCIL - 1 polynomial through the stencil of nodes around its
+    lattice cell, with e^{i dk L/2} folded in.  Against the exact sum the
+    error stays within 1e-10 x max|Phi| on the standard grids of all presets
+    (about 1e-13 measured, the rounding floor of the sum itself).  Smaller
+    arrays, scalars and arrays with non-finite values take the exact sum at
+    every point.
     """
-    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
-    scalar = np.ndim(delta_k) == 0
-    if isinstance(structure, DomainArray):
-        out = _pmf_uniform(dk, structure.width_m, structure.signs)
+    dk = np.asarray(delta_k, dtype=float)
+    flat = dk.ravel()
+    z_start, z_end, sign = structure.segments()
+    widths = z_end - z_start
+    half_length = 0.5 * structure.length_m
+    segments = (0.5 * (z_start + z_end) - half_length, widths, sign * widths)
+    lattice = _lattice(flat, structure.length_m)
+    if lattice is None:
+        out = _segment_sum(flat, *segments) * np.exp(1j * half_length * flat)
     else:
-        out = _pmf_segments(dk, *structure.segments())
-    return complex(out[0]) if scalar else out.reshape(np.shape(delta_k))
+        lo, step, nodes = lattice
+        out = _interpolate(flat, lo, step, _segment_sum(nodes, *segments), half_length)
+    return complex(out[0]) if dk.ndim == 0 else out.reshape(dk.shape)
 
 
 def delta_k_grid(

@@ -332,6 +332,14 @@ class TestRunConfig:
         (["sweep-range", "--schemes", "pp", "--r-list", "10", "--pump-bw-nm", "0"],
          "pump_bandwidth_nm"),
         (["design", "--scheme", "pp", "--length-mm", "0"], "length_mm"),
+        (["design", "--scheme", "pp", "--pump-bw-nm", "1.71", "--r-mult", "0"], "r_mult"),
+        (["design", "--scheme", "dc", "--pump-bw-nm", "3", "--pso-particles", "0"],
+         "pso_particles"),
+        (["design", "--scheme", "pp", "--pump-bw-nm", "1.71", "--purity-threshold", "2"],
+         "purity_threshold"),
+        (["design", "--scheme", "mqpm", "--mqpm-orders", "1,2"], "mqpm_orders"),
+        (["sweep-range", "--schemes", "pp", "--r-list", "1,10", "--pump-bw-nm", "1.71"],
+         "r_list"),
     ],
 )
 def test_nonpositive_value_exit_2_names_key(tmp_path, capsys, argv, key):

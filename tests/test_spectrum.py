@@ -10,13 +10,17 @@ from hypothesis import given, settings, strategies as st
 from purepole import (
     Axis,
     DomainArray,
+    DomainTooNarrow,
+    DutyCycleStructure,
     JointSpectrum,
     PeakOnBoundary,
     PhaseMatchConfig,
     PumpSpec,
+    TargetProfile,
     build_jsa,
     dc_domains,
     estimate_bandwidths,
+    greedy_track,
     make_grid,
     measure_delta_omega,
     periodic_domains,
@@ -28,7 +32,16 @@ from purepole import (
     schmidt_decompose,
     standard_jsa,
 )
-from purepole.spectrum import read_jsa_binary, write_jsa_binary, write_jsa_csv
+from purepole import spectrum
+from purepole.cli import PRESETS
+from purepole.spectrum import (
+    LATTICE_NODES_PER_PERIOD,
+    LATTICE_STENCIL,
+    delta_k_grid,
+    read_jsa_binary,
+    write_jsa_binary,
+    write_jsa_csv,
+)
 
 from conftest import case_config
 
@@ -166,6 +179,136 @@ class TestPmfPiecewise:
         pmf_piecewise(dk, arr)
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"400x400 x 3200 domains took {elapsed:.1f} s"
+
+
+def _per_segment_sum(dk, structure):
+    """The phase-matching function summed one segment at a time."""
+    out = np.zeros(np.shape(dk), dtype=complex)
+    for zs, ze, a in zip(*structure.segments()):
+        w = ze - zs
+        out += a * w * np.sinc(0.5 * w * dk / np.pi) * np.exp(0.5j * (zs + ze) * dk)
+    return out
+
+
+def _lattice_step(structure):
+    return 2 * math.pi / (structure.length_m * LATTICE_NODES_PER_PERIOD)
+
+
+def _preset_structures(model, preset):
+    """(config, GVM point, structures by label) for a preset in a 5 mm crystal:
+    PP, the SCL arrays the tracker accepts at beta 10 and 18, a random DC."""
+    pump_nm, signal_nm, axis = PRESETS[preset]
+    cfg = PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis))
+    gp = phase_mismatch_and_lc(model, cfg)
+    lc = gp.coherence_length_m
+    structures = {"pp": periodic_domains(cfg.length_m, lc)}
+    profile = TargetProfile.from_alpha(5.0, cfg.length_m, math.pi / lc)
+    for beta in (10.0, 18.0):
+        try:
+            structures[f"scl-{beta:g}"] = greedy_track(profile, beta, lc, cfg.length_m)
+        except DomainTooNarrow:
+            pass
+    n_periods = int(math.floor(cfg.length_m / (2 * lc) + 1e-12))
+    rng = np.random.default_rng(sum(map(ord, preset)))
+    structures["dc"] = dc_domains(cfg.length_m, lc, rng.uniform(0.02, 0.98, n_periods))
+    return cfg, gp, structures
+
+
+def _standard_delta_k(model, cfg, gp, pp, r_mult):
+    """Sign-normalised dk on the standard grid of the preset's PP crystal."""
+    pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
+    dw = measure_delta_omega(model, cfg, pp, pump, gp.theta_deg)
+    grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
+    dk, _ = delta_k_grid(model, cfg, grid, mask_invalid=True)
+    return math.copysign(1.0, gp.delta_k0) * dk.ravel()
+
+
+def _assert_lattice_matches_segment_sum(dk, structure, rng):
+    # the lattice path is taken, and compared at the peak plus 1500 points
+    assert spectrum._lattice(dk, structure.length_m) is not None
+    fast = pmf_piecewise(dk, structure)
+    pick = np.append(rng.choice(dk.size, 1500, replace=False), np.argmax(np.abs(fast)))
+    exact = _per_segment_sum(dk[pick], structure)
+    err = np.max(np.abs(fast[pick] - exact)) / np.max(np.abs(exact))
+    assert err <= 1e-10, f"lattice error {err:.2e} of max|Phi|"
+
+
+class TestPmfLattice:
+    """The Δk-lattice evaluation of `pmf_piecewise` against the exact sum."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_standard_grid(self, model, preset):
+        cfg, gp, structures = _preset_structures(model, preset)
+        assert {"pp", "scl-10", "dc"} <= set(structures)
+        dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
+        rng = np.random.default_rng(0)
+        for structure in structures.values():
+            _assert_lattice_matches_segment_sum(dk, structure, rng)
+
+    def test_wide_range_grid(self, model):
+        cfg, gp, structures = _preset_structures(model, "o-band-i")
+        dk = _standard_delta_k(model, cfg, gp, structures["pp"], 50.0)
+        assert dk.size == 1000 * 1000
+        rng = np.random.default_rng(1)
+        for label in ("pp", "scl-10", "dc"):
+            _assert_lattice_matches_segment_sum(dk, structures[label], rng)
+
+    def test_both_sides_of_the_size_rule_agree(self, monkeypatch):
+        arr = periodic_domains(5e-3, 20e-6)
+        step = _lattice_step(arr)
+        # 40.5 steps of dk: 41 lattice cells, 41 + LATTICE_STENCIL - 1 nodes
+        n_nodes = 41 + LATTICE_STENCIL - 1
+        below = math.pi / 20e-6 + step * np.linspace(-20.25, 20.25, 2 * n_nodes - 1)
+        above = np.append(below, below[0])
+        summed = []
+        real_sum = spectrum._segment_sum
+
+        def counting_sum(dk, *segments):
+            summed.append(dk.size)
+            return real_sum(dk, *segments)
+
+        monkeypatch.setattr(spectrum, "_segment_sum", counting_sum)
+        phi_below = pmf_piecewise(below, arr)
+        phi_above = pmf_piecewise(above, arr)
+        assert summed == [below.size, n_nodes]
+        scale = np.max(np.abs(phi_below))
+        assert np.max(np.abs(phi_above[:-1] - phi_below)) <= 1e-12 * scale
+        assert phi_above[-1] == phi_above[0]
+
+    def test_values_on_lattice_nodes(self):
+        arr = dc_domains(5e-3, 20e-6, np.linspace(0.2, 0.8, 125))
+        step = _lattice_step(arr)
+        # the lattice starts at min(dk): these points sit exactly on its nodes
+        lowest = math.pi / 20e-6 - 20 * step
+        dk = lowest + step * np.repeat(np.arange(40), 10)
+        assert spectrum._lattice(dk, arr.length_m) is not None
+        phi = pmf_piecewise(dk, arr)
+        exact = _per_segment_sum(dk, arr)
+        assert np.all(np.isfinite(phi))
+        assert np.max(np.abs(phi - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        width=st.floats(1e-6, 5e-5),
+        duty=st.booleans(),
+        dk0=st.floats(0.0, 4e5),
+        periods=st.floats(0.0, 40.0),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_lattice_matches_exact_sum(self, seed, n, width, duty, dk0, periods):
+        rng = np.random.default_rng(seed)
+        if duty:
+            structure = DutyCycleStructure(period_m=2 * width, fractions=rng.uniform(0.0, 1.0, n))
+        else:
+            structure = DomainArray(width_m=width, signs=rng.choice([1, -1], n))
+        step = _lattice_step(structure)
+        cells = periods * LATTICE_NODES_PER_PERIOD
+        size = 2 * (int(cells) + LATTICE_STENCIL) + 16
+        dk = dk0 + step * cells * rng.uniform(-0.5, 0.5, size)
+        assert spectrum._lattice(dk, structure.length_m) is not None
+        np.testing.assert_allclose(pmf_piecewise(dk, structure), _per_segment_sum(dk, structure),
+                                   rtol=1e-10, atol=1e-10 * structure.length_m)
 
 
 class TestMakeGrid:
