@@ -145,10 +145,32 @@ class RunConfig:
                 f"purity_threshold: must lie in (0, 1], got {self.purity_threshold}")
         if not self.pso_particles >= 1:
             raise ConfigError(f"pso_particles: must be at least 1, got {self.pso_particles}")
+        for key in ("pso_iterations", "seed"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key}: must be nonnegative, got {getattr(self, key)}")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ConfigError(f"alpha: must be positive, got {self.alpha}")
+        if self.beta_ladder is not None and any(not b > 0 for b in self.beta_ladder):
+            raise ConfigError(
+                f"beta_ladder: every rung must be positive, got {list(self.beta_ladder)}")
         try:
             check_mqpm_orders(self.mqpm_orders)
         except InvalidOrderList as exc:
             raise ConfigError(f"mqpm_orders: {exc}, got {self.mqpm_orders}") from exc
+        # an input that the run would not read is an error, not a no-op
+        if self.preset is not None:
+            for key in ("pump_nm", "signal_nm"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"{key}: conflicts with preset {self.preset!r}")
+        if self.command == "design":
+            if self.scheme == "cl-scl" and self.pump_bandwidth_nm is not None:
+                raise ConfigError(
+                    "pump_bandwidth_nm: scheme cl-scl searches the pump bandwidth itself")
+            if self.scheme != "mqpm" and self.alpha is not None:
+                raise ConfigError(f"alpha: only scheme mqpm reads it, not {self.scheme!r}")
+            if self.scheme != "cl-scl" and self.beta_ladder is not None:
+                raise ConfigError(
+                    f"beta_ladder: only scheme cl-scl reads it, not {self.scheme!r}")
 
     def digest(self) -> str:
         """sha256 over the canonical JSON, omitting the execution-only out_dir

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from purepole import Axis, KTP_KATO_2002, PhaseMatchConfig
+from purepole import (
+    Axis,
+    DomainTooNarrow,
+    KTP_KATO_2002,
+    PhaseMatchConfig,
+    TargetProfile,
+    dc_domains,
+    greedy_track,
+    periodic_domains,
+    phase_mismatch_and_lc,
+)
+from purepole.cli import PRESETS
 
 
 @dataclass(frozen=True)
@@ -56,3 +69,23 @@ def case_config(name: str, length_m: float = 5e-3) -> PhaseMatchConfig:
 @pytest.fixture
 def case_i():
     return case_config("i")
+
+
+def preset_structures(model, preset):
+    """(config, GVM point, structures by label) for a preset in a 5 mm crystal:
+    PP, the SCL arrays the tracker accepts at beta 10 and 18, a random DC."""
+    pump_nm, signal_nm, axis = PRESETS[preset]
+    cfg = PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis))
+    gp = phase_mismatch_and_lc(model, cfg)
+    lc = gp.coherence_length_m
+    structures = {"pp": periodic_domains(cfg.length_m, lc)}
+    profile = TargetProfile.from_alpha(5.0, cfg.length_m, math.pi / lc)
+    for beta in (10.0, 18.0):
+        try:
+            structures[f"scl-{beta:g}"] = greedy_track(profile, beta, lc, cfg.length_m)
+        except DomainTooNarrow:
+            pass
+    n_periods = int(math.floor(cfg.length_m / (2 * lc) + 1e-12))
+    rng = np.random.default_rng(sum(map(ord, preset)))
+    structures["dc"] = dc_domains(cfg.length_m, lc, rng.uniform(0.02, 0.98, n_periods))
+    return cfg, gp, structures

@@ -1,11 +1,16 @@
 """Schmidt purity, heralding efficiency, optimizers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import purepole
 from purepole import (
     JointSpectrum,
     NoInteriorMaximum,
@@ -16,6 +21,7 @@ from purepole import (
     ZeroSpectrum,
     build_jsa,
     heralding_efficiency,
+    jsa_purity,
     make_grid,
     measure_delta_omega,
     optimize_pump_bandwidth,
@@ -25,10 +31,12 @@ from purepole import (
     purity,
     purity_vs_range,
     schmidt_decompose,
+    standard_jsa,
 )
-from purepole.analysis import write_curve_csv, write_schmidt_csv
+from purepole.analysis import _GRAM_BLOCK, write_curve_csv, write_schmidt_csv
+from purepole.cli import PRESETS
 
-from conftest import case_config
+from conftest import case_config, preset_structures
 
 
 def _complex_matrix(seed: int, shape=(24, 24)) -> np.ndarray:
@@ -98,6 +106,127 @@ class TestPurity:
         p0 = purity(schmidt_decompose(f))
         p1 = purity(schmidt_decompose(f.T))
         assert p1 == pytest.approx(p0, abs=1e-12)
+
+
+def _svd_purity(jsa) -> float:
+    return purity(schmidt_decompose(jsa))
+
+
+def _standard_pump_and_dw(model, cfg, gp, pp):
+    """A 2 nm pump and the dw it gives the preset's PP crystal."""
+    pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
+    return pump, measure_delta_omega(model, cfg, pp, pump, gp.theta_deg)
+
+
+class TestGramPurity:
+    """`jsa_purity` (Gram matrix) against the SVD purity it replaces."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_standard_grid(self, model, preset):
+        cfg, gp, structures = preset_structures(model, preset)
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        for structure in structures.values():
+            jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw)
+            assert jsa.amplitude.shape in ((200, 200), (400, 400))
+            assert abs(jsa_purity(jsa) - _svd_purity(jsa)) <= 1e-12
+
+    def test_wide_range_grid(self, model):
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        jsa = standard_jsa(model, cfg, structures["pp"], pump, gp.theta_deg, dw, 50.0)
+        assert jsa.amplitude.shape == (1000, 1000)
+        # the tails hold subnormal entries, which the flush removes
+        tiny = np.finfo(float).tiny
+        assert np.any((np.abs(jsa.amplitude.real) < tiny) & (jsa.amplitude.real != 0))
+        assert abs(jsa_purity(jsa) - _svd_purity(jsa)) <= 1e-12
+
+    def test_pso_coarse_grid(self, model):
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=10.0,
+                         step_divisor=10)
+        jsa = build_jsa(model, cfg, structures["dc"], pump, grid, mask_invalid=True)
+        assert jsa.amplitude.shape == (100, 100)
+        assert abs(jsa_purity(jsa) - _svd_purity(jsa)) <= 1e-12
+
+    def test_subnormal_entries_count_as_zero(self):
+        f = _complex_matrix(3, shape=(150, 131))
+        f /= np.linalg.norm(f)
+        rng = np.random.default_rng(4)
+        seeded = f.copy()
+        cells = rng.random(f.shape) < 0.3
+        seeded[cells] = 1e-320 * (rng.standard_normal(np.count_nonzero(cells)) + 1j)
+        # a normal real part with a subnormal imaginary part
+        seeded[0, 0] = f[0, 0].real + 2e-320j
+        zeroed = np.where(cells, 0.0, f)
+        zeroed[0, 0] = f[0, 0].real
+        assert jsa_purity(seeded) == jsa_purity(zeroed)
+        assert abs(jsa_purity(seeded) - _svd_purity(zeroed)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        f = _complex_matrix(6)
+        f[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jsa_purity(f)
+
+    def test_zero_amplitude_rejected(self):
+        with pytest.raises(ZeroSpectrum):
+            jsa_purity(np.zeros((4, 4), complex))
+        jsa = _gaussian_jsa(1e12, 1.5e12)
+        with pytest.raises(ZeroSpectrum):
+            jsa_purity(JointSpectrum(grid=jsa.grid, amplitude=np.zeros_like(jsa.amplitude)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 300).filter(lambda n: n % _GRAM_BLOCK),
+        cols=st.integers(1, 300).filter(lambda n: n % _GRAM_BLOCK),
+        rank=st.integers(1, 6),
+        exponent=st.integers(-290, 290),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_matches_svd_purity(self, seed, rows, cols, rank, exponent):
+        # a sum of `rank` separable terms plus noise, at any overall scale
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        v = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        f = u @ v + 0.1 * rng.standard_normal((rows, cols))
+        assert abs(jsa_purity(10.0**exponent * f) - _svd_purity(f)) <= 1e-12
+
+    def test_purity_callers_make_no_svd(self, model, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cfg = case_config("i", length_m=1.5e-3)
+        gp = phase_mismatch_and_lc(model, cfg)
+        arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        bw, p = optimize_pump_bandwidth(model, cfg, arr, gp.theta_deg)
+        assert 0 < p < 1
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw)
+        curve = purity_vs_range(model, cfg, arr, pump, [5.0, 10.0], gp.theta_deg)
+        assert curve.purities[1] == pytest.approx(p, abs=1e-9)
+        n = int(cfg.length_m / (2 * gp.coherence_length_m))
+        _, res = pso_optimize_dc(model, cfg, pump, n,
+                                 PsoSettings(n_particles=2, n_iterations=1), seed=0)
+        assert 0 < res.purity < 1
+
+
+def test_purity_imports_no_scipy_linalg():
+    # scipy.linalg would add to every run's import time and resident memory
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import purepole, purepole.cli\n"
+        "purepole.jsa_purity(np.outer([1.0, 2.0], [1.0, 1j]))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(purepole.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _gaussian_jsa(width_s, width_i, r_mult=10.0, n_per_dw=20):

@@ -340,9 +340,49 @@ class TestRunConfig:
         (["design", "--scheme", "mqpm", "--mqpm-orders", "1,2"], "mqpm_orders"),
         (["sweep-range", "--schemes", "pp", "--r-list", "1,10", "--pump-bw-nm", "1.71"],
          "r_list"),
+        (["design", "--scheme", "cl-scl", "--beta-ladder", "0"], "beta_ladder"),
+        (["design", "--scheme", "cl-scl", "--beta-ladder", "1,-2"], "beta_ladder"),
+        (["design", "--scheme", "dc", "--pump-bw-nm", "3", "--seed", "-1"], "seed"),
+        (["design", "--scheme", "dc", "--pump-bw-nm", "3", "--pso-iterations", "-1"],
+         "pso_iterations"),
+        (["design", "--scheme", "mqpm", "--pump-bw-nm", "3", "--alpha", "0"], "alpha"),
     ],
 )
 def test_nonpositive_value_exit_2_names_key(tmp_path, capsys, argv, key):
     code = run([*argv, "--preset", "o-band-i", "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--preset", "o-band-i", "--length-mm", "1.5", "--scheme", "cl-scl",
+          "--pump-bw-nm", "3"], "pump_bandwidth_nm"),
+        (["--preset", "o-band-i", "--scheme", "pp", "--alpha", "5"], "alpha"),
+        (["--preset", "o-band-i", "--scheme", "cl-scl", "--alpha", "5"], "alpha"),
+        (["--preset", "o-band-i", "--scheme", "dc", "--pump-bw-nm", "3", "--alpha", "5"],
+         "alpha"),
+        (["--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm", "1.71",
+          "--beta-ladder", "1"], "beta_ladder"),
+        (["--preset", "o-band-i", "--pump-nm", "720", "--scheme", "pp", "--pump-bw-nm", "1.71"],
+         "pump_nm"),
+        (["--preset", "o-band-i", "--signal-nm", "1300", "--scheme", "pp",
+          "--pump-bw-nm", "1.71"], "signal_nm"),
+    ],
+)
+def test_unread_design_input_exit_2_names_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run(["design", *argv, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replayed_config_with_null_inputs_is_valid(tmp_path):
+    # run_config.json writes every field, unset ones as null
+    out = tmp_path / "run"
+    cfg = RunConfig(command="design", preset="o-band-i", scheme="pp",
+                    pump_bandwidth_nm=1.71, out_dir=str(out))
+    data = json.loads(cfg.to_json())
+    assert data["alpha"] is None and data["pump_nm"] is None and data["beta_ladder"] is None
+    assert RunConfig.from_dict(data) == cfg

@@ -10,17 +10,14 @@ from hypothesis import given, settings, strategies as st
 from purepole import (
     Axis,
     DomainArray,
-    DomainTooNarrow,
     DutyCycleStructure,
     JointSpectrum,
     PeakOnBoundary,
     PhaseMatchConfig,
     PumpSpec,
-    TargetProfile,
     build_jsa,
     dc_domains,
     estimate_bandwidths,
-    greedy_track,
     make_grid,
     measure_delta_omega,
     periodic_domains,
@@ -43,7 +40,7 @@ from purepole.spectrum import (
     write_jsa_csv,
 )
 
-from conftest import case_config
+from conftest import case_config, preset_structures
 
 
 @pytest.fixture(scope="module")
@@ -194,26 +191,6 @@ def _lattice_step(structure):
     return 2 * math.pi / (structure.length_m * LATTICE_NODES_PER_PERIOD)
 
 
-def _preset_structures(model, preset):
-    """(config, GVM point, structures by label) for a preset in a 5 mm crystal:
-    PP, the SCL arrays the tracker accepts at beta 10 and 18, a random DC."""
-    pump_nm, signal_nm, axis = PRESETS[preset]
-    cfg = PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis))
-    gp = phase_mismatch_and_lc(model, cfg)
-    lc = gp.coherence_length_m
-    structures = {"pp": periodic_domains(cfg.length_m, lc)}
-    profile = TargetProfile.from_alpha(5.0, cfg.length_m, math.pi / lc)
-    for beta in (10.0, 18.0):
-        try:
-            structures[f"scl-{beta:g}"] = greedy_track(profile, beta, lc, cfg.length_m)
-        except DomainTooNarrow:
-            pass
-    n_periods = int(math.floor(cfg.length_m / (2 * lc) + 1e-12))
-    rng = np.random.default_rng(sum(map(ord, preset)))
-    structures["dc"] = dc_domains(cfg.length_m, lc, rng.uniform(0.02, 0.98, n_periods))
-    return cfg, gp, structures
-
-
 def _standard_delta_k(model, cfg, gp, pp, r_mult):
     """Sign-normalised dk on the standard grid of the preset's PP crystal."""
     pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
@@ -238,7 +215,7 @@ class TestPmfLattice:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_standard_grid(self, model, preset):
-        cfg, gp, structures = _preset_structures(model, preset)
+        cfg, gp, structures = preset_structures(model, preset)
         assert {"pp", "scl-10", "dc"} <= set(structures)
         dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
         rng = np.random.default_rng(0)
@@ -246,7 +223,7 @@ class TestPmfLattice:
             _assert_lattice_matches_segment_sum(dk, structure, rng)
 
     def test_wide_range_grid(self, model):
-        cfg, gp, structures = _preset_structures(model, "o-band-i")
+        cfg, gp, structures = preset_structures(model, "o-band-i")
         dk = _standard_delta_k(model, cfg, gp, structures["pp"], 50.0)
         assert dk.size == 1000 * 1000
         rng = np.random.default_rng(1)
