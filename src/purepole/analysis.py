@@ -335,13 +335,13 @@ def pso_optimize_dc(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
     pump: PumpSpec,
-    n_periods: int,
     settings: PsoSettings = PsoSettings(),
     seed: int = 0,
     initial_profile: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DesignResult]:
     """Particle-swarm optimization of the per-period duty-cycle profile.
 
+    The profile holds one duty cycle per period, floor(L / 2 l_c) of them.
     The swarm is initialized around the error-function profile (first
     particle exactly on it; `initial_profile` overrides it), evaluated on a
     coarse `coarse_points`-squared grid, with reflecting bounds; the best
@@ -350,16 +350,14 @@ def pso_optimize_dc(
     """
     gp = phase_mismatch_and_lc(model, cfg)
     lc = gp.coherence_length_m
-    expected = int(math.floor(cfg.length_m / (2.0 * lc) + 1e-12))
-    if n_periods != expected:
-        raise ValueError(f"n_periods must be floor(L / 2 l_c) = {expected}")
+    n_periods = int(math.floor(cfg.length_m / (2.0 * lc) + 1e-12))
 
     if initial_profile is None:
         init = erf_duty_profile(cfg.length_m, lc, alpha=5.0)
     else:
         init = np.asarray(initial_profile, dtype=float)
         if init.size != n_periods:
-            raise ValueError("initial profile size must equal n_periods")
+            raise ValueError(f"initial profile must have floor(L / 2 l_c) = {n_periods} entries")
     lo, hi = _DUTY_MIN, _DUTY_MAX
     init = np.clip(init, lo, hi)
 

@@ -44,6 +44,7 @@ from .gvm import (
     PhaseMatchConfig,
     gvm_map,
     phase_mismatch_and_lc,
+    write_gvm_lc_csv,
     write_gvm_map_csv,
 )
 from .poling import (
@@ -162,6 +163,11 @@ class RunConfig:
             for key in ("pump_nm", "signal_nm"):
                 if getattr(self, key) is not None:
                     raise ConfigError(f"{key}: conflicts with preset {self.preset!r}")
+        if self.command == "gvm-map":
+            # the map scans wavelength ranges; it reads no single case or crystal
+            for key in ("preset", "pump_nm", "signal_nm", "length_mm", "r_mult", "seed"):
+                if getattr(self, key) != self.__dataclass_fields__[key].default:
+                    raise ConfigError(f"{key}: gvm-map does not read it")
         if self.command == "design":
             if self.scheme == "cl-scl" and self.pump_bandwidth_nm is not None:
                 raise ConfigError(
@@ -280,15 +286,7 @@ def cmd_gvm_map(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_gvm_map_csv(out / "gvm_theta_map.csv", gmap, _header(cfg))
-    lc_lines = [f"# {h}" for h in _header(cfg)]
-    lc_lines.append("lambda_p_nm,lambda_s_nm,lambda_i_nm,l_c_um")
-    for i, lp in enumerate(gmap.lambda_p_um):
-        for j, ls in enumerate(gmap.lambda_s_um):
-            lc_lines.append(
-                f"{lp * 1e3:.4f},{ls * 1e3:.4f},"
-                f"{gmap.lambda_i_um[i, j] * 1e3:.4f},{gmap.coherence_length_um[i, j]:.6f}"
-            )
-    (out / "gvm_lc_map.csv").write_text("\n".join(lc_lines) + "\n")
+    write_gvm_lc_csv(out / "gvm_lc_map.csv", gmap, _header(cfg))
     (out / "mask_legend.txt").write_text(
         "\n".join(
             [
@@ -329,7 +327,6 @@ def _design_structure(
         structure = mqpm_domains(case.length_m, lc, list(cfg.mqpm_orders), profile)
         beta = None
     elif cfg.scheme == "dc":
-        n_periods = int(math.floor(case.length_m / (2.0 * lc) + 1e-12))
         pp_bw = pp_purity = None
         if cfg.pump_bandwidth_nm is None:
             # seed the duty-cycle optimization with the periodic optimum,
@@ -343,7 +340,7 @@ def _design_structure(
             n_iterations=cfg.pso_iterations,
             target_purity=cfg.purity_threshold,
         )
-        _, result = pso_optimize_dc(model, case, pump, n_periods, settings, seed=cfg.seed)
+        _, result = pso_optimize_dc(model, case, pump, settings, seed=cfg.seed)
         result.pp_pump_bandwidth_nm, result.pp_purity = pp_bw, pp_purity
         return result
     else:

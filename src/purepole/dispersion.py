@@ -9,7 +9,10 @@ from W. Kato and E. Takaoka, Appl. Opt. 41, 5040 (2002); alternative sets can
 be loaded from a small key-value text file (see `DispersionModel.from_file`).
 
 All evaluations are pure functions of their inputs: no caching, no global
-state, safe to call from any number of workers.
+state, safe to call from any number of workers.  Scalars and arrays go
+through the same numpy operations (squares by `np.square`, never `** 2`,
+which on a numpy scalar calls libm `pow`), so an array evaluation equals the
+scalar call element by element, bit for bit.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class DispersionModel:
         # d(n^2)/dlam = -2 lam [B1/(lam^2-C1)^2 + B2/(lam^2-C2)^2 + D]
         A, B1, C1, B2, C2, D = self.coefficients(axis)
         x = np.square(lambda_um)
-        dn2 = -2.0 * np.asarray(lambda_um) * (B1 / (x - C1) ** 2 + B2 / (x - C2) ** 2 + D)
+        dn2 = -2.0 * np.asarray(lambda_um) * (B1 / np.square(x - C1) + B2 / np.square(x - C2) + D)
         return dn2 / (2.0 * self.refractive_index(lambda_um, axis))
 
     def wavenumber(self, omega: FloatOrArray, axis: Axis) -> FloatOrArray:

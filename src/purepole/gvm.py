@@ -11,6 +11,12 @@ plane,
 folded into (-90 deg, 90 deg]; separable joint spectra require
 0 <= theta <= 90 deg.  The coherence length is l_c = pi / |dk0| with
 dk0 = k_p - k_s - k_i at the central wavelengths.
+
+One private function, `_geometry`, computes the angle and dk0 for scalars
+and arrays alike: `gvm_angle` and `phase_mismatch_and_lc` call it on one
+triple, `gvm_map` once on all valid cells of a scan, so a map cell equals
+the point query bit for bit.  The arctangent is `math.atan2` applied per
+element rather than `np.arctan2`, whose SIMD loop can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "phase_mismatch_and_lc",
     "gvm_map",
     "write_gvm_map_csv",
+    "write_gvm_lc_csv",
 ]
 
 DEFAULT_CRYSTAL_LENGTH_M = 5e-3
@@ -142,46 +149,40 @@ class GvmPoint:
     coherence_length_m: float
 
 
-def _fold_angle_deg(theta: float) -> float:
-    """Fold an angle into (-90, 90] degrees (the ridge orientation is mod 180)."""
-    while theta <= -90.0:
-        theta += 180.0
-    while theta > 90.0:
-        theta -= 180.0
-    return theta
+# math.atan2 per element: numpy's SIMD arctan2 can differ from it in the last
+# bit, which would split map cells from point queries
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
-def gvm_angle(
-    model: DispersionModel,
-    lambda_p_um: float,
-    lambda_s_um: float,
-    signal_axis: Axis,
-) -> float:
-    """GVM angle in degrees for a pump/signal pair, quadrant-aware.
+def _geometry(model: DispersionModel, lambda_p_um, lambda_s_um, lambda_i_um, signal_axis: Axis):
+    """GVM angle (degrees, in (-90, 90]) and dk0 = k_p - k_s - k_i (rad/m) for
+    in-window wavelength triples, scalars or arrays alike."""
+    axes = (Axis.Y, signal_axis, _other_axis(signal_axis))
+    omegas = [omega_from_wavelength_um(lam) for lam in (lambda_p_um, lambda_s_um, lambda_i_um)]
+    kp_p, kp_s, kp_i = (model.inverse_group_velocity(w, ax) for w, ax in zip(omegas, axes))
+    # atan2 lies in [-180, 180] degrees, so one half-turn folds it
+    theta = np.degrees(np.asarray(_atan2(-(kp_p - kp_s), kp_p - kp_i), dtype=float))
+    theta = np.where(theta <= -90.0, theta + 180.0, np.where(theta > 90.0, theta - 180.0, theta))
+    k_p, k_s, k_i = (model.wavenumber(w, ax) for w, ax in zip(omegas, axes))
+    return theta, k_p - k_s - k_i
 
-    Uses the two-argument arctangent of (-(k'_p - k'_s), (k'_p - k'_i)) and
-    folds the result into (-90, 90].
-    """
+
+def gvm_angle(model: DispersionModel, lambda_p_um: float, lambda_s_um: float, signal_axis: Axis) -> float:
+    """GVM angle in degrees for a pump/signal pair, quadrant-aware, folded
+    into (-90, 90]."""
     lambda_i_um = idler_wavelength(lambda_p_um, lambda_s_um)
     model._check_window(lambda_i_um)
-    idler_axis = _other_axis(signal_axis)
-    kp_p = model.inverse_group_velocity(omega_from_wavelength_um(lambda_p_um), Axis.Y)
-    kp_s = model.inverse_group_velocity(omega_from_wavelength_um(lambda_s_um), signal_axis)
-    kp_i = model.inverse_group_velocity(omega_from_wavelength_um(lambda_i_um), idler_axis)
-    theta = math.degrees(math.atan2(-(kp_p - kp_s), kp_p - kp_i))
-    return _fold_angle_deg(theta)
+    theta, _ = _geometry(model, lambda_p_um, lambda_s_um, lambda_i_um, signal_axis)
+    return float(theta)
 
 
 def phase_mismatch_and_lc(model: DispersionModel, cfg: PhaseMatchConfig) -> GvmPoint:
-    """Central phase mismatch dk0 = k_p - k_s - k_i and l_c = pi/|dk0|."""
-    kp = model.wavenumber(cfg.omega_p0, cfg.pump_axis)
-    ks = model.wavenumber(cfg.omega_s0, cfg.signal_axis)
-    ki = model.wavenumber(cfg.omega_i0, cfg.idler_axis)
-    dk0 = kp - ks - ki
+    """Central phase mismatch dk0 = k_p - k_s - k_i, l_c = pi/|dk0| and the
+    GVM angle."""
+    theta, dk0 = _geometry(model, cfg.lambda_p_um, cfg.lambda_s_um, cfg.lambda_i_um, cfg.signal_axis)
     if dk0 == 0.0:
         raise ValueError("configuration is exactly phase matched; l_c undefined")
-    theta = gvm_angle(model, cfg.lambda_p_um, cfg.lambda_s_um, cfg.signal_axis)
-    return GvmPoint(theta_deg=theta, delta_k0=dk0, coherence_length_m=math.pi / abs(dk0))
+    return GvmPoint(theta_deg=float(theta), delta_k0=dk0, coherence_length_m=math.pi / abs(dk0))
 
 
 @dataclass
@@ -228,28 +229,16 @@ def gvm_map(
     lps = _scan_axis(*pump_range_um, pump_step_um)
     lss = _scan_axis(*signal_range_um, signal_step_um)
 
-    lp = lps[:, None]
-    ls = lss[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        li = np.where(ls > lp, 1.0 / (1.0 / lp - 1.0 / ls), np.nan)
-    valid = (
-        (ls > lp)
-        & model.in_window(lp)
-        & model.in_window(ls)
-        & np.where(np.isfinite(li), model.in_window(np.nan_to_num(li, nan=0.0)), False)
-    )
+    lp, ls = np.meshgrid(lps, lss, indexing="ij")
+    with np.errstate(divide="ignore"):
+        li = 1.0 / (1.0 / lp - 1.0 / ls)
+    valid = (ls > lp) & model.in_window(lp) & model.in_window(ls) & model.in_window(li)
 
-    theta = np.full((lps.size, lss.size), np.nan)
-    lc_um = np.full((lps.size, lss.size), np.nan)
-    for i, lam_p in enumerate(lps):
-        for j, lam_s in enumerate(lss):
-            if not valid[i, j]:
-                continue
-            cfg = PhaseMatchConfig.from_pump_signal(lam_p, lam_s, signal_axis)
-            gp = phase_mismatch_and_lc(model, cfg)
-            lc_um[i, j] = gp.coherence_length_m * 1e6
-            if 0.0 <= gp.theta_deg <= 90.0:
-                theta[i, j] = gp.theta_deg
+    theta = np.full(valid.shape, np.nan)
+    lc_um = np.full(valid.shape, np.nan)
+    th, dk0 = _geometry(model, lp[valid], ls[valid], li[valid], signal_axis)
+    lc_um[valid] = math.pi / np.abs(dk0) * 1e6
+    theta[valid] = np.where((th >= 0.0) & (th <= 90.0), th, np.nan)
     return GvmMap(
         lambda_p_um=lps,
         lambda_s_um=lss,
@@ -260,19 +249,31 @@ def gvm_map(
     )
 
 
+def _write_cells(path: str | Path, comments: list[str], gmap: GvmMap, columns: dict) -> None:
+    """The row loop of both map files: `comments` as '# ' lines, a header, and
+    per cell lambda_p_nm, lambda_s_nm, lambda_i_nm, then each named column."""
+    row = ",".join(["{:.4f}"] * 3 + ["{:.6f}"] * len(columns))
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(["lambda_p_nm", "lambda_s_nm", "lambda_i_nm", *columns]))
+    ls_nm = (gmap.lambda_s_um * 1e3).tolist()
+    for i, lp_nm in enumerate((gmap.lambda_p_um * 1e3).tolist()):
+        cells = [(gmap.lambda_i_um[i] * 1e3).tolist(), *(col[i].tolist() for col in columns.values())]
+        lines.extend(row.format(lp_nm, ls, *values) for ls, *values in zip(ls_nm, *cells))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_gvm_map_csv(path: str | Path, gmap: GvmMap, header_lines: list[str] | None = None) -> None:
     """Write one row per map cell: lambda_p_nm, lambda_s_nm, lambda_i_nm,
     theta_deg (nan = masked), l_c_um (nan = invalid cell)."""
-    lines = [f"# {h}" for h in (header_lines or [])]
-    lines.append(f"# signal_axis: {gmap.signal_axis.value}")
-    lines.append("lambda_p_nm,lambda_s_nm,lambda_i_nm,theta_deg,l_c_um")
-    for i, lp in enumerate(gmap.lambda_p_um):
-        for j, ls in enumerate(gmap.lambda_s_um):
-            li = gmap.lambda_i_um[i, j]
-            th = gmap.theta_deg[i, j]
-            lc = gmap.coherence_length_um[i, j]
-            lines.append(
-                f"{lp * 1e3:.4f},{ls * 1e3:.4f},"
-                f"{li * 1e3:.4f},{th:.6f},{lc:.6f}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_cells(
+        path,
+        [*(header_lines or []), f"signal_axis: {gmap.signal_axis.value}"],
+        gmap,
+        {"theta_deg": gmap.theta_deg, "l_c_um": gmap.coherence_length_um},
+    )
+
+
+def write_gvm_lc_csv(path: str | Path, gmap: GvmMap, header_lines: list[str] | None = None) -> None:
+    """Write one row per map cell: lambda_p_nm, lambda_s_nm, lambda_i_nm,
+    l_c_um (nan = invalid cell)."""
+    _write_cells(path, header_lines or [], gmap, {"l_c_um": gmap.coherence_length_um})

@@ -206,8 +206,7 @@ class TestGramPurity:
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw)
         curve = purity_vs_range(model, cfg, arr, pump, [5.0, 10.0], gp.theta_deg)
         assert curve.purities[1] == pytest.approx(p, abs=1e-9)
-        n = int(cfg.length_m / (2 * gp.coherence_length_m))
-        _, res = pso_optimize_dc(model, cfg, pump, n,
+        _, res = pso_optimize_dc(model, cfg, pump,
                                  PsoSettings(n_particles=2, n_iterations=1), seed=0)
         assert 0 < res.purity < 1
 
@@ -329,51 +328,45 @@ class TestPurityVsRange:
 class TestPsoDutyCycle:
     def test_deterministic_bit_for_bit(self, model):
         cfg = case_config("i", length_m=1.0e-3)
-        gp = phase_mismatch_and_lc(model, cfg)
-        n = int(cfg.length_m / (2 * gp.coherence_length_m))
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
         settings_ = PsoSettings(n_particles=4, n_iterations=3, coarse_points=60)
-        prof_a, res_a = pso_optimize_dc(model, cfg, pump, n, settings_, seed=42)
-        prof_b, res_b = pso_optimize_dc(model, cfg, pump, n, settings_, seed=42)
+        prof_a, res_a = pso_optimize_dc(model, cfg, pump, settings_, seed=42)
+        prof_b, res_b = pso_optimize_dc(model, cfg, pump, settings_, seed=42)
         assert np.array_equal(prof_a, prof_b)
         assert res_a.purity == res_b.purity
 
     def test_seed_changes_search(self, model):
         cfg = case_config("i", length_m=1.0e-3)
-        gp = phase_mismatch_and_lc(model, cfg)
-        n = int(cfg.length_m / (2 * gp.coherence_length_m))
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
         settings_ = PsoSettings(n_particles=4, n_iterations=2, coarse_points=60)
-        prof_a, _ = pso_optimize_dc(model, cfg, pump, n, settings_, seed=1)
-        prof_b, _ = pso_optimize_dc(model, cfg, pump, n, settings_, seed=2)
+        prof_a, _ = pso_optimize_dc(model, cfg, pump, settings_, seed=1)
+        prof_b, _ = pso_optimize_dc(model, cfg, pump, settings_, seed=2)
         assert not np.array_equal(prof_a, prof_b)
 
     def test_budget_exhausted_flag(self, model):
         cfg = case_config("i", length_m=1.0e-3)
-        gp = phase_mismatch_and_lc(model, cfg)
-        n = int(cfg.length_m / (2 * gp.coherence_length_m))
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
         settings_ = PsoSettings(
             n_particles=2, n_iterations=1, coarse_points=60, target_purity=0.999999
         )
-        _, res = pso_optimize_dc(model, cfg, pump, n, settings_, seed=0)
+        _, res = pso_optimize_dc(model, cfg, pump, settings_, seed=0)
         assert res.below_threshold
 
-    def test_wrong_period_count_rejected(self, model):
+    def test_initial_profile_size_checked(self, model):
         cfg = case_config("i", length_m=1.0e-3)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
         with pytest.raises(ValueError, match="floor"):
-            pso_optimize_dc(model, cfg, pump, 7, PsoSettings(n_particles=2, n_iterations=1))
+            pso_optimize_dc(model, cfg, pump, PsoSettings(n_particles=2, n_iterations=1),
+                            initial_profile=np.full(7, 0.5))
 
     def test_duty_cycle_beats_periodic_at_standard_range(self, model):
         # the apodized duty-cycle source outperforms plain periodic poling at
         # R = 10 dw even with a small search budget on top of the erf start
         cfg = case_config("i")
         gp = phase_mismatch_and_lc(model, cfg)
-        n = int(cfg.length_m / (2 * gp.coherence_length_m))
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
         settings_ = PsoSettings(n_particles=4, n_iterations=2, coarse_points=100)
-        _, res = pso_optimize_dc(model, cfg, pump, n, settings_, seed=0)
+        _, res = pso_optimize_dc(model, cfg, pump, settings_, seed=0)
         pp = periodic_domains(cfg.length_m, gp.coherence_length_m)
         _, p_pp = optimize_pump_bandwidth(model, cfg, pp, gp.theta_deg)
         assert res.purity > p_pp
@@ -387,7 +380,7 @@ class TestPsoDutyCycle:
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.07)
         settings_ = PsoSettings(n_particles=1, n_iterations=0, init_spread=0.0)
         _, res = pso_optimize_dc(
-            model, cfg, pump, n, settings_, seed=0,
+            model, cfg, pump, settings_, seed=0,
             initial_profile=np.full(n, 0.5),
         )
         pp = periodic_domains(cfg.length_m, lc)

@@ -386,3 +386,38 @@ def test_replayed_config_with_null_inputs_is_valid(tmp_path):
     data = json.loads(cfg.to_json())
     assert data["alpha"] is None and data["pump_nm"] is None and data["beta_ladder"] is None
     assert RunConfig.from_dict(data) == cfg
+
+
+_MAP_RANGES = ["--pump-range-nm", "710:710:1", "--signal-range-nm", "1310:1310:1"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--preset", "o-band-ii"], "preset"),
+        (["--pump-nm", "720"], "pump_nm"),
+        (["--length-mm", "3"], "length_mm"),
+        (["--r-mult", "20"], "r_mult"),
+        (["--seed", "5"], "seed"),
+    ],
+)
+def test_unread_gvm_map_input_exit_2_names_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run(["gvm-map", *_MAP_RANGES, *argv, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_written_gvm_map_config_replays(tmp_path):
+    # run_config.json carries every field at its default, and that stays valid
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run(["gvm-map", *_MAP_RANGES, "--out-dir", str(first)]) == EXIT_OK
+    data = json.loads((first / "run_config.json").read_text())
+    data["out_dir"] = str(second)
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(data))
+    assert run(["gvm-map", "--config", str(path)]) == EXIT_OK
+    hashes_first, hashes_second = _file_hashes(first), _file_hashes(second)
+    for hashes in (hashes_first, hashes_second):
+        del hashes["run_config.json"]  # records its own out_dir
+    assert hashes_first == hashes_second

@@ -107,6 +107,25 @@ class TestInverseGroupVelocity:
             model.inverse_group_velocity(omega_from_wavelength_um(4.5), Axis.Z)
 
 
+class TestArrayMatchesScalar:
+    # 3.134786823690389 um on Z and 3.865187653742876 um on Y are wavelengths
+    # where a squared difference written `** 2` on a numpy scalar (libm pow)
+    # lands one bit away from the array square
+    @pytest.mark.parametrize("axis", [Axis.Y, Axis.Z])
+    def test_bit_identical_element_by_element(self, model, axis):
+        rng = np.random.default_rng(11)
+        lams = np.concatenate([
+            [3.134786823690389, 3.865187653742876, 0.71, 1.31, 1.55],
+            rng.uniform(*model.window_um, 2000),
+        ])
+        omegas = omega_from_wavelength_um(lams)
+        igv = model.inverse_group_velocity(omegas, axis)
+        k = model.wavenumber(omegas, axis)
+        for i, omega in enumerate(omegas):
+            assert igv[i] == model.inverse_group_velocity(float(omega), axis)
+            assert k[i] == model.wavenumber(float(omega), axis)
+
+
 class TestCoefficientFile:
     def test_round_trip(self, model, tmp_path):
         path = tmp_path / "set.txt"

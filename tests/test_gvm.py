@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from purepole import (
     Axis,
+    DispersionModel,
     EmptyRange,
     NonPositiveIdler,
     PhaseMatchConfig,
@@ -16,7 +17,7 @@ from purepole import (
     idler_wavelength,
     phase_mismatch_and_lc,
 )
-from purepole.gvm import write_gvm_map_csv
+from purepole.gvm import write_gvm_lc_csv, write_gvm_map_csv
 
 from conftest import CASES, case_config
 
@@ -109,14 +110,46 @@ class TestGvmMap:
         assert gmap.coherence_length_um[0, 0] == pytest.approx(18.86, rel=0.05)
 
     def test_map_cell_bit_identical_to_point_query(self, model):
-        gmap = gvm_map(model, (0.70, 0.72), (1.30, 1.32), Axis.Z,
-                       pump_step_um=0.01, signal_step_um=0.01)
-        for i, lp in enumerate(gmap.lambda_p_um):
-            for j, ls in enumerate(gmap.lambda_s_um):
-                stored = gmap.theta_deg[i, j]
-                if np.isnan(stored):
-                    continue
-                assert stored == gvm_angle(model, lp, ls, Axis.Z)
+        # the window holds masked idlers, negative angles and signal <= pump
+        for axis in (Axis.Y, Axis.Z):
+            gmap = gvm_map(model, (0.40, 1.20), (0.5, 3.0), axis,
+                           pump_step_um=0.02, signal_step_um=0.05)
+            valid = np.isfinite(gmap.coherence_length_um)
+            assert valid.any() and not valid.all()
+            assert np.any(gmap.lambda_s_um[None, :] <= gmap.lambda_p_um[:, None])
+            negative = 0
+            for i, lp in enumerate(gmap.lambda_p_um):
+                for j, ls in enumerate(gmap.lambda_s_um):
+                    if not valid[i, j]:
+                        assert np.isnan(gmap.theta_deg[i, j])
+                        continue
+                    theta = gvm_angle(model, lp, ls, axis)
+                    cfg = PhaseMatchConfig.from_pump_signal(lp, ls, axis)
+                    assert gmap.coherence_length_um[i, j] == (
+                        phase_mismatch_and_lc(model, cfg).coherence_length_m * 1e6)
+                    if 0.0 <= theta <= 90.0:
+                        assert gmap.theta_deg[i, j] == theta
+                    else:
+                        negative += theta < 0.0
+                        assert np.isnan(gmap.theta_deg[i, j])
+            assert negative > 0
+
+    def test_wavenumber_calls_independent_of_map_size(self, model, monkeypatch):
+        calls = []
+        wavenumber = DispersionModel.wavenumber
+
+        def counting(self, omega, axis):
+            calls.append(axis)
+            return wavenumber(self, omega, axis)
+
+        monkeypatch.setattr(DispersionModel, "wavenumber", counting)
+        counts = []
+        for step in (0.01, 0.001):
+            calls.clear()
+            gvm_map(model, (0.60, 0.80), (1.30, 1.60), Axis.Z,
+                    pump_step_um=step, signal_step_um=step)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3
 
     def test_idler_beyond_4um_masked(self, model):
         # lambda_i = 1/(1/0.72 - 1/0.87) = 4.176 um, outside the window
@@ -154,3 +187,26 @@ class TestGvmMap:
         row = text.strip().splitlines()[-1].split(",")
         assert float(row[0]) == pytest.approx(710.0)
         assert float(row[4]) == pytest.approx(18.86, rel=0.05)
+
+    def test_csv_rows_format_each_cell(self, model, tmp_path):
+        # masked and invalid cells included; each row formats its cell's values
+        gmap = gvm_map(model, (0.55, 0.72), (0.6, 1.4), Axis.Z,
+                       pump_step_um=0.01, signal_step_um=0.1)
+        write_gvm_map_csv(tmp_path / "theta.csv", gmap, header_lines=["h"])
+        write_gvm_lc_csv(tmp_path / "lc.csv", gmap, header_lines=["h"])
+        theta_rows = (tmp_path / "theta.csv").read_text().splitlines()
+        lc_rows = (tmp_path / "lc.csv").read_text().splitlines()
+        assert theta_rows[:3] == ["# h", "# signal_axis: Z",
+                                  "lambda_p_nm,lambda_s_nm,lambda_i_nm,theta_deg,l_c_um"]
+        assert lc_rows[:2] == ["# h", "lambda_p_nm,lambda_s_nm,lambda_i_nm,l_c_um"]
+        expected_theta, expected_lc = [], []
+        for i, lp in enumerate(gmap.lambda_p_um):
+            for j, ls in enumerate(gmap.lambda_s_um):
+                cell = f"{lp * 1e3:.4f},{ls * 1e3:.4f},{gmap.lambda_i_um[i, j] * 1e3:.4f}"
+                lc = gmap.coherence_length_um[i, j]
+                expected_theta.append(f"{cell},{gmap.theta_deg[i, j]:.6f},{lc:.6f}")
+                expected_lc.append(f"{cell},{lc:.6f}")
+        assert theta_rows[3:] == expected_theta
+        assert lc_rows[2:] == expected_lc
+        assert any("nan" in row for row in expected_lc)
+        assert any("nan" not in row for row in expected_lc)
