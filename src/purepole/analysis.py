@@ -123,6 +123,26 @@ def purity(spectrum: SchmidtSpectrum | np.ndarray) -> float:
     return float(np.sum(c**4))
 
 
+def _unit_working_copy(amp: np.ndarray) -> np.ndarray:
+    """A copy of `amp` scaled to unit Frobenius norm by way of its largest
+    part, with every real or imaginary part below `_FLUSH_FLOOR` set to zero.
+
+    Raises ValueError for non-finite entries and ZeroSpectrum for an
+    all-zero amplitude.
+    """
+    work = np.array(amp, dtype=np.result_type(amp.dtype, float))
+    parts = work.view(float).reshape(-1)  # real and imaginary parts, in place
+    peak = float(np.max(np.abs(parts)))
+    if not math.isfinite(peak):
+        raise ValueError("JSA contains non-finite entries")
+    if peak == 0.0:
+        raise ZeroSpectrum("the JSA amplitude vanishes")
+    parts /= peak
+    parts /= math.sqrt(float(np.dot(parts, parts)))
+    parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
+    return work
+
+
 def jsa_purity(jsa: JointSpectrum | np.ndarray) -> float:
     """Schmidt purity Tr(rho_s^2) = sum_j c_j^4 of a joint spectrum, from the
     Gram matrix: P = ||F^H F||_F^2 / ||F||_F^4, with no singular values.
@@ -142,17 +162,8 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray) -> float:
     amp = jsa.amplitude if isinstance(jsa, JointSpectrum) else np.asarray(jsa)
     if amp.ndim != 2:
         raise ValueError("JSA amplitude must be a 2-D array")
-    work = np.array(amp, dtype=np.result_type(amp.dtype, float))
-    parts = work.view(float).reshape(-1)  # real and imaginary parts, in place
-    peak = float(np.max(np.abs(parts)))
-    if not math.isfinite(peak):
-        raise ValueError("JSA contains non-finite entries")
-    if peak == 0.0:
-        raise ZeroSpectrum("the JSA amplitude vanishes")
-    parts /= peak
-    parts /= math.sqrt(float(np.dot(parts, parts)))
-    parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
-
+    work = _unit_working_copy(amp)
+    parts = work.view(float).reshape(-1)
     gram_sq = 0.0
     for c0 in range(0, work.shape[1], _GRAM_BLOCK):
         c1 = min(c0 + _GRAM_BLOCK, work.shape[1])
@@ -322,13 +333,28 @@ def purity_vs_range(
 
 @dataclass(frozen=True)
 class PsoSettings:
-    """Particle-swarm budget, start spread, coarse grid size and stop target."""
+    """Particle-swarm budget, start spread, coarse grid size and stop target.
+
+    `coarse_points` is the side of the coarse R = 10 dw scoring grid, so it
+    must be a positive multiple of 10; `n_particles` must be at least 1 and
+    `n_iterations` at least 0.  Each violation raises ValueError naming the
+    field.
+    """
 
     n_particles: int = 40
     n_iterations: int = 200
     init_spread: float = 0.05
     coarse_points: int = 100
     target_purity: float | None = None
+
+    def __post_init__(self):
+        if not (self.coarse_points >= 10 and self.coarse_points % 10 == 0):
+            raise ValueError(
+                f"coarse_points must be a positive multiple of 10, got {self.coarse_points!r}")
+        if not self.n_particles >= 1:
+            raise ValueError(f"n_particles must be at least 1, got {self.n_particles!r}")
+        if not self.n_iterations >= 0:
+            raise ValueError(f"n_iterations must be at least 0, got {self.n_iterations!r}")
 
 
 def pso_optimize_dc(

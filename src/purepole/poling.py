@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -80,20 +81,39 @@ class DutyOutOfRange(ValueError):
     """A duty-cycle fraction falls outside its allowed interval."""
 
 
+def _frozen_copy(values, dtype) -> np.ndarray:
+    """A read-only copy, so that a structure cannot change under the values
+    derived from it."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+class _Structure:
+    """What every poling structure shares: a cache of derived values."""
+
+    @cached_property
+    def pmf_table(self) -> dict:
+        """Phase-matching node sums and cell polynomials of this structure,
+        by lattice block, filled by `spectrum.pmf_piecewise`; it lives and
+        dies with the structure."""
+        return {}
+
+
 @dataclass(frozen=True)
-class DomainArray:
+class DomainArray(_Structure):
     """Uniform-width poling structure: width w and orientation signs A_j = +-1.
 
     The origin z = 0 is the crystal entrance; domain j (1-based) spans
     [(j-1) w, j w].  Any crystal remainder beyond len(signs)*w is unpoled and
-    excluded from integration.
+    excluded from integration.  `signs` is a read-only copy of the input.
     """
 
     width_m: float
     signs: np.ndarray
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8)
+        signs = _frozen_copy(self.signs, np.int8)
         if signs.ndim != 1 or signs.size == 0:
             raise ValueError("signs must be a nonempty 1-D array")
         if not np.all(np.abs(signs) == 1):
@@ -140,20 +160,20 @@ class TargetProfile:
 
 
 @dataclass(frozen=True)
-class DutyCycleStructure:
+class DutyCycleStructure(_Structure):
     """Fixed-period poling with per-period duty cycle.
 
     Each period of length `period_m` = 2*l_c starts with an UP segment of
     length period_m * fraction followed by a DOWN segment of the remainder.
     Sub-domain widths are non-uniform, so this structure is evaluated with the
-    general piecewise integral.
+    general piecewise integral.  `fractions` is a read-only copy of the input.
     """
 
     period_m: float
     fractions: np.ndarray
 
     def __post_init__(self):
-        fr = np.asarray(self.fractions, dtype=float)
+        fr = _frozen_copy(self.fractions, float)
         if fr.ndim != 1 or fr.size == 0:
             raise ValueError("fractions must be a nonempty 1-D array")
         object.__setattr__(self, "fractions", fr)

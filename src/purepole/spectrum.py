@@ -7,21 +7,33 @@ D = dw/20 (200 x 200) when the GVM angle lies in [10, 80] degrees, and
 D = dw/40 (400 x 400) otherwise, where one mode is much narrower than the
 other.  N = R/D points are placed at cell centers so the cells tile exactly R.
 
-The phase mismatch is evaluated with the full Sellmeier model at every grid
-point and sign-normalized so the central mismatch is +pi/l_c (the material
-value is negative for all KTP configurations handled here; the sign flip
-conjugates the JSA and leaves every magnitude, purity and efficiency
-unchanged).
+Grid plan: both axes of a grid step by the same D, so omega_s[j] + omega_i[k]
+takes only 2N - 1 values, one per j + k.  The pump wavenumber, the pump
+envelope and the pump's transparency check are evaluated on those 2N - 1
+sums, and dk[j, k] = k_p[j + k] - k_s[j] - k_i[k] is formed through a
+sliding-window (Hankel) view: 3N - 1 Sellmeier evaluations instead of N^2 + 2N.
+The phase mismatch is sign-normalized so the central mismatch is +pi/l_c
+(the material value is negative for all KTP configurations handled here; the
+sign flip conjugates the JSA and leaves every magnitude, purity and
+efficiency unchanged).
 
 The phase-matching function of a poling structure depends on the grid only
 through dk, so `pmf_piecewise` sums the exact per-segment integral on a 1-D
-lattice in dk and interpolates from it: 16 nodes per 2 pi/L across the dk
-range of the points, with the sum centred on the crystal (phase reference
-z = L/2) so that it is band-limited to |z| <= L/2, and a local 12-node
-polynomial per lattice cell.  This holds to 1e-10 x max|Phi| against the
-per-segment sum on the standard grids of all presets (about 1e-13 measured).
-Size rule: arrays with fewer points than twice the lattice nodes, scalars
-among them, take the exact sum at every point instead.
+lattice in dk and interpolates from it: nodes at the integer multiples of
+(2 pi/L)/16, with the sum centred on the crystal (phase reference z = L/2) so
+that it is band-limited to |z| <= L/2, and a local 12-node polynomial per
+lattice cell.  Because the nodes do not depend on the points, each structure
+keeps its node sums and cell polynomials in a table that lives as long as the
+structure and grows in aligned blocks, so the builds of a bandwidth search
+share them.  This holds to 1e-10 x max|Phi| against the per-segment sum on
+the standard grids of all presets (about 1e-13 measured).  Size rule: arrays
+with fewer points than twice the lattice nodes they span, scalars among
+them, take the exact sum at every point instead.
+
+dw is measured without building the grid: an 8-neighbour hill climb from the
+grid centre finds the |f|^2 peak, and only the row and the column through it
+are evaluated.  A climb that reaches the grid edge falls back to a full
+build, so that `PeakOnBoundary` keeps its meaning.
 """
 
 from __future__ import annotations
@@ -95,7 +107,14 @@ class PumpSpec:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform signal/idler frequency grids centered on the nominal pair."""
+    """Uniform signal/idler frequency grids centered on the nominal pair.
+
+    Contract: `omega_s` and `omega_i` are nonempty 1-D arrays that both step
+    by `step` (each point within 1e-6 step of omega[0] + n step), as
+    `make_grid` builds them, so that omega_s[j] + omega_i[k] depends only on
+    j + k.  `delta_k_grid` and `build_jsa` rely on it and raise ValueError
+    for a grid that breaks it.
+    """
 
     omega_s: np.ndarray
     omega_i: np.ndarray
@@ -151,10 +170,13 @@ def pmf_pp_analytic(delta_k, coherence_length_m: float, length_m: float):
     return (2.0 / math.pi) * _sinc(x) * np.exp(1j * dk * (length_m / 2.0))
 
 
-# The dk lattice of `pmf_piecewise`: nodes (2 pi/L) / LATTICE_NODES_PER_PERIOD
-# apart, and an even number LATTICE_STENCIL of nodes around each lattice cell.
+# The dk lattice of `pmf_piecewise`: nodes m (2 pi/L) / LATTICE_NODES_PER_PERIOD
+# for integer m, and an even number LATTICE_STENCIL of nodes around each
+# lattice cell.  A structure's table holds node sums and cell polynomials in
+# aligned blocks of _TABLE_BLOCK nodes or cells.
 LATTICE_NODES_PER_PERIOD = 16
 LATTICE_STENCIL = 12
+_TABLE_BLOCK = 64
 _POINT_BLOCK = 8192  # points per interpolation block
 _SUM_BLOCK = 1 << 16  # point x segment terms per block of the exact sum
 
@@ -199,42 +221,84 @@ def _segment_sum(dk: np.ndarray, centers: np.ndarray, widths: np.ndarray, weight
     return out
 
 
-def _lattice(dk: np.ndarray, length_m: float) -> tuple[float, float, np.ndarray] | None:
-    """(lo, step, nodes) of the lattice for a 1-D dk, or None when the points
-    are fewer than twice the nodes (or not all finite).  Cell c spans
-    [lo + c step, lo + (c + 1) step]; its stencil is nodes[c : c + LATTICE_STENCIL]."""
+def _segments(structure: DomainArray | DutyCycleStructure):
+    """(centres relative to L/2, widths, signed widths) of the segments."""
+    z_start, z_end, sign = structure.segments()
+    widths = z_end - z_start
+    return 0.5 * (z_start + z_end) - 0.5 * structure.length_m, widths, sign * widths
+
+
+def _lattice_step(length_m: float) -> float:
+    return 2.0 * math.pi / (length_m * LATTICE_NODES_PER_PERIOD)
+
+
+def _lattice(dk: np.ndarray, length_m: float) -> tuple[int, int] | None:
+    """(first, last) lattice cell of a 1-D dk, or None when the points are
+    fewer than twice the nodes those cells need (or not all finite).  Cell c
+    spans [c step, (c + 1) step]; its stencil is the nodes c - 5 .. c + 6."""
     if dk.size < 2 * LATTICE_STENCIL:
         return None
-    lo = float(dk.min())
-    step = 2.0 * math.pi / (length_m * LATTICE_NODES_PER_PERIOD)
-    span = (float(dk.max()) - lo) * (1.0 / step)
-    if not math.isfinite(span):
+    scale = 1.0 / _lattice_step(length_m)
+    lo, hi = float(dk.min()) * scale, float(dk.max()) * scale
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
-    n_nodes = int(span) + LATTICE_STENCIL
-    if dk.size < 2 * n_nodes:
+    first, last = math.floor(lo), math.floor(hi)
+    if dk.size < 2 * (last - first + LATTICE_STENCIL):
         return None
-    return lo, step, lo + step * (np.arange(n_nodes) - (LATTICE_STENCIL // 2 - 1))
+    return first, last
 
 
-def _interpolate(dk: np.ndarray, lo: float, step: float, at_nodes: np.ndarray, half_length: float):
-    """e^{i dk L/2} G(dk) from G at the nodes of `_lattice`.
+def _node_block(structure: DomainArray | DutyCycleStructure, block: int) -> np.ndarray:
+    """G at the nodes block B .. (block + 1) B - 1, B = _TABLE_BLOCK, from the
+    structure's table.  A block is always summed by one call on the same
+    nodes, so a node's value does not depend on which evaluation needed it
+    first (the exact sum can differ in the last bit with the batch)."""
+    key = ("nodes", block)
+    table = structure.pmf_table
+    if key not in table:
+        m = np.arange(block * _TABLE_BLOCK, (block + 1) * _TABLE_BLOCK)
+        table[key] = _segment_sum(_lattice_step(structure.length_m) * m, *_segments(structure))
+    return table[key]
 
-    Each point takes the polynomial of its cell, built from the cell's
-    stencil with e^{i dk L/2} folded in, evaluated by Horner in blocks.
+
+def _cell_block(structure: DomainArray | DutyCycleStructure, block: int) -> np.ndarray:
+    """Polynomial coefficients, shape (LATTICE_STENCIL, B), of the cells
+    block B .. (block + 1) B - 1, with e^{i dk_mid L/2} folded in, from the
+    structure's table."""
+    key = ("cells", block)
+    table = structure.pmf_table
+    if key not in table:
+        nodes = np.concatenate([_node_block(structure, b) for b in (block - 1, block, block + 1)])
+        lo = _TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)  # first stencil node of the block
+        windows = np.lib.stride_tricks.sliding_window_view(
+            nodes[lo : lo + _TABLE_BLOCK + LATTICE_STENCIL - 1], LATTICE_STENCIL)
+        cells = np.arange(block * _TABLE_BLOCK, (block + 1) * _TABLE_BLOCK)
+        mids = _lattice_step(structure.length_m) * (cells + 0.5)
+        coef = (windows @ _INTERVAL_POLY) * np.exp(0.5j * structure.length_m * mids)[:, None]
+        table[key] = np.ascontiguousarray(coef.T)
+    return table[key]
+
+
+def _interpolate(dk: np.ndarray, structure: DomainArray | DutyCycleStructure) -> np.ndarray:
+    """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's table.
+
+    Each point takes the polynomial of its lattice cell, evaluated by Horner
+    in blocks; a point's value depends only on its dk.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(at_nodes, LATTICE_STENCIL)
-    mids = lo + step * (np.arange(windows.shape[0]) + 0.5)
-    coef = (windows @ _INTERVAL_POLY) * np.exp(1j * half_length * mids)[:, None]
-    coef = np.ascontiguousarray(coef.T)
+    t = dk * (1.0 / _lattice_step(structure.length_m))
+    cells = np.floor(t)
+    first = int(cells.min()) // _TABLE_BLOCK
+    last = int(cells.max()) // _TABLE_BLOCK
+    coef = np.concatenate([_cell_block(structure, b) for b in range(first, last + 1)], axis=1)
     out = np.empty(dk.size, dtype=complex)
     for start in range(0, dk.size, _POINT_BLOCK):
-        t = (dk[start : start + _POINT_BLOCK] - lo) * (1.0 / step)
-        cell = t.astype(np.intp)
-        s = t - cell - 0.5
-        acc = coef[-1].take(cell)
+        cell = cells[start : start + _POINT_BLOCK]
+        s = t[start : start + _POINT_BLOCK] - cell - 0.5
+        index = cell.astype(np.intp) - first * _TABLE_BLOCK
+        acc = coef[-1].take(index)
         for row in coef[-2::-1]:
             acc *= s
-            acc += row.take(cell)
+            acc += row.take(index)
         out[start : start + _POINT_BLOCK] = acc
     return out
 
@@ -249,30 +313,94 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
     dk = 0.  Centring the sum on the crystal makes G band-limited to
     |z| <= L/2, half the bandwidth of Phi itself.
 
-    Size rule: an array with at least twice as many points as lattice nodes
-    is evaluated on a uniform lattice of LATTICE_NODES_PER_PERIOD nodes per
-    2 pi/L spanning its dk range, plus LATTICE_STENCIL - 1 nodes at the
-    ends.  G is summed exactly at the nodes; each point takes the degree
-    LATTICE_STENCIL - 1 polynomial through the stencil of nodes around its
-    lattice cell, with e^{i dk L/2} folded in.  Against the exact sum the
-    error stays within 1e-10 x max|Phi| on the standard grids of all presets
-    (about 1e-13 measured, the rounding floor of the sum itself).  Smaller
-    arrays, scalars and arrays with non-finite values take the exact sum at
-    every point.
+    Size rule: an array with at least twice as many points as the lattice
+    nodes it needs is interpolated on the lattice of nodes m (2 pi/L) /
+    LATTICE_NODES_PER_PERIOD, m integer: each point takes the degree
+    LATTICE_STENCIL - 1 polynomial through the LATTICE_STENCIL nodes around
+    its lattice cell, with e^{i dk L/2} folded in, so the lattice spans the
+    points' dk range plus LATTICE_STENCIL - 1 end nodes.  Node sums and cell
+    polynomials are kept in the structure's table (`pmf_table`) and reused
+    by later calls; a value does not depend on what the table held before.
+    Against the exact sum the error stays within 1e-10 x max|Phi| on the
+    standard grids of all presets (about 1e-13 measured, the rounding floor
+    of the sum itself).  Smaller arrays, scalars and arrays with non-finite
+    values take the exact sum at every point.
     """
     dk = np.asarray(delta_k, dtype=float)
     flat = dk.ravel()
-    z_start, z_end, sign = structure.segments()
-    widths = z_end - z_start
-    half_length = 0.5 * structure.length_m
-    segments = (0.5 * (z_start + z_end) - half_length, widths, sign * widths)
-    lattice = _lattice(flat, structure.length_m)
-    if lattice is None:
-        out = _segment_sum(flat, *segments) * np.exp(1j * half_length * flat)
+    if _lattice(flat, structure.length_m) is None:
+        out = _segment_sum(flat, *_segments(structure)) * np.exp(0.5j * structure.length_m * flat)
     else:
-        lo, step, nodes = lattice
-        out = _interpolate(flat, lo, step, _segment_sum(nodes, *segments), half_length)
+        out = _interpolate(flat, structure)
     return complex(out[0]) if dk.ndim == 0 else out.reshape(dk.shape)
+
+
+# Points of a grid axis may sit this far, in units of the step, from the
+# uniform lattice the grid plan assumes.
+_GRID_TOLERANCE = 1e-6
+
+
+def _pump_sums(grid: SpectralGrid) -> np.ndarray:
+    """The 2N - 1 distinct omega_s[j] + omega_i[k], indexed by j + k, after
+    checking the `SpectralGrid` contract."""
+    for name in ("omega_s", "omega_i"):
+        axis = np.asarray(getattr(grid, name), dtype=float)
+        if axis.ndim != 1 or axis.size == 0:
+            raise ValueError(f"SpectralGrid.{name} must be a nonempty 1-D array")
+        drift = np.max(np.abs(axis - (axis[0] + grid.step * np.arange(axis.size))))
+        if not (grid.step > 0 and drift <= _GRID_TOLERANCE * grid.step):
+            raise ValueError(f"SpectralGrid.{name} does not step uniformly by step = {grid.step!r}")
+    ws, wi = grid.omega_s, grid.omega_i
+    return np.concatenate([ws + wi[0], ws[-1] + wi[1:]])
+
+
+def _hankel(values: np.ndarray, columns: int) -> np.ndarray:
+    """Read-only view H[j, k] = values[j + k]."""
+    return np.lib.stride_tricks.sliding_window_view(values, columns)
+
+
+@dataclass(frozen=True)
+class _GridPlan:
+    """The phase mismatch of a grid in 1-D pieces: dk[j, k] = k_pump[j + k]
+    - k_signal[j] - k_idler[k], and a point is valid when its pump, signal
+    and idler wavelengths all lie in the transparency window."""
+
+    pump_sums: np.ndarray
+    k_pump: np.ndarray
+    k_signal: np.ndarray
+    k_idler: np.ndarray
+    valid_pump: np.ndarray
+    valid_signal: np.ndarray
+    valid_idler: np.ndarray
+
+    def delta_k(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return self.k_pump[j + k] - self.k_signal[j] - self.k_idler[k]
+
+    def valid(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return self.valid_pump[j + k] & self.valid_signal[j] & self.valid_idler[k]
+
+
+def _grid_plan(
+    model: DispersionModel, cfg: PhaseMatchConfig, grid: SpectralGrid, mask_invalid: bool
+) -> _GridPlan:
+    """Wavenumbers and window flags of the signal, idler and pump sums of a
+    grid: 3N - 1 Sellmeier evaluations.  See `delta_k_grid` for the modes."""
+    wp = _pump_sums(grid)
+    axes = ((wp, cfg.pump_axis), (grid.omega_s, cfg.signal_axis), (grid.omega_i, cfg.idler_axis))
+    lams = [wavelength_um_from_omega(w) for w, _ in axes]
+    valid = [model.in_window(lam) for lam in lams]
+    if not mask_invalid:
+        # strict mode: any out-of-window point is an error
+        for lam in lams:
+            model._check_window(lam)
+        k = [model.wavenumber(w, axis) for w, axis in axes]
+    else:
+        # out-of-window points get a placeholder frequency well inside the
+        # window; their delta_k is meaningless and flagged invalid
+        omega_mid = 2.0 * math.pi * C_LIGHT / (0.5 * sum(model.window_um) * 1e-6)
+        k = [model.wavenumber(np.where(ok, w, omega_mid), axis)
+             for (w, axis), ok in zip(axes, valid)]
+    return _GridPlan(wp, *k, *valid)
 
 
 def delta_k_grid(
@@ -285,36 +413,15 @@ def delta_k_grid(
 
     Returns (delta_k, valid): with `mask_invalid`, points whose pump, signal
     or idler wavelength leaves the transparency window are flagged invalid
-    (delta_k there is a placeholder); otherwise such points raise.
+    (delta_k there is a placeholder); otherwise such points raise.  The pump
+    terms come from the 2N - 1 pump sums of the grid plan.
     """
-    ws = grid.omega_s
-    wi = grid.omega_i
-    lam_s = wavelength_um_from_omega(ws)
-    lam_i = wavelength_um_from_omega(wi)
-    wsum = ws[:, None] + wi[None, :]
-    lam_p = wavelength_um_from_omega(wsum)
-
-    valid = (
-        model.in_window(lam_s)[:, None]
-        & model.in_window(lam_i)[None, :]
-        & model.in_window(lam_p)
-    )
-    if not mask_invalid:
-        # strict mode: any out-of-window point is an error
-        model._check_window(lam_s)
-        model._check_window(lam_i)
-        model._check_window(lam_p)
-        ks = model.wavenumber(ws, cfg.signal_axis)
-        ki = model.wavenumber(wi, cfg.idler_axis)
-        kp = model.wavenumber(wsum, cfg.pump_axis)
-    else:
-        # out-of-window points get a placeholder frequency well inside the
-        # window; their delta_k is meaningless and flagged invalid
-        omega_mid = 2.0 * math.pi * C_LIGHT / (0.5 * sum(model.window_um) * 1e-6)
-        ks = model.wavenumber(np.where(model.in_window(lam_s), ws, omega_mid), cfg.signal_axis)
-        ki = model.wavenumber(np.where(model.in_window(lam_i), wi, omega_mid), cfg.idler_axis)
-        kp = model.wavenumber(np.where(model.in_window(lam_p), wsum, omega_mid), cfg.pump_axis)
-    return kp - ks[:, None] - ki[None, :], valid
+    plan = _grid_plan(model, cfg, grid, mask_invalid)
+    n = grid.n_idler
+    dk = _hankel(plan.k_pump, n) - plan.k_signal[:, None]
+    dk -= plan.k_idler[None, :]
+    valid = _hankel(plan.valid_pump, n) & plan.valid_signal[:, None] & plan.valid_idler[None, :]
+    return dk, valid
 
 
 def make_grid(
@@ -326,13 +433,21 @@ def make_grid(
     step_divisor: int | None = None,
 ) -> SpectralGrid:
     """Standard purity grid: D = dw/20 for 10 <= theta <= 80 deg, dw/40
-    otherwise; N = R/D cell-centered points per axis, R = r_mult * dw."""
+    otherwise; N = R/D cell-centered points per axis, R = r_mult * dw.
+    Both axes share the offsets, so they step by the same D.  Raises
+    ValueError for step_divisor < 1 and for fewer than 2 points per axis."""
     if delta_omega <= 0:
         raise ValueError("delta_omega must be positive")
     if step_divisor is None:
         step_divisor = 20 if 10.0 <= theta_deg <= 80.0 else 40
+    if not step_divisor >= 1:
+        raise ValueError(f"step_divisor must be at least 1, got {step_divisor!r}")
     step = delta_omega / step_divisor
     n = int(round(r_mult * step_divisor))
+    if n < 2:
+        raise ValueError(
+            f"r_mult = {r_mult!r} with step_divisor = {step_divisor!r} gives {n} points "
+            "per axis; a grid needs at least 2")
     offsets = (np.arange(n) - (n - 1) / 2.0) * step
     return SpectralGrid(
         omega_s=omega_s0 + offsets,
@@ -377,6 +492,14 @@ def estimate_bandwidths(jsa: JointSpectrum) -> tuple[float, float, float]:
     return dws, dwi, 0.5 * (dws + dwi)
 
 
+def _central_mismatch(model: DispersionModel, cfg: PhaseMatchConfig) -> float:
+    """dk0 = k_p0 - k_s0 - k_i0 at the nominal frequencies (raw material sign)."""
+    kp0 = model.wavenumber(cfg.omega_p0, cfg.pump_axis)
+    ks0 = model.wavenumber(cfg.omega_s0, cfg.signal_axis)
+    ki0 = model.wavenumber(cfg.omega_i0, cfg.idler_axis)
+    return kp0 - ks0 - ki0
+
+
 def build_jsa(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
@@ -391,19 +514,19 @@ def build_jsa(
     scheme "piecewise" integrates the poling structure exactly;
     "analytic-pp" uses the first-order periodically-poled formula (no
     structure needed).  The phase mismatch is sign-normalized so the central
-    value is +pi/l_c.
+    value is +pi/l_c.  The grid must keep the `SpectralGrid` contract.
     """
     dk, valid = delta_k_grid(model, cfg, grid, mask_invalid=mask_invalid)
-    kp0 = model.wavenumber(cfg.omega_p0, cfg.pump_axis)
-    ks0 = model.wavenumber(cfg.omega_s0, cfg.signal_axis)
-    ki0 = model.wavenumber(cfg.omega_i0, cfg.idler_axis)
-    dk0 = kp0 - ks0 - ki0
-    sign0 = 1.0 if dk0 >= 0 else -1.0
-    dk_eval = sign0 * dk
+    dk0 = _central_mismatch(model, cfg)
+    dk_eval = (1.0 if dk0 >= 0 else -1.0) * dk
+    masked = int(valid.size - np.count_nonzero(valid)) if mask_invalid else 0
+    if masked:
+        # zeroed below anyway; the first valid point's dk keeps the
+        # placeholder mismatch out of the structure's lattice table
+        dk_eval[~valid] = dk_eval.flat[int(np.argmax(valid))]
 
     if scheme == "analytic-pp":
-        lc = math.pi / abs(dk0)
-        phi = pmf_pp_analytic(dk_eval, lc, cfg.length_m)
+        phi = pmf_pp_analytic(dk_eval, math.pi / abs(dk0), cfg.length_m)
     elif scheme == "piecewise":
         if structure is None:
             raise ValueError("piecewise scheme requires a poling structure")
@@ -411,16 +534,16 @@ def build_jsa(
     else:
         raise ValueError(f"unknown scheme {scheme!r} (use 'analytic-pp' or 'piecewise')")
 
-    f = pump_envelope(grid.omega_s[:, None], grid.omega_i[None, :], pump) * phi
-    masked = 0
-    if mask_invalid:
-        masked = int(np.size(valid) - np.count_nonzero(valid))
-        if masked:
-            f = np.where(valid, f, 0.0)
-    norm = math.sqrt(float(np.sum(np.abs(f) ** 2)))
+    envelope = pump_envelope(_pump_sums(grid), 0.0, pump)
+    f = _hankel(envelope, grid.n_idler) * phi
+    if masked:
+        f[~valid] = 0.0
+    parts = f.reshape(-1).view(float)
+    norm = math.sqrt(float(np.dot(parts, parts)))
     if norm == 0.0:
         raise ValueError("JSA vanished on the grid (all points masked?)")
-    return JointSpectrum(grid=grid, amplitude=f / norm, normalized=True, masked_points=masked)
+    f /= norm
+    return JointSpectrum(grid=grid, amplitude=f, normalized=True, masked_points=masked)
 
 
 def _initial_bandwidth_guess(
@@ -439,6 +562,60 @@ def _initial_bandwidth_guess(
     return 0.5 * (cuts[0] + cuts[1])
 
 
+# The 8 neighbours of a grid cell, in the order the climb prefers them on a tie.
+_NEIGHBOURS_J = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
+_NEIGHBOURS_K = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
+
+
+def _climbed_cuts(
+    model: DispersionModel,
+    cfg: PhaseMatchConfig,
+    structure: DomainArray | DutyCycleStructure | None,
+    pump: PumpSpec,
+    grid: SpectralGrid,
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray] | None:
+    """((j0, k0), |f[:, k0]|^2, |f[j0, :]|^2) of the masked, unnormalized
+    JSA on the grid, without building it; None when the climb reaches an
+    edge row or column, or the peak has no weight.
+
+    An 8-neighbour hill climb from the grid centre moves to the largest
+    neighbour while it is strictly larger, then the two cuts through the
+    peak are evaluated.  Each value equals that of `build_jsa` before its
+    normalization: same grid plan, same table, pointwise arithmetic.
+    """
+    if structure is None:
+        raise ValueError("piecewise scheme requires a poling structure")
+    plan = _grid_plan(model, cfg, grid, mask_invalid=True)
+    envelope = pump_envelope(plan.pump_sums, 0.0, pump)
+    sign0 = 1.0 if _central_mismatch(model, cfg) >= 0 else -1.0
+
+    def power(j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        out = np.zeros(j.size)
+        ok = plan.valid(j, k)
+        if ok.any():
+            j, k = j[ok], k[ok]
+            f = envelope[j + k] * _interpolate(sign0 * plan.delta_k(j, k), structure)
+            out[ok] = np.abs(f) ** 2
+        return out
+
+    n_s, n_i = grid.n_signal, grid.n_idler
+    j, k = n_s // 2, n_i // 2
+    here = power(np.array([j]), np.array([k]))[0]
+    while 0 < j < n_s - 1 and 0 < k < n_i - 1:
+        around = power(j + _NEIGHBOURS_J, k + _NEIGHBOURS_K)
+        best = int(np.argmax(around))
+        if not around[best] > here:
+            break
+        j, k, here = j + _NEIGHBOURS_J[best], k + _NEIGHBOURS_K[best], around[best]
+    else:
+        return None
+    if here == 0.0:
+        return None
+    rows, cols = np.arange(n_s), np.arange(n_i)
+    cuts = power(np.concatenate([rows, np.full(n_i, j)]), np.concatenate([np.full(n_s, k), cols]))
+    return (int(j), int(k)), cuts[:n_s], cuts[n_s:]
+
+
 def measure_delta_omega(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
@@ -450,14 +627,24 @@ def measure_delta_omega(
     """Self-consistent average peak bandwidth dw on the standard R = 10 grid.
 
     Builds a probe grid from a physics-based seed, measures the FWHMs, and
-    rebuilds until dw changes by less than 2 %; the window is doubled
-    whenever the peak or a half crossing leaves the grid.
+    re-measures until dw changes by less than 2 %; the window is doubled
+    whenever the peak or a half crossing leaves the grid.  Each measurement
+    climbs to the peak and evaluates only the two cuts through it
+    (`_climbed_cuts`); when the climb reaches the grid edge it builds the
+    full JSA and reads the cuts from that instead.
     """
     dw = _initial_bandwidth_guess(model, cfg, pump)
     for _ in range(max_iter):
-        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega=dw)
+        grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
         try:
-            _, _, new = estimate_bandwidths(jsa)
+            climbed = _climbed_cuts(model, cfg, structure, pump, grid)
+            if climbed is None:
+                _, _, new = estimate_bandwidths(
+                    build_jsa(model, cfg, structure, pump, grid, mask_invalid=True))
+            else:
+                _, column, row = climbed
+                new = 0.5 * (float(_fwhm_linear(grid.omega_s, column))
+                             + float(_fwhm_linear(grid.omega_i, row)))
         except PeakOnBoundary:
             dw *= 2.0
             continue

@@ -33,7 +33,13 @@ from purepole import (
     schmidt_decompose,
     standard_jsa,
 )
-from purepole.analysis import _GRAM_BLOCK, write_curve_csv, write_schmidt_csv
+from purepole.analysis import (
+    _FLUSH_FLOOR,
+    _GRAM_BLOCK,
+    _unit_working_copy,
+    write_curve_csv,
+    write_schmidt_csv,
+)
 from purepole.cli import PRESETS
 
 from conftest import case_config, preset_structures
@@ -139,6 +145,17 @@ class TestGramPurity:
         tiny = np.finfo(float).tiny
         assert np.any((np.abs(jsa.amplitude.real) < tiny) & (jsa.amplitude.real != 0))
         assert abs(jsa_purity(jsa) - _svd_purity(jsa)) <= 1e-12
+
+    def test_working_copy_holds_no_subnormal_part(self, model):
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        jsa = standard_jsa(model, cfg, structures["pp"], pump, gp.theta_deg, dw, 50.0)
+        tiny = np.finfo(float).tiny
+        raw = np.abs(jsa.amplitude.view(float))
+        assert np.any((raw < tiny) & (raw != 0))
+        work = np.abs(_unit_working_copy(jsa.amplitude).view(float))
+        assert not np.any((work < _FLUSH_FLOOR) & (work != 0))
+        assert not np.any((work < tiny) & (work != 0))
 
     def test_pso_coarse_grid(self, model):
         cfg, gp, structures = preset_structures(model, "o-band-i")
@@ -326,6 +343,14 @@ class TestPurityVsRange:
 
 
 class TestPsoDutyCycle:
+    @pytest.mark.parametrize("field, value", [
+        ("coarse_points", 0), ("coarse_points", 5), ("coarse_points", 105),
+        ("coarse_points", -10), ("n_particles", 0), ("n_iterations", -1),
+    ])
+    def test_invalid_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PsoSettings(**{field: value})
+
     def test_deterministic_bit_for_bit(self, model):
         cfg = case_config("i", length_m=1.0e-3)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)

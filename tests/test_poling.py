@@ -1,6 +1,8 @@
 """Poling structures: periodic, tracked, multi-order, duty-cycle."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from purepole import (
     CrystalTooShort,
     DomainArray,
     DomainTooNarrow,
+    DutyCycleStructure,
     DutyOutOfRange,
     InvalidOrderList,
     TargetProfile,
@@ -22,6 +25,7 @@ from purepole import (
     mqpm_domains,
     periodic_domains,
     phase_mismatch_and_lc,
+    pmf_piecewise,
     target_pmf,
 )
 from purepole.poling import ALIGNMENT_PHASE, tracking_cost, write_poling_file
@@ -59,6 +63,29 @@ class TestPeriodicDomains:
     def test_sign_validation(self):
         with pytest.raises(ValueError, match="exactly"):
             DomainArray(width_m=1e-6, signs=np.array([1, 0, -1]))
+
+
+@pytest.mark.parametrize("make, name, values", [
+    (lambda v: DomainArray(width_m=20e-6, signs=v), "signs", np.array([1, -1, 1, 1, -1], np.int8)),
+    (lambda v: DutyCycleStructure(period_m=40e-6, fractions=v), "fractions",
+     np.array([0.3, 0.5, 0.7])),
+])
+def test_structure_owns_a_read_only_copy_and_its_table(make, name, values):
+    # the structure's phase-matching table is derived from these arrays, so
+    # neither the caller's array nor the structure's own may change them
+    first = values[0]
+    structure = make(values)
+    values[0] = -values[0]
+    assert getattr(structure, name)[0] == first
+    with pytest.raises(ValueError):
+        getattr(structure, name)[0] = -first
+    pmf_piecewise(np.linspace(0.0, 4e5, 2000), structure)
+    assert structure.pmf_table
+    # the table belongs to the structure and goes with it
+    gone = weakref.ref(structure)
+    del structure
+    gc.collect()
+    assert gone() is None
 
 
 class TestTargetPmf:

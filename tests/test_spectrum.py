@@ -1,11 +1,13 @@
 """Spectral machinery: envelopes, PMFs, grids, bandwidths, JSA assembly."""
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.constants import c as C_LIGHT
 
 from purepole import (
     Axis,
@@ -39,6 +41,7 @@ from purepole.spectrum import (
     write_jsa_binary,
     write_jsa_csv,
 )
+from purepole.dispersion import wavelength_um_from_omega
 
 from conftest import case_config, preset_structures
 
@@ -191,11 +194,16 @@ def _lattice_step(structure):
     return 2 * math.pi / (structure.length_m * LATTICE_NODES_PER_PERIOD)
 
 
-def _standard_delta_k(model, cfg, gp, pp, r_mult):
-    """Sign-normalised dk on the standard grid of the preset's PP crystal."""
+def _standard_grid(model, cfg, gp, pp, r_mult):
+    """The standard grid of range r_mult dw for the preset's PP crystal at 2 nm."""
     pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
     dw = measure_delta_omega(model, cfg, pp, pump, gp.theta_deg)
-    grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
+    return make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
+
+
+def _standard_delta_k(model, cfg, gp, pp, r_mult):
+    """Sign-normalised dk on the standard grid of the preset's PP crystal."""
+    grid = _standard_grid(model, cfg, gp, pp, r_mult)
     dk, _ = delta_k_grid(model, cfg, grid, mask_invalid=True)
     return math.copysign(1.0, gp.delta_k0) * dk.ravel()
 
@@ -233,10 +241,14 @@ class TestPmfLattice:
     def test_both_sides_of_the_size_rule_agree(self, monkeypatch):
         arr = periodic_domains(5e-3, 20e-6)
         step = _lattice_step(arr)
-        # 40.5 steps of dk: 41 lattice cells, 41 + LATTICE_STENCIL - 1 nodes
+        # 40.5 steps of dk inside the anchored cells c0 .. c0 + 40: 41 lattice
+        # cells, 41 + LATTICE_STENCIL - 1 nodes
         n_nodes = 41 + LATTICE_STENCIL - 1
-        below = math.pi / 20e-6 + step * np.linspace(-20.25, 20.25, 2 * n_nodes - 1)
+        c0 = math.floor(math.pi / 20e-6 / step) - 20
+        below = step * (c0 + np.linspace(0.25, 40.75, 2 * n_nodes - 1))
         above = np.append(below, below[0])
+        assert spectrum._lattice(below, arr.length_m) is None
+        assert spectrum._lattice(above, arr.length_m) == (c0, c0 + 40)
         summed = []
         real_sum = spectrum._segment_sum
 
@@ -247,7 +259,11 @@ class TestPmfLattice:
         monkeypatch.setattr(spectrum, "_segment_sum", counting_sum)
         phi_below = pmf_piecewise(below, arr)
         phi_above = pmf_piecewise(above, arr)
-        assert summed == [below.size, n_nodes]
+        # the exact sum at every point, then the table's aligned node blocks
+        # around the cell blocks of c0 .. c0 + 40
+        block = spectrum._TABLE_BLOCK
+        cell_blocks = (c0 + 40) // block - c0 // block + 1
+        assert summed == [below.size] + [block] * (cell_blocks + 2)
         scale = np.max(np.abs(phi_below))
         assert np.max(np.abs(phi_above[:-1] - phi_below)) <= 1e-12 * scale
         assert phi_above[-1] == phi_above[0]
@@ -255,14 +271,27 @@ class TestPmfLattice:
     def test_values_on_lattice_nodes(self):
         arr = dc_domains(5e-3, 20e-6, np.linspace(0.2, 0.8, 125))
         step = _lattice_step(arr)
-        # the lattice starts at min(dk): these points sit exactly on its nodes
-        lowest = math.pi / 20e-6 - 20 * step
-        dk = lowest + step * np.repeat(np.arange(40), 10)
+        # the nodes are the integer multiples of the step: these points sit
+        # exactly on them
+        lowest = round(math.pi / 20e-6 / step) - 20
+        dk = step * (lowest + np.repeat(np.arange(40), 10))
         assert spectrum._lattice(dk, arr.length_m) is not None
         phi = pmf_piecewise(dk, arr)
         exact = _per_segment_sum(dk, arr)
         assert np.all(np.isfinite(phi))
         assert np.max(np.abs(phi - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_values_do_not_depend_on_the_table(self, model):
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
+        for structure in structures.values():
+            cold, warm = dataclasses.replace(structure), dataclasses.replace(structure)
+            from_cold = pmf_piecewise(dk, cold)
+            # warm the table on an overlapping range shifted by 37.3 steps
+            pmf_piecewise(dk[::7] + 37.3 * _lattice_step(structure), warm)
+            assert np.array_equal(pmf_piecewise(dk, warm), from_cold)
+            # and a table that already holds every block gives them again
+            assert np.array_equal(pmf_piecewise(dk, cold), from_cold)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -288,7 +317,75 @@ class TestPmfLattice:
                                    rtol=1e-10, atol=1e-10 * structure.length_m)
 
 
+def _n2_delta_k(model, cfg, grid, rows):
+    """delta_k_grid(mask_invalid=True) on the given rows, with the pump
+    evaluated at every omega_s[j] + omega_i[k]: the N^2 reference."""
+    ws, wi = grid.omega_s[rows], grid.omega_i
+    wsum = ws[:, None] + wi[None, :]
+    omega_mid = 2 * math.pi * C_LIGHT / (0.5 * sum(model.window_um) * 1e-6)
+    lam = [wavelength_um_from_omega(w) for w in (ws, wi, wsum)]
+    ok = [model.in_window(x) for x in lam]
+    ks, ki, kp = (model.wavenumber(np.where(v, w, omega_mid), axis) for v, w, axis in
+                  zip(ok, (ws, wi, wsum), (cfg.signal_axis, cfg.idler_axis, cfg.pump_axis)))
+    return kp - ks[:, None] - ki[None, :], ok[0][:, None] & ok[1][None, :] & ok[2]
+
+
+class TestGridPlan:
+    """The Hankel grid plan against the N^2 evaluation it replaces."""
+
+    @pytest.mark.parametrize("r_mult", [10.0, 50.0])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_hankel_delta_k_matches_n2(self, model, preset, r_mult):
+        cfg, gp, structures = preset_structures(model, preset)
+        grid = _standard_grid(model, cfg, gp, structures["pp"], r_mult)
+        dk, valid = delta_k_grid(model, cfg, grid, mask_invalid=True)
+        assert dk.shape == valid.shape == (grid.n_signal, grid.n_idler)
+        worst = 0.0
+        for start in range(0, grid.n_signal, 250):
+            rows = np.arange(start, min(start + 250, grid.n_signal))
+            ref_dk, ref_valid = _n2_delta_k(model, cfg, grid, rows)
+            assert np.array_equal(valid[rows], ref_valid)
+            if ref_valid.any():
+                worst = max(worst, np.max(np.abs(dk[rows] - ref_dk)[ref_valid]))
+        assert worst * cfg.length_m <= 1e-9
+
+    def test_strict_mode_matches_masked_mode_inside_the_window(self, model):
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        grid = _standard_grid(model, cfg, gp, structures["pp"], 10.0)
+        strict, _ = delta_k_grid(model, cfg, grid)
+        masked, valid = delta_k_grid(model, cfg, grid, mask_invalid=True)
+        assert valid.all() and np.array_equal(strict, masked)
+
+    @pytest.mark.parametrize("bend", ["signal", "idler", "steps"])
+    def test_non_uniform_grid_rejected(self, model, pump_i, bend):
+        cfg = case_config("i")
+        grid = make_grid(26.0, 1e12, cfg.omega_s0, cfg.omega_i0)
+        if bend == "signal":
+            axes = {"omega_s": grid.omega_s + 1e-3 * grid.step * np.arange(grid.n_signal) ** 2}
+        elif bend == "idler":
+            axes = {"omega_i": np.append(grid.omega_i[:-1], grid.omega_i[-1] + grid.step)}
+        else:
+            axes = {"step": 1.01 * grid.step}
+        bent = dataclasses.replace(grid, **axes)
+        arr = periodic_domains(cfg.length_m, 18.86e-6)
+        with pytest.raises(ValueError, match="step"):
+            build_jsa(model, cfg, arr, pump_i, bent)
+        # the untouched grid builds
+        build_jsa(model, cfg, arr, pump_i, grid)
+
+
 class TestMakeGrid:
+    @pytest.mark.parametrize("divisor", [0, 0.5, -3])
+    def test_step_divisor_below_one_rejected(self, divisor):
+        with pytest.raises(ValueError, match="step_divisor"):
+            make_grid(26.0, 1e12, 1e15, 1.2e15, step_divisor=divisor)
+
+    @pytest.mark.parametrize("r_mult, divisor", [(0.01, None), (0.0, None), (0.1, 10)])
+    def test_fewer_than_two_points_rejected(self, r_mult, divisor):
+        with pytest.raises(ValueError, match="r_mult"):
+            make_grid(26.0, 1e12, 1e15, 1.2e15, r_mult=r_mult, step_divisor=divisor)
+        assert make_grid(26.0, 1e12, 1e15, 1.2e15, r_mult=0.1, step_divisor=20).n_signal == 2
+
     def test_standard_rule_200(self):
         grid = make_grid(26.0, 1e12, 1e15, 1.2e15)
         assert grid.n_signal == grid.n_idler == 200
@@ -411,6 +508,82 @@ class TestBuildJsa:
         a = measure_delta_omega(model, cfg, arr, pump_i, 27.0)
         b = measure_delta_omega(model, cfg, arr, pump_i, 27.0)
         assert a == b > 0
+        # a plain float, so that exports print it as a number
+        assert type(a) is float
+
+
+def _full_grid_delta_omega(model, cfg, structure, pump, theta_deg, max_iter=12):
+    """measure_delta_omega with a full build on every grid, the reference
+    path; on each grid the climb must find the full-grid peak cell."""
+    dw = spectrum._initial_bandwidth_guess(model, cfg, pump)
+    for _ in range(max_iter):
+        grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
+        jsa = build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
+        power = np.abs(jsa.amplitude) ** 2
+        peak = np.unravel_index(int(np.argmax(power)), power.shape)
+        climbed = spectrum._climbed_cuts(model, cfg, structure, pump, grid)
+        if climbed is not None:
+            assert climbed[0] == peak
+        try:
+            _, _, new = estimate_bandwidths(jsa)
+        except PeakOnBoundary:
+            dw *= 2.0
+            continue
+        if abs(new - dw) <= 0.02 * dw:
+            return new
+        dw = new
+    return dw
+
+
+class TestClimbedCuts:
+    """dw from the climbed peak and two cuts against the full-grid path."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_same_peak_and_delta_omega_as_full_grid(self, model, preset):
+        cfg, gp, structures = preset_structures(model, preset)
+        for structure in structures.values():
+            for bw_nm in (0.3, 1.0, 3.0, 10.0):
+                pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw_nm)
+                want = _full_grid_delta_omega(model, cfg, structure, pump, gp.theta_deg)
+                got = measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
+                assert abs(got - want) <= 1e-10 * want
+
+    def test_cut_values_equal_the_build_before_normalization(self, model, pump_i):
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        grid = make_grid(gp.theta_deg, 4e12, cfg.omega_s0, cfg.omega_i0)
+        (j0, k0), column, row = spectrum._climbed_cuts(model, cfg, arr, pump_i, grid)
+        power = np.abs(build_jsa(model, cfg, arr, pump_i, grid, mask_invalid=True).amplitude) ** 2
+        scale = power[j0, k0] / column[j0]
+        np.testing.assert_allclose(column * scale, power[:, k0], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(row * scale, power[j0, :], rtol=1e-13, atol=0)
+
+    def test_builds_only_when_the_climb_reaches_an_edge(self, model, monkeypatch):
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 0.3)
+        builds = []
+        real_build = spectrum.build_jsa
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "build_jsa", counting_build)
+        on_design = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        measure_delta_omega(model, cfg, on_design, pump, gp.theta_deg)
+        assert builds == []
+        # a period 0.5 % off the design moves the peak off the grid centre,
+        # and a seed ten times too small puts it beyond the first grid's edge
+        off_design = periodic_domains(cfg.length_m, 1.005 * gp.coherence_length_m)
+        seed = spectrum._initial_bandwidth_guess
+        monkeypatch.setattr(spectrum, "_initial_bandwidth_guess", lambda *a: 0.1 * seed(*a))
+        got = measure_delta_omega(model, cfg, off_design, pump, gp.theta_deg)
+        assert len(builds) >= 1
+        monkeypatch.setattr(spectrum, "build_jsa", real_build)
+        want = _full_grid_delta_omega(model, cfg, off_design, pump, gp.theta_deg)
+        assert abs(got - want) <= 1e-10 * want
 
 
 class TestExports:
