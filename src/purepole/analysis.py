@@ -33,6 +33,7 @@ from .poling import (
 from .spectrum import (
     JointSpectrum,
     PumpSpec,
+    _ridge_slopes,
     build_jsa,
     make_grid,
     measure_delta_omega,
@@ -61,9 +62,14 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Pump-bandwidth search: coarse log-spaced scan points, then golden-section
-# refinement down to this width in log bandwidth.
-_N_COARSE, _LOG_BW_TOL = 21, 1e-3
+# Pump-bandwidth search: a log-spaced lattice of _N_COARSE points over the
+# bounds, scored outward from a seed until the best point has _SCAN_MARGIN
+# scored neighbours on each side, then golden-section refinement down to this
+# width in log bandwidth.
+_N_COARSE, _SCAN_MARGIN, _LOG_BW_TOL = 21, 2, 1e-3
+# Gaussian fit of the sinc phase-matching function, sinc(x) ~ exp(-gamma x^2)
+# (Branczyk et al., Opt. Express 19, 55 (2011)).
+_SINC_GAMMA = 0.193
 # Constriction-style particle-swarm coefficients and duty-cycle bounds.
 _PSO_INERTIA, _PSO_COGNITIVE, _PSO_SOCIAL = 0.729, 1.49, 1.49
 _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
@@ -85,7 +91,7 @@ class WindowExceedsGrid(ValueError):
 
 
 class NoInteriorMaximum(RuntimeError):
-    """The coarse bandwidth scan peaked at a search bound."""
+    """The bandwidth search's best lattice point is a search bound."""
 
 
 @dataclass(frozen=True)
@@ -226,6 +232,22 @@ def heralding_efficiency_extended(
     )
 
 
+def _seed_index(model: DispersionModel, cfg: PhaseMatchConfig, logs: np.ndarray) -> int:
+    """Index of the lattice point nearest in log bandwidth to the Gaussian-PMF
+    optimum: the pump width that makes the Gaussian-PMF JSA separable,
+    1/sigma_p^2 = (gamma L^2/4) |(k'_p - k'_s)(k'_p - k'_i)| for the envelope
+    exp(-(Omega/sigma_p)^2).  A zero slope product (no finite optimum) gives
+    the upper end, an infinite or NaN one the lower end."""
+    slope_s, slope_i = _ridge_slopes(model, cfg)
+    inv_var = 0.25 * _SINC_GAMMA * cfg.length_m**2 * abs(slope_s * slope_i)
+    if inv_var == 0.0:
+        return logs.size - 1
+    if not math.isfinite(inv_var):
+        return 0
+    bw_nm = PumpSpec(omega_p0=cfg.omega_p0, sigma_p=1.0 / math.sqrt(inv_var)).bandwidth_nm
+    return int(np.argmin(np.abs(logs - math.log(bw_nm))))
+
+
 def optimize_pump_bandwidth(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
@@ -235,19 +257,49 @@ def optimize_pump_bandwidth(
 ) -> tuple[float, float]:
     """Maximize purity over the pump bandwidth; returns (bandwidth_nm, purity).
 
-    Coarse log-spaced scan followed by golden-section refinement in log
-    bandwidth down to a width of 1e-3; the spectral grid is rebuilt (dw
-    re-measured) for every candidate.  Raises NoInteriorMaximum if the coarse
-    scan peaks at a bound.
+    The search runs on a lattice of `_N_COARSE` log-spaced bandwidths over
+    `bounds_nm`, which must be finite with 0 < lo < hi (ValueError naming
+    `bounds_nm` otherwise).  It does not score the whole lattice: it starts
+    from the point nearest the Gaussian-PMF optimum (`_seed_index`), scores
+    the window of `_SCAN_MARGIN` points on each side of it, and widens the
+    window by one point on each side whose edge lies fewer than
+    `_SCAN_MARGIN` points from the best point so far, until the best point
+    has `_SCAN_MARGIN` scored neighbours on each side or the window reaches
+    a bound.  Ties go to the lowest index.  A best point at either end of
+    the lattice raises NoInteriorMaximum.  Golden-section refinement in log
+    bandwidth between the best point's two neighbours, down to a width of
+    1e-3, follows; the spectral grid is rebuilt (dw re-measured) for every
+    candidate.
+
+    Contract: the walk finds the best point of a window, which is the whole
+    lattice's maximum whenever purity has no higher maximum beyond a dip
+    outside that window; wherever the two agree, (bandwidth, purity) equals
+    that of a scan of all `_N_COARSE` points bit for bit.
     """
+    lo, hi = bounds_nm
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"bounds_nm: must be finite with 0 < lo < hi, got {bounds_nm!r}")
 
     def purity_at(log_bw: float) -> float:
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
         return jsa_purity(standard_jsa(model, cfg, structure, pump, theta_deg))
 
-    logs = np.log(np.geomspace(bounds_nm[0], bounds_nm[1], _N_COARSE))
-    values = [purity_at(x) for x in logs]
-    best = int(np.argmax(values))
+    logs = np.log(np.geomspace(lo, hi, _N_COARSE))
+    seed = _seed_index(model, cfg, logs)
+    first = max(seed - _SCAN_MARGIN, 0)
+    values = [purity_at(x) for x in logs[first:min(seed + _SCAN_MARGIN, _N_COARSE - 1) + 1]]
+    while True:
+        best = first + int(np.argmax(values))
+        last = first + len(values) - 1
+        grow_down = first > 0 and best - first < _SCAN_MARGIN
+        grow_up = last < _N_COARSE - 1 and last - best < _SCAN_MARGIN
+        if not (grow_down or grow_up):
+            break
+        if grow_down:
+            first -= 1
+            values.insert(0, purity_at(logs[first]))
+        if grow_up:
+            values.append(purity_at(logs[last + 1]))
     if best in (0, _N_COARSE - 1):
         raise NoInteriorMaximum(
             f"purity maximal at search bound {math.exp(logs[best]):.3g} nm"

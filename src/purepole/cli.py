@@ -168,6 +168,9 @@ class RunConfig:
             for key in ("preset", "pump_nm", "signal_nm", "length_mm", "r_mult", "seed"):
                 if getattr(self, key) != self.__dataclass_fields__[key].default:
                     raise ConfigError(f"{key}: gvm-map does not read it")
+        default_axis = self.__dataclass_fields__["signal_axis"].default
+        if self.preset is not None and self.signal_axis != default_axis:
+            raise ConfigError(f"signal_axis: preset {self.preset!r} sets the signal axis")
         if self.command == "design":
             if self.scheme == "cl-scl" and self.pump_bandwidth_nm is not None:
                 raise ConfigError(

@@ -546,17 +546,23 @@ def build_jsa(
     return JointSpectrum(grid=grid, amplitude=f, normalized=True, masked_points=masked)
 
 
+def _ridge_slopes(model: DispersionModel, cfg: PhaseMatchConfig) -> tuple[float, float]:
+    """(k'_p - k'_s, k'_p - k'_i) at the central frequencies: the slopes of
+    dk along the signal and idler axes, in s/m."""
+    kp_p = model.inverse_group_velocity(cfg.omega_p0, cfg.pump_axis)
+    kp_s = model.inverse_group_velocity(cfg.omega_s0, cfg.signal_axis)
+    kp_i = model.inverse_group_velocity(cfg.omega_i0, cfg.idler_axis)
+    return kp_p - kp_s, kp_p - kp_i
+
+
 def _initial_bandwidth_guess(
     model: DispersionModel, cfg: PhaseMatchConfig, pump: PumpSpec
 ) -> float:
     """Rough dw seed from the sinc phase-matching width and pump bandwidth."""
-    kp_p = model.inverse_group_velocity(cfg.omega_p0, cfg.pump_axis)
-    kp_s = model.inverse_group_velocity(cfg.omega_s0, cfg.signal_axis)
-    kp_i = model.inverse_group_velocity(cfg.omega_i0, cfg.idler_axis)
     dk_width = 5.566 / cfg.length_m  # FWHM of sinc^2 in dk
     pump_w = pump.sigma_p * _FWHM_FACTOR
     cuts = []
-    for slope in (kp_p - kp_s, kp_p - kp_i):
+    for slope in _ridge_slopes(model, cfg):
         pmf_w = dk_width / abs(slope) if slope != 0.0 else np.inf
         cuts.append(1.0 / math.sqrt(1.0 / pmf_w**2 + 1.0 / pump_w**2))
     return 0.5 * (cuts[0] + cuts[1])

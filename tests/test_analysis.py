@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import purepole
+from purepole import analysis
 from purepole import (
     JointSpectrum,
     NoInteriorMaximum,
@@ -288,6 +289,89 @@ class TestHeraldingEfficiency:
             heralding_efficiency(jsa, (ws[0] - 1e12, ws[-1]), (ws[0], ws[-1]))
 
 
+# The full coarse scan that the bandwidth walk replaced, kept as its reference
+# path: every lattice point is scored, then the same golden section.  Purity
+# goes through the `analysis` module so that a test can route both searches
+# through one cache or one synthetic curve.
+_REF_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REF_N_COARSE, _REF_LOG_BW_TOL = 21, 1e-3
+
+
+def _full_scan_bandwidth(model, cfg, structure, theta_deg, bounds_nm=(0.05, 50.0)):
+    def purity_at(log_bw: float) -> float:
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
+        return analysis.jsa_purity(analysis.standard_jsa(model, cfg, structure, pump, theta_deg))
+
+    logs = np.log(np.geomspace(bounds_nm[0], bounds_nm[1], _REF_N_COARSE))
+    values = [purity_at(x) for x in logs]
+    best = int(np.argmax(values))
+    if best in (0, _REF_N_COARSE - 1):
+        raise NoInteriorMaximum(
+            f"purity maximal at search bound {math.exp(logs[best]):.3g} nm"
+        )
+
+    a, b = logs[best - 1], logs[best + 1]
+    x1 = b - _REF_GOLDEN * (b - a)
+    x2 = a + _REF_GOLDEN * (b - a)
+    f1, f2 = purity_at(x1), purity_at(x2)
+    while (b - a) > _REF_LOG_BW_TOL:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _REF_GOLDEN * (b - a)
+            f2 = purity_at(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _REF_GOLDEN * (b - a)
+            f1 = purity_at(x1)
+    x_best = 0.5 * (a + b)
+    return math.exp(x_best), purity_at(x_best)
+
+
+def _memoized_purity(monkeypatch, model, cfg, structure, theta_deg):
+    """Route the searches' purity evaluations through one cache keyed by the
+    pump, so that a point scored by both is built once."""
+    cache = {}
+
+    def purity_of(pump):
+        if pump not in cache:
+            cache[pump] = jsa_purity(standard_jsa(model, cfg, structure, pump, theta_deg))
+        return cache[pump]
+
+    monkeypatch.setattr(analysis, "standard_jsa", lambda *args: args[3])
+    monkeypatch.setattr(analysis, "jsa_purity", purity_of)
+
+
+_LOGS = np.log(np.geomspace(0.05, 50.0, 21))
+
+
+def _lattice_curve(monkeypatch, lattice_values, seed=None):
+    """Replace purity by a curve in log bandwidth that takes `lattice_values`
+    on the 21 default lattice points and is linear between them, and pin the
+    seed index unless `seed` is None.  Returns the list of lattice indices
+    scored, in order."""
+    scored = []
+
+    def purity_of(pump):
+        x = math.log(pump.bandwidth_nm)
+        on = np.flatnonzero(np.abs(_LOGS - x) < 1e-9)
+        if on.size:
+            scored.append(int(on[0]))
+            return float(lattice_values[on[0]])
+        return float(np.interp(x, _LOGS, lattice_values))
+
+    monkeypatch.setattr(analysis, "standard_jsa", lambda *args: args[3])
+    monkeypatch.setattr(analysis, "jsa_purity", purity_of)
+    if seed is not None:
+        monkeypatch.setattr(analysis, "_seed_index", lambda *args: seed)
+    return scored
+
+
+def _peaks(*peaks):
+    """Lattice values: the largest of triangular peaks (index, height)."""
+    idx = np.arange(21)
+    return np.max([h - 0.05 * np.abs(idx - i) for i, h in peaks], axis=0)
+
+
 class TestOptimizePumpBandwidth:
     def test_case_i_pp_optimum_is_interior_maximum(self, model):
         cfg = case_config("i")
@@ -311,6 +395,104 @@ class TestOptimizePumpBandwidth:
         arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
         with pytest.raises(NoInteriorMaximum):
             optimize_pump_bandwidth(model, cfg, arr, gp.theta_deg, bounds_nm=(10.0, 50.0))
+
+    @pytest.mark.parametrize("bounds", [
+        (50.0, 0.05), (5.0, 5.0), (0.0, 50.0), (-1.0, 50.0), (0.05, math.inf),
+        (math.nan, 50.0),
+    ])
+    def test_invalid_bounds_rejected(self, model, bounds):
+        cfg = case_config("i")
+        with pytest.raises(ValueError, match="bounds_nm"):
+            optimize_pump_bandwidth(model, cfg, None, 26.0, bounds_nm=bounds)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_walk_equals_full_scan(self, model, preset, monkeypatch):
+        # the reference gate: bit for bit on PP and on the beta = 10 SCL array
+        cfg, gp, structures = preset_structures(model, preset)
+        for label in ("pp", "scl-10"):
+            if label not in structures:
+                continue
+            _memoized_purity(monkeypatch, model, cfg, structures[label], gp.theta_deg)
+            want = _full_scan_bandwidth(model, cfg, structures[label], gp.theta_deg)
+            assert optimize_pump_bandwidth(
+                model, cfg, structures[label], gp.theta_deg) == want, label
+
+    def test_walk_evaluation_counts(self, model, monkeypatch):
+        bandwidths = []
+        real = analysis.standard_jsa
+
+        def counted(model, cfg, structure, pump, theta_deg):
+            bandwidths.append(pump.bandwidth_nm)
+            return real(model, cfg, structure, pump, theta_deg)
+
+        monkeypatch.setattr(analysis, "standard_jsa", counted)
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        optimize_pump_bandwidth(
+            model, cfg, periodic_domains(cfg.length_m, gp.coherence_length_m), gp.theta_deg)
+        assert len(bandwidths) <= 25  # the full scan made 38
+        bandwidths.clear()
+        cfg, gp, structures = preset_structures(model, "o-band-ii")
+        optimize_pump_bandwidth(model, cfg, structures["pp"], gp.theta_deg)
+        assert max(bandwidths) < 0.99 * 50.0
+
+    @pytest.mark.parametrize("peak, seed", [(0, 6), (20, 14), (0, 0), (20, 20)])
+    def test_peak_at_a_bound_raises(self, model, monkeypatch, peak, seed):
+        _lattice_curve(monkeypatch, _peaks((peak, 0.9)), seed=seed)
+        cfg = case_config("i")
+        with pytest.raises(NoInteriorMaximum):
+            optimize_pump_bandwidth(model, cfg, None, 26.0)
+
+    @pytest.mark.parametrize("seed, peak, window", [(0, 7, range(0, 10)), (20, 13, range(11, 21))])
+    def test_seed_at_a_lattice_end(self, model, monkeypatch, seed, peak, window):
+        scored = _lattice_curve(monkeypatch, _peaks((peak, 0.9)), seed=seed)
+        cfg = case_config("i")
+        got = optimize_pump_bandwidth(model, cfg, None, 26.0)
+        assert sorted(scored)[:len(window)] == list(window)
+        assert len(set(scored)) == len(window)
+        assert got == _full_scan_bandwidth(model, cfg, None, 26.0)
+
+    def test_zero_slope_product_clamps_the_seed(self, model, monkeypatch):
+        cfg = case_config("i")
+        monkeypatch.setattr(analysis, "_ridge_slopes", lambda *args: (0.0, -1e-9))
+        assert analysis._seed_index(model, cfg, _LOGS) == 20
+        scored = _lattice_curve(monkeypatch, _peaks((14, 0.9)))
+        got = optimize_pump_bandwidth(model, cfg, None, 26.0)
+        assert scored[:3] == [18, 19, 20]
+        assert got == _full_scan_bandwidth(model, cfg, None, 26.0)
+
+    @pytest.mark.parametrize("slopes", [(math.inf, 1e-9), (math.nan, 1e-9)])
+    def test_non_finite_slope_product_clamps_the_seed(self, model, monkeypatch, slopes):
+        monkeypatch.setattr(analysis, "_ridge_slopes", lambda *args: slopes)
+        assert analysis._seed_index(model, case_config("i"), _LOGS) == 0
+
+    def test_seed_is_nearest_lattice_point(self, model):
+        cfg = case_config("i")
+        slope_s, slope_i = analysis._ridge_slopes(model, cfg)
+        sigma = 1.0 / math.sqrt(0.25 * 0.193 * cfg.length_m**2 * abs(slope_s * slope_i))
+        bw = PumpSpec(omega_p0=cfg.omega_p0, sigma_p=sigma).bandwidth_nm
+        seed = analysis._seed_index(model, cfg, _LOGS)
+        assert abs(_LOGS[seed] - math.log(bw)) <= 0.5 * (_LOGS[1] - _LOGS[0])
+
+    def test_tie_goes_to_the_lowest_index(self, model, monkeypatch):
+        # equal maxima at 8 and 10 with a dip between: the bracket is [7, 9]
+        cfg = case_config("i")
+        _lattice_curve(monkeypatch, _peaks((8, 0.9), (10, 0.9)), seed=9)
+        bw, p = optimize_pump_bandwidth(model, cfg, None, 26.0)
+        assert math.exp(_LOGS[7]) < bw < math.exp(_LOGS[9])
+        assert (bw, p) == _full_scan_bandwidth(model, cfg, None, 26.0)
+
+    def test_higher_maximum_beyond_the_margin_is_not_found(self, model, monkeypatch):
+        # the documented contract: the walk stops once its best point has
+        # _SCAN_MARGIN scored neighbours on each side
+        cfg = case_config("i")
+        scored = _lattice_curve(monkeypatch, _peaks((5, 0.8), (12, 0.9)), seed=5)
+        bw, p = optimize_pump_bandwidth(model, cfg, None, 26.0)
+        assert sorted(set(scored)) == [3, 4, 5, 6, 7]
+        assert math.exp(_LOGS[4]) < bw < math.exp(_LOGS[6])
+        full_bw, full_p = _full_scan_bandwidth(model, cfg, None, 26.0)
+        assert math.exp(_LOGS[11]) < full_bw < math.exp(_LOGS[13])
+        assert p < full_p
 
 
 class TestPurityVsRange:

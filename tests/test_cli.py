@@ -369,6 +369,8 @@ def test_nonpositive_value_exit_2_names_key(tmp_path, capsys, argv, key):
          "pump_nm"),
         (["--preset", "o-band-i", "--signal-nm", "1300", "--scheme", "pp",
           "--pump-bw-nm", "1.71"], "signal_nm"),
+        (["--preset", "o-band-i", "--signal-axis", "Y", "--scheme", "pp",
+          "--pump-bw-nm", "1.71"], "signal_axis"),
     ],
 )
 def test_unread_design_input_exit_2_names_key(tmp_path, capsys, argv, key):
@@ -385,6 +387,22 @@ def test_replayed_config_with_null_inputs_is_valid(tmp_path):
                     pump_bandwidth_nm=1.71, out_dir=str(out))
     data = json.loads(cfg.to_json())
     assert data["alpha"] is None and data["pump_nm"] is None and data["beta_ladder"] is None
+    assert RunConfig.from_dict(data) == cfg
+
+
+def test_preset_fixes_the_signal_axis(tmp_path, capsys):
+    # an explicit axis that differs from the default cannot override a preset
+    out = tmp_path / "out"
+    argv = ["sweep-range", "--preset", "o-band-i", "--signal-axis", "Y", "--schemes", "pp",
+            "--r-list", "10", "--pump-bw-nm", "1.71", "--out-dir", str(out)]
+    assert run(argv) == EXIT_CONFIG
+    assert "signal_axis" in capsys.readouterr().err
+    assert not out.exists()
+    # a preset run's run_config.json carries the default axis, also for a
+    # preset whose signal sits on Y, and replays
+    cfg = RunConfig(command="design", preset="o-band-vi", scheme="pp", pump_bandwidth_nm=1.71)
+    data = json.loads(cfg.to_json())
+    assert data["signal_axis"] == "Z"
     assert RunConfig.from_dict(data) == cfg
 
 
