@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,15 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
+# value types of the config keys, for reading them from text and checking them
+_TUPLE_KEYS = {"pump_range_nm", "signal_range_nm", "schemes", "r_list",
+               "mqpm_orders", "beta_ladder"}
+_FLOAT_KEYS = {"pump_nm", "signal_nm", "length_mm", "r_mult", "alpha",
+               "purity_threshold", "pump_bandwidth_nm"}
+_FLOAT_TUPLE_KEYS = _TUPLE_KEYS - {"schemes", "mqpm_orders"}
+_INT_KEYS = {"seed", "pso_particles", "pso_iterations"}
+
+
 @dataclass
 class RunConfig:
     """Fully serializable description of one CLI run."""
@@ -132,6 +141,16 @@ class RunConfig:
     pump_bandwidth_nm: float | None = None
 
     def __post_init__(self):
+        for key in sorted(_FLOAT_KEYS | _FLOAT_TUPLE_KEYS):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            try:
+                finite = all(map(math.isfinite, value if key in _FLOAT_TUPLE_KEYS else (value,)))
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{key}: must be a finite number, got {value!r}")
         for key in ("length_mm", "pump_bandwidth_nm"):
             value = getattr(self, key)
             if value is not None and not value > 0:
@@ -159,15 +178,14 @@ class RunConfig:
         except InvalidOrderList as exc:
             raise ConfigError(f"mqpm_orders: {exc}, got {self.mqpm_orders}") from exc
         # an input that the run would not read is an error, not a no-op
+        unread = _UNREAD.get(self.command, frozenset())
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name}: {self.command} does not read it")
         if self.preset is not None:
             for key in ("pump_nm", "signal_nm"):
                 if getattr(self, key) is not None:
                     raise ConfigError(f"{key}: conflicts with preset {self.preset!r}")
-        if self.command == "gvm-map":
-            # the map scans wavelength ranges; it reads no single case or crystal
-            for key in ("preset", "pump_nm", "signal_nm", "length_mm", "r_mult", "seed"):
-                if getattr(self, key) != self.__dataclass_fields__[key].default:
-                    raise ConfigError(f"{key}: gvm-map does not read it")
         default_axis = self.__dataclass_fields__["signal_axis"].default
         if self.preset is not None and self.signal_axis != default_axis:
             raise ConfigError(f"signal_axis: preset {self.preset!r} sets the signal axis")
@@ -202,11 +220,23 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
         coerced = dict(data)
-        for key in ("pump_range_nm", "signal_range_nm", "schemes", "r_list",
-                    "mqpm_orders", "beta_ladder"):
+        for key in _TUPLE_KEYS:
             if coerced.get(key) is not None:
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
+
+
+_MAP_RANGES = frozenset({"pump_range_nm", "signal_range_nm"})
+
+# keys that each command never reads; any of them away from its field default
+# is a configuration error (design's per-scheme rules are in __post_init__).
+# The map scans wavelength ranges and reads no single case, crystal or scheme.
+_UNREAD: dict[str, frozenset[str]] = {
+    "gvm-map": frozenset(RunConfig.__dataclass_fields__)
+    - {"command", "signal_axis", "out_dir", "sellmeier"} - _MAP_RANGES,
+    "design": _MAP_RANGES | {"schemes", "r_list", "design_dir"},
+    "sweep-range": _MAP_RANGES,
+}
 
 
 def _resolve_model(cfg: RunConfig) -> DispersionModel:
@@ -568,9 +598,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: malformed JSON in {path}: {exc}") from exc
     data: dict = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -583,27 +619,23 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-_TUPLE_KEYS = {"pump_range_nm", "signal_range_nm", "schemes", "r_list",
-               "mqpm_orders", "beta_ladder"}
-_FLOAT_KEYS = {"pump_nm", "signal_nm", "length_mm", "r_mult", "alpha",
-               "purity_threshold", "pump_bandwidth_nm"}
-_INT_KEYS = {"seed", "pso_particles", "pso_iterations"}
-
-
 def _coerce_config_value(key: str, value):
     if not isinstance(value, str):
         return value
-    if key in _TUPLE_KEYS:
-        items = value.replace(":", ",").split(",")
-        if key == "schemes":
-            return tuple(item.strip() for item in items)
-        if key == "mqpm_orders":
-            return tuple(int(item) for item in items)
-        return tuple(float(item) for item in items)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
+    try:
+        if key in _TUPLE_KEYS:
+            items = value.replace(":", ",").split(",")
+            if key == "schemes":
+                return tuple(item.strip() for item in items)
+            if key == "mqpm_orders":
+                return tuple(int(item) for item in items)
+            return tuple(float(item) for item in items)
+        if key in _FLOAT_KEYS:
+            return float(value)
+        if key in _INT_KEYS:
+            return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a valid value: {value!r}") from exc
     return value
 
 

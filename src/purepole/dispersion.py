@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 __all__ = [
     "Axis",
@@ -35,6 +34,9 @@ __all__ = [
 ]
 
 FloatOrArray = Union[float, np.ndarray]
+
+# speed of light in vacuum, m/s (exact by the SI definition of the metre)
+C_LIGHT = 299792458.0
 
 
 class Axis(Enum):

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .gvm import PhaseMatchConfig
 
@@ -236,13 +235,28 @@ def periodic_domains(length_m: float, coherence_length_m: float) -> DomainArray:
     return DomainArray(width_m=coherence_length_m, signs=signs)
 
 
+# math.erf per array element, as gvm does with math.atan2
+_erf_elements = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(x: float | np.ndarray) -> float | np.ndarray:
+    """math.erf of a float, or of each element of an array.
+
+    The tracker calls this once per domain with a Python float, so the float
+    test comes first and costs no array dispatch.
+    """
+    if isinstance(x, float):
+        return math.erf(x)
+    return np.asarray(_erf_elements(x), dtype=float)
+
+
 def target_pmf(z_m: float | np.ndarray, profile: TargetProfile) -> float | np.ndarray:
     """Target amplitude phi_T(z) in length units; nondecreasing in z on [0, L]."""
     s = profile.sigma_m
     L = profile.length_m
     root2 = math.sqrt(2.0)
     return math.sqrt(2.0 / math.pi) * s * (
-        erf(L / (2.0 * root2 * s)) + erf((z_m - L / 2.0) / (root2 * s))
+        _erf(L / (2.0 * root2 * s)) + _erf((z_m - L / 2.0) / (root2 * s))
     )
 
 
@@ -455,7 +469,7 @@ def erf_duty_profile(
     n_periods = int(math.floor(length_m / period + 1e-12))
     centers = (np.arange(n_periods) + 0.5) * period
     sigma = length_m / alpha
-    delta = 0.5 * (1.0 + erf((centers - length_m / 2.0) / (math.sqrt(2.0) * sigma)))
+    delta = 0.5 * (1.0 + _erf((centers - length_m / 2.0) / (math.sqrt(2.0) * sigma)))
     # keep strictly inside (0, 1) so the structure is always valid
     return np.clip(delta, 1e-6, 1.0 - 1e-6)
 

@@ -44,9 +44,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
-from .dispersion import DispersionModel, wavelength_um_from_omega
+from .dispersion import C_LIGHT, DispersionModel, wavelength_um_from_omega
 from .gvm import PhaseMatchConfig
 from .poling import DomainArray, DutyCycleStructure
 
@@ -692,8 +691,10 @@ def write_jsa_csv(path: str | Path, jsa: JointSpectrum, header_lines: list[str] 
     lines = [f"# {h}" for h in (header_lines or [])]
     lines.append("signal_nm\\idler_nm," + ",".join(f"{v:.6f}" for v in lam_i_nm))
     mag = np.abs(jsa.amplitude)
-    for j in range(mag.shape[0]):
-        lines.append(f"{lam_s_nm[j]:.6f}," + ",".join(f"{v:.8e}" for v in mag[j]))
+    # one %-format per row: the same text as a format(v, ".8e") per cell
+    row = ",".join(["%.8e"] * mag.shape[1])
+    for lam, values in zip(lam_s_nm.tolist(), mag.tolist()):
+        lines.append(f"{lam:.6f}," + row % tuple(values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

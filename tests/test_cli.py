@@ -439,3 +439,94 @@ def test_written_gvm_map_config_replays(tmp_path):
     for hashes in (hashes_first, hashes_second):
         del hashes["run_config.json"]  # records its own out_dir
     assert hashes_first == hashes_second
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ("scheme = dc\n", "scheme"),
+        ("alpha = 5\n", "alpha"),
+        ("mqpm_orders = 1,3\n", "mqpm_orders"),
+        ("purity_threshold = 0.9\n", "purity_threshold"),
+        ("pump_bandwidth_nm = 3\n", "pump_bandwidth_nm"),
+        ("schemes = pp\n", "schemes"),
+    ],
+)
+def test_unread_gvm_map_config_key_exit_2_names_key(tmp_path, capsys, config, key):
+    path = tmp_path / "map.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert run(["gvm-map", "--config", str(path), *_MAP_RANGES, "--out-dir", str(out)]) \
+        == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ("pump_range_nm = 1:2:3\n", "pump_range_nm"),
+        ("signal_range_nm = 1300:1320:10\n", "signal_range_nm"),
+        ("schemes = pp\n", "schemes"),
+        ("r_list = 10\n", "r_list"),
+        ("design_dir = elsewhere\n", "design_dir"),
+    ],
+)
+def test_unread_design_config_key_exit_2_names_key(tmp_path, capsys, config, key):
+    path = tmp_path / "design.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    argv = ["design", "--config", str(path), "--preset", "o-band-i", "--scheme", "pp",
+            "--pump-bw-nm", "1.71", "--out-dir", str(out)]
+    assert run(argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["design", "--scheme", "pp", "--pump-bw-nm", "inf"], "pump_bandwidth_nm"),
+        (["design", "--scheme", "pp", "--pump-bw-nm", "nan"], "pump_bandwidth_nm"),
+        (["design", "--scheme", "pp", "--pump-bw-nm", "1.71", "--r-mult", "inf"], "r_mult"),
+        (["design", "--scheme", "pp", "--pump-bw-nm", "1.71", "--length-mm", "inf"],
+         "length_mm"),
+        (["design", "--scheme", "mqpm", "--pump-bw-nm", "3", "--alpha", "inf"], "alpha"),
+        (["design", "--scheme", "mqpm", "--pump-bw-nm", "3", "--alpha", "nan"], "alpha"),
+        (["design", "--scheme", "cl-scl", "--beta-ladder", "1,inf"], "beta_ladder"),
+        (["sweep-range", "--schemes", "pp", "--r-list", "10,inf", "--pump-bw-nm", "1.71"],
+         "r_list"),
+        (["design", "--scheme", "cl-scl", "--beta-ladder", "1,x"], "beta_ladder"),
+        (["sweep-range", "--schemes", "pp", "--r-list", "10,y", "--pump-bw-nm", "1.71"],
+         "r_list"),
+        (["design", "--scheme", "mqpm", "--pump-bw-nm", "3", "--mqpm-orders", "1,3.5"],
+         "mqpm_orders"),
+    ],
+)
+def test_malformed_or_nonfinite_value_exit_2_names_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run([*argv, "--preset", "o-band-i", "--out-dir", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("length_mm = abc\n", "length_mm"),
+        ("pump_bandwidth_nm = inf\n", "pump_bandwidth_nm"),
+        ('{"length_mm": 3,\n', "config"),
+        ('{"r_mult": NaN}\n', "r_mult"),
+        ('{"r_list": ["a"]}\n', "r_list"),
+        (None, "config"),
+    ],
+)
+def test_bad_config_file_exit_2_names_key(tmp_path, capsys, text, key):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["sweep-range", "--config", str(path), "--preset", "o-band-i", "--out-dir", str(out)]
+    assert run(argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()

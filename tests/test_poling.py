@@ -7,14 +7,17 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf as scipy_erf
 
 from purepole import (
+    Axis,
     CrystalTooShort,
     DomainArray,
     DomainTooNarrow,
     DutyCycleStructure,
     DutyOutOfRange,
     InvalidOrderList,
+    PhaseMatchConfig,
     TargetProfile,
     TrackedAmplitude,
     ZeroPhaseMismatch,
@@ -28,6 +31,8 @@ from purepole import (
     pmf_piecewise,
     target_pmf,
 )
+from purepole import poling
+from purepole.cli import PRESETS
 from purepole.poling import ALIGNMENT_PHASE, tracking_cost, write_poling_file
 
 from conftest import case_config
@@ -111,6 +116,60 @@ class TestTargetPmf:
         z = np.linspace(0, L5MM, 400)
         values = target_pmf(z, profile)
         assert np.all(np.diff(values) >= 0)
+
+
+class TestErfAgainstScipy:
+    """poling takes erf from math.erf; scipy's erf is the independent reference."""
+
+    def test_elementwise_erf_within_4_ulp(self):
+        x = np.linspace(-6.0, 6.0, 20001)
+        got, want = poling._erf(x), scipy_erf(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        # the scalar path is the same math.erf, bit for bit
+        assert [poling._erf(v) for v in x.tolist()] == got.tolist()
+
+    @pytest.mark.parametrize("alpha", [4.0, 5.0, 6.0])
+    def test_target_pmf_scalars_and_arrays(self, monkeypatch, alpha):
+        # relative to the full height phi_T(L): near z = 0 the two erf terms
+        # cancel, so a pointwise ratio would measure that cancellation instead
+        profile = TargetProfile.from_alpha(alpha, L5MM, math.pi / LC_I)
+        z = np.linspace(0.0, L5MM, 1001)
+        got_array = target_pmf(z, profile)
+        got_scalar = np.array([target_pmf(float(v), profile) for v in z])
+        monkeypatch.setattr(poling, "_erf", scipy_erf)
+        want = target_pmf(z, profile)
+        height = target_pmf(L5MM, profile)
+        assert np.max(np.abs(got_array - want)) <= 1e-15 * height
+        assert np.max(np.abs(got_scalar - want)) <= 1e-15 * height
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_tracked_signs_identical(self, model, monkeypatch, preset):
+        pump_nm, signal_nm, axis = PRESETS[preset]
+        cfg = PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis))
+        lc = phase_mismatch_and_lc(model, cfg).coherence_length_m
+        runs = [(alpha, beta) for alpha in (4.0, 5.0, 6.0) for beta in (1.0, 3.0, 10.0)]
+
+        def tracks():
+            return [greedy_track(TargetProfile.from_alpha(alpha, cfg.length_m, math.pi / lc),
+                                 beta, lc, cfg.length_m).signs for alpha, beta in runs]
+
+        got = tracks()
+        monkeypatch.setattr(poling, "_erf", scipy_erf)
+        for signs, want in zip(got, tracks()):
+            assert np.array_equal(signs, want)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_erf_duty_profile_within_4_ulp(self, model, monkeypatch, preset):
+        # ulps of 1, the scale of 1 + erf, from which the duty fraction is formed
+        pump_nm, signal_nm, axis = PRESETS[preset]
+        cfg = PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis))
+        lc = phase_mismatch_and_lc(model, cfg).coherence_length_m
+        lengths, alphas = (1.5e-3, 5e-3), (3.0, 5.0, 7.0)
+        got = [erf_duty_profile(L, lc, a) for L in lengths for a in alphas]
+        monkeypatch.setattr(poling, "_erf", scipy_erf)
+        want = [erf_duty_profile(L, lc, a) for L in lengths for a in alphas]
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 4 * np.spacing(1.0)
 
 
 class TestTrackedAmplitude:

@@ -596,6 +596,25 @@ class TestExports:
         assert lines[1].startswith("signal_nm\\idler_nm,")
         assert len(lines) == 2 + jsa.grid.n_signal
 
+    def test_csv_rows_format_each_cell(self, tmp_path):
+        # zero, subnormal and large magnitudes included; each row formats its
+        # cells one by one
+        jsa = _separable_gaussian_jsa(1e12, 1.5e12, n=41)
+        amp = jsa.amplitude.copy()
+        amp[0, :4] = [0.0, 5e-324, -2.5e-310 + 1e-320j, 1e300j]
+        amp[3, 7] = -0.0
+        jsa = dataclasses.replace(jsa, amplitude=amp)
+        write_jsa_csv(tmp_path / "jsa.csv", jsa, header_lines=["h"])
+        lines = (tmp_path / "jsa.csv").read_text().splitlines()
+        lam_s = wavelength_um_from_omega(jsa.grid.omega_s) * 1e3
+        lam_i = wavelength_um_from_omega(jsa.grid.omega_i) * 1e3
+        assert lines[:2] == ["# h", "signal_nm\\idler_nm," + ",".join(f"{v:.6f}" for v in lam_i)]
+        expected = [f"{lam_s[j]:.6f}," + ",".join(f"{v:.8e}" for v in np.abs(amp[j]))
+                    for j in range(amp.shape[0])]
+        assert lines[2:] == expected
+        assert expected[0].split(",")[1:5] == [
+            "0.00000000e+00", "4.94065646e-324", "2.50000000e-310", "1.00000000e+300"]
+
     def test_binary_round_trip(self, tmp_path):
         jsa = _separable_gaussian_jsa(1e12, 2e12, n=31)
         dest = tmp_path / "jsa.bin"
