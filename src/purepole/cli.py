@@ -100,13 +100,102 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
-# value types of the config keys, for reading them from text and checking them
-_TUPLE_KEYS = {"pump_range_nm", "signal_range_nm", "schemes", "r_list",
-               "mqpm_orders", "beta_ladder"}
-_FLOAT_KEYS = {"pump_nm", "signal_nm", "length_mm", "r_mult", "alpha",
-               "purity_threshold", "pump_bandwidth_nm"}
-_FLOAT_TUPLE_KEYS = _TUPLE_KEYS - {"schemes", "mqpm_orders"}
-_INT_KEYS = {"seed", "pso_particles", "pso_iterations"}
+# bounds on config numbers: (what the message says, test of one number)
+_POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+_RANGE = (f"at least {MIN_RANGE_DW:g}", lambda v: v >= MIN_RANGE_DW)
+_STEP = ("LO:HI:STEP with a positive STEP", lambda r: r[2] > 0)
+_AXES = [axis.value for axis in Axis]
+
+# type and bound of each config key that is not a free string.  A type is
+# float, int, str or a tuple shape (entry type, length or ...); text from
+# flags and key = value lines is parsed into it.  A list's bound holds for
+# every entry, a fixed-length tuple's for the whole tuple.
+_TYPES: dict[str, tuple] = {
+    "pump_nm": (float, None),
+    "signal_nm": (float, None),
+    "signal_axis": (str, (" or ".join(_AXES), lambda v: v in _AXES)),
+    "length_mm": (float, _POSITIVE),
+    "r_mult": (float, _RANGE),
+    "seed": (int, _NONNEGATIVE),
+    "pump_range_nm": ((float, 3), _STEP),
+    "signal_range_nm": ((float, 3), _STEP),
+    "schemes": ((str, ...), ("a design scheme", lambda s: s in _READS["design"])),
+    "r_list": ((float, ...), _RANGE),
+    "mqpm_orders": ((int, ...), None),
+    "alpha": (float, _POSITIVE),
+    "beta_ladder": ((float, ...), _POSITIVE),
+    "purity_threshold": (float, ("in (0, 1]", lambda v: 0 < v <= 1)),
+    "pso_particles": (int, _POSITIVE),
+    "pso_iterations": (int, _NONNEGATIVE),
+    "pump_bandwidth_nm": (float, _POSITIVE),
+}
+
+# the keys each command reads, and for design each scheme; any other key
+# away from its field default is an error.  Only dc draws from seed, but
+# every design scheme and sweep-range accept it, so configs that carry it
+# keep replaying.
+_CASE = frozenset({"command", "out_dir", "sellmeier", "seed", "preset", "pump_nm",
+                   "signal_nm", "signal_axis", "length_mm"})
+_DESIGN = _CASE | {"scheme", "r_mult"}
+_PRESET_SETS = frozenset({"pump_nm", "signal_nm", "signal_axis"})
+_READS: dict[str, frozenset[str] | dict[str, frozenset[str]]] = {
+    "gvm-map": frozenset({"command", "out_dir", "sellmeier", "signal_axis",
+                          "pump_range_nm", "signal_range_nm"}),
+    "design": {
+        "pp": _DESIGN | {"pump_bandwidth_nm"},
+        "cl-scl": _DESIGN | {"purity_threshold", "beta_ladder"},
+        "mqpm": _DESIGN | {"pump_bandwidth_nm", "alpha", "mqpm_orders"},
+        "dc": _DESIGN | {"pump_bandwidth_nm", "purity_threshold", "pso_particles",
+                         "pso_iterations"},
+    },
+    "sweep-range": _CASE | {"schemes", "r_list", "design_dir", "pump_bandwidth_nm"},
+}
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        entry, length = kind
+        return f"a list{'' if length is ... else f' of {length}'}, each {_describe(entry)}"
+    return {float: "a finite number", int: "an integer", str: "a string"}[kind]
+
+
+def _scalar(kind: type, value):
+    """value as one number or string of type kind; text is parsed, a bool is no int."""
+    if isinstance(value, str) and kind is not str:
+        value = kind(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(value)
+    if kind is float:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(value)
+    return value
+
+
+def _typed(key: str, value, default):
+    """value of config key in the type _TYPES gives it, within its bound;
+    None only where the default is None.  Raise ConfigError naming key."""
+    if value is None and default is None:
+        return None
+    kind, bound = _TYPES.get(key, (str, None))
+    each = isinstance(kind, tuple) and kind[1] is ...
+    try:
+        if isinstance(kind, tuple):
+            items = value
+            if isinstance(value, str):
+                items = [item.strip() for item in value.replace(":", ",").split(",")]
+            if not isinstance(items, (list, tuple)) or (not each and len(items) != kind[1]):
+                raise TypeError(value)
+            typed = tuple(_scalar(kind[0], item) for item in items)
+        else:
+            typed = _scalar(kind, value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected {_describe(kind)}, got {value!r}") from None
+    if bound is not None and not all(map(bound[1], typed if each else (typed,))):
+        raise ConfigError(
+            f"{key}: {'every entry ' if each else ''}must be {bound[0]}, got {value!r}")
+    return typed
 
 
 @dataclass
@@ -141,63 +230,26 @@ class RunConfig:
     pump_bandwidth_nm: float | None = None
 
     def __post_init__(self):
-        for key in sorted(_FLOAT_KEYS | _FLOAT_TUPLE_KEYS):
-            value = getattr(self, key)
-            if value is None:
-                continue
-            try:
-                finite = all(map(math.isfinite, value if key in _FLOAT_TUPLE_KEYS else (value,)))
-            except TypeError:
-                finite = False
-            if not finite:
-                raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-        for key in ("length_mm", "pump_bandwidth_nm"):
-            value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{key}: must be positive, got {value}")
-        if not self.r_mult >= MIN_RANGE_DW:
-            raise ConfigError(f"r_mult: must be at least {MIN_RANGE_DW:g}, got {self.r_mult}")
-        if any(not r >= MIN_RANGE_DW for r in self.r_list):
-            raise ConfigError(
-                f"r_list: every range must be at least {MIN_RANGE_DW:g}, got {list(self.r_list)}")
-        if not 0 < self.purity_threshold <= 1:
-            raise ConfigError(
-                f"purity_threshold: must lie in (0, 1], got {self.purity_threshold}")
-        if not self.pso_particles >= 1:
-            raise ConfigError(f"pso_particles: must be at least 1, got {self.pso_particles}")
-        for key in ("pso_iterations", "seed"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"{key}: must be nonnegative, got {getattr(self, key)}")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ConfigError(f"alpha: must be positive, got {self.alpha}")
-        if self.beta_ladder is not None and any(not b > 0 for b in self.beta_ladder):
-            raise ConfigError(
-                f"beta_ladder: every rung must be positive, got {list(self.beta_ladder)}")
+        for f in fields(self):
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), f.default))
         try:
             check_mqpm_orders(self.mqpm_orders)
         except InvalidOrderList as exc:
             raise ConfigError(f"mqpm_orders: {exc}, got {self.mqpm_orders}") from exc
         # an input that the run would not read is an error, not a no-op
-        unread = _UNREAD.get(self.command, frozenset())
+        if self.command not in _READS:
+            raise ConfigError(f"command: unknown command {self.command!r}")
+        reads, label = _READS[self.command], self.command
+        if isinstance(reads, dict):
+            if self.scheme not in reads:
+                raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
+            reads, label = reads[self.scheme], f"{label} --scheme {self.scheme}"
+        if self.preset is not None and "preset" in reads:
+            # the preset sets the wavelengths and the signal axis
+            reads, label = reads - _PRESET_SETS, f"{label} --preset {self.preset}"
         for f in fields(self):
-            if f.name in unread and getattr(self, f.name) != f.default:
-                raise ConfigError(f"{f.name}: {self.command} does not read it")
-        if self.preset is not None:
-            for key in ("pump_nm", "signal_nm"):
-                if getattr(self, key) is not None:
-                    raise ConfigError(f"{key}: conflicts with preset {self.preset!r}")
-        default_axis = self.__dataclass_fields__["signal_axis"].default
-        if self.preset is not None and self.signal_axis != default_axis:
-            raise ConfigError(f"signal_axis: preset {self.preset!r} sets the signal axis")
-        if self.command == "design":
-            if self.scheme == "cl-scl" and self.pump_bandwidth_nm is not None:
-                raise ConfigError(
-                    "pump_bandwidth_nm: scheme cl-scl searches the pump bandwidth itself")
-            if self.scheme != "mqpm" and self.alpha is not None:
-                raise ConfigError(f"alpha: only scheme mqpm reads it, not {self.scheme!r}")
-            if self.scheme != "cl-scl" and self.beta_ladder is not None:
-                raise ConfigError(
-                    f"beta_ladder: only scheme cl-scl reads it, not {self.scheme!r}")
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name}: {label} does not read it")
 
     def digest(self) -> str:
         """sha256 over the canonical JSON, omitting the execution-only out_dir
@@ -215,28 +267,10 @@ class RunConfig:
         # run_config.json files written before the thread-count option was
         # removed carry a "threads" key; it never changed a result
         data = {key: value for key, value in data.items() if key != "threads"}
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-        coerced = dict(data)
-        for key in _TUPLE_KEYS:
-            if coerced.get(key) is not None:
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
-
-
-_MAP_RANGES = frozenset({"pump_range_nm", "signal_range_nm"})
-
-# keys that each command never reads; any of them away from its field default
-# is a configuration error (design's per-scheme rules are in __post_init__).
-# The map scans wavelength ranges and reads no single case, crystal or scheme.
-_UNREAD: dict[str, frozenset[str]] = {
-    "gvm-map": frozenset(RunConfig.__dataclass_fields__)
-    - {"command", "signal_axis", "out_dir", "sellmeier"} - _MAP_RANGES,
-    "design": _MAP_RANGES | {"schemes", "r_list", "design_dir"},
-    "sweep-range": _MAP_RANGES,
-}
+        return cls(**data)
 
 
 def _resolve_model(cfg: RunConfig) -> DispersionModel:
@@ -347,19 +381,11 @@ def _design_structure(
     if cfg.scheme == "cl-scl":
         options = DesignOptions(
             purity_threshold=cfg.purity_threshold,
-            **({"beta_ladder": tuple(cfg.beta_ladder)} if cfg.beta_ladder else {}),
+            **({"beta_ladder": cfg.beta_ladder} if cfg.beta_ladder else {}),
         )
         return design_cl_scl(model, case, options)
 
-    if cfg.scheme == "pp":
-        structure = periodic_domains(case.length_m, lc)
-        alpha = beta = None
-    elif cfg.scheme == "mqpm":
-        alpha = cfg.alpha if cfg.alpha is not None else 5.0
-        profile = TargetProfile.from_alpha(alpha, case.length_m, math.pi / lc)
-        structure = mqpm_domains(case.length_m, lc, list(cfg.mqpm_orders), profile)
-        beta = None
-    elif cfg.scheme == "dc":
+    if cfg.scheme == "dc":
         pp_bw = pp_purity = None
         if cfg.pump_bandwidth_nm is None:
             # seed the duty-cycle optimization with the periodic optimum,
@@ -376,8 +402,15 @@ def _design_structure(
         _, result = pso_optimize_dc(model, case, pump, settings, seed=cfg.seed)
         result.pp_pump_bandwidth_nm, result.pp_purity = pp_bw, pp_purity
         return result
-    else:
-        raise ConfigError(f"scheme: unknown scheme {cfg.scheme!r}")
+
+    if cfg.scheme == "pp":
+        structure = periodic_domains(case.length_m, lc)
+        alpha = beta = None
+    else:  # mqpm
+        alpha = cfg.alpha if cfg.alpha is not None else 5.0
+        profile = TargetProfile.from_alpha(alpha, case.length_m, math.pi / lc)
+        structure = mqpm_domains(case.length_m, lc, list(cfg.mqpm_orders), profile)
+        beta = None
 
     if cfg.pump_bandwidth_nm is not None:
         bw_nm = cfg.pump_bandwidth_nm
@@ -538,13 +571,6 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("range must be LO:HI:STEP in nm")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="purepole",
@@ -555,35 +581,32 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key-value or JSON config file; flags override it")
         p.add_argument("--preset", choices=sorted(PRESETS), help="named wavelength case")
-        p.add_argument("--pump-nm", type=float, dest="pump_nm")
-        p.add_argument("--signal-nm", type=float, dest="signal_nm")
-        p.add_argument("--signal-axis", choices=["Y", "Z"], dest="signal_axis")
-        p.add_argument("--length-mm", type=float, dest="length_mm")
-        p.add_argument("--r-mult", type=float, dest="r_mult")
+        p.add_argument("--pump-nm", dest="pump_nm")
+        p.add_argument("--signal-nm", dest="signal_nm")
+        p.add_argument("--signal-axis", choices=_AXES, dest="signal_axis")
+        p.add_argument("--length-mm", dest="length_mm")
+        p.add_argument("--r-mult", dest="r_mult")
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--seed", type=int, dest="seed")
+        p.add_argument("--seed", dest="seed")
         p.add_argument("--sellmeier", dest="sellmeier", help="set name or coefficient file")
 
     p_map = sub.add_parser("gvm-map", help="scan GVM angle and coherence length maps")
     common(p_map)
-    p_map.add_argument("--pump-range-nm", type=_parse_range, dest="pump_range_nm",
-                       help="LO:HI:STEP in nm")
-    p_map.add_argument("--signal-range-nm", type=_parse_range, dest="signal_range_nm",
-                       help="LO:HI:STEP in nm")
+    p_map.add_argument("--pump-range-nm", dest="pump_range_nm", help="LO:HI:STEP in nm")
+    p_map.add_argument("--signal-range-nm", dest="signal_range_nm", help="LO:HI:STEP in nm")
 
     p_design = sub.add_parser("design", help="design and evaluate one source")
     common(p_design)
-    p_design.add_argument("--scheme", choices=["pp", "cl-scl", "mqpm", "dc"], dest="scheme")
-    p_design.add_argument("--alpha", type=float, dest="alpha",
-                          help="Gaussian width factor for mqpm")
+    p_design.add_argument("--scheme", choices=list(_READS["design"]), dest="scheme")
+    p_design.add_argument("--alpha", dest="alpha", help="Gaussian width factor for mqpm")
     p_design.add_argument("--beta-ladder", dest="beta_ladder",
                           help="comma list overriding the division-factor ladder")
-    p_design.add_argument("--purity-threshold", type=float, dest="purity_threshold")
+    p_design.add_argument("--purity-threshold", dest="purity_threshold")
     p_design.add_argument("--mqpm-orders", dest="mqpm_orders",
                           help="comma list of odd QPM orders")
-    p_design.add_argument("--pso-particles", type=int, dest="pso_particles")
-    p_design.add_argument("--pso-iterations", type=int, dest="pso_iterations")
-    p_design.add_argument("--pump-bw-nm", type=float, dest="pump_bandwidth_nm",
+    p_design.add_argument("--pso-particles", dest="pso_particles")
+    p_design.add_argument("--pso-iterations", dest="pso_iterations")
+    p_design.add_argument("--pump-bw-nm", dest="pump_bandwidth_nm",
                           help="fix the pump bandwidth instead of optimizing it")
 
     p_sweep = sub.add_parser("sweep-range", help="purity versus spectral range")
@@ -593,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r-list", dest="r_list", help="comma list of R in dw units")
     p_sweep.add_argument("--design-dir", dest="design_dir",
                          help="directory holding design_result.json for optimized schemes")
-    p_sweep.add_argument("--pump-bw-nm", type=float, dest="pump_bandwidth_nm")
+    p_sweep.add_argument("--pump-bw-nm", dest="pump_bandwidth_nm")
     return parser
 
 
@@ -619,39 +642,12 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-def _coerce_config_value(key: str, value):
-    if not isinstance(value, str):
-        return value
-    try:
-        if key in _TUPLE_KEYS:
-            items = value.replace(":", ",").split(",")
-            if key == "schemes":
-                return tuple(item.strip() for item in items)
-            if key == "mqpm_orders":
-                return tuple(int(item) for item in items)
-            return tuple(float(item) for item in items)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a valid value: {value!r}") from exc
-    return value
-
-
 def build_run_config(argv: list[str]) -> RunConfig:
     args = vars(_build_parser().parse_args(argv))
     config_path = args.pop("config", None)
-    merged: dict = {}
-    if config_path:
-        for key, value in _read_config_file(config_path).items():
-            merged[key] = _coerce_config_value(key, value)
-    for key, value in args.items():
-        if value is None:
-            continue
-        merged[key] = _coerce_config_value(key, value)
-    if "command" not in merged:
-        raise ConfigError("command: missing")
+    # flags arrive as text and win over the file; RunConfig types both
+    merged = _read_config_file(config_path) if config_path else {}
+    merged.update((key, value) for key, value in args.items() if value is not None)
     return RunConfig.from_dict(merged)
 
 

@@ -1,17 +1,25 @@
 """Command-line front end: exit codes, artifacts, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purepole.cli import (
+    _READS,
     EXIT_BELOW_THRESHOLD,
     EXIT_CONFIG,
     EXIT_OK,
     PRESETS,
+    ConfigError,
     RunConfig,
+    build_run_config,
     run,
 )
 
@@ -371,6 +379,10 @@ def test_nonpositive_value_exit_2_names_key(tmp_path, capsys, argv, key):
           "--pump-bw-nm", "1.71"], "signal_nm"),
         (["--preset", "o-band-i", "--signal-axis", "Y", "--scheme", "pp",
           "--pump-bw-nm", "1.71"], "signal_axis"),
+        (["--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm", "1.71",
+          "--mqpm-orders", "1,3"], "mqpm_orders"),
+        (["--preset", "o-band-i", "--scheme", "mqpm", "--pump-bw-nm", "3",
+          "--purity-threshold", "0.9"], "purity_threshold"),
     ],
 )
 def test_unread_design_input_exit_2_names_key(tmp_path, capsys, argv, key):
@@ -519,6 +531,12 @@ def test_malformed_or_nonfinite_value_exit_2_names_key(tmp_path, capsys, argv, k
         ('{"r_mult": NaN}\n', "r_mult"),
         ('{"r_list": ["a"]}\n', "r_list"),
         (None, "config"),
+        ('{"seed": Infinity}\n', "seed"),
+        ('{"seed": true}\n', "seed"),
+        ('{"length_mm": null}\n', "length_mm"),
+        ('{"pso_particles": 2.5}\n', "pso_particles"),
+        ('{"r_list": 10}\n', "r_list"),
+        ("signal_axis = X\n", "signal_axis"),
     ],
 )
 def test_bad_config_file_exit_2_names_key(tmp_path, capsys, text, key):
@@ -530,3 +548,127 @@ def test_bad_config_file_exit_2_names_key(tmp_path, capsys, text, key):
     assert run(argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+_SWEEP = ["sweep-range", "--preset", "o-band-i", "--schemes", "pp", "--r-list", "10",
+          "--pump-bw-nm", "1.71"]
+_DESIGN_PP = ["design", "--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm", "1.71"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (_SWEEP, "scheme = dc\n", "scheme"),
+        (_SWEEP, "alpha = 5\n", "alpha"),
+        (_SWEEP, "r_mult = 20\n", "r_mult"),
+        ([*_SWEEP, "--r-mult", "20"], None, "r_mult"),
+        ([*_SWEEP[:4], "pp,foo", *_SWEEP[5:]], None, "schemes"),
+        (_DESIGN_PP[:-4], "scheme = foo\n", "scheme"),
+        (_DESIGN_PP, '{"out_dir": 5}\n', "out_dir"),
+        (["design", "--pump-nm", "710", "--signal-nm", "1310", "--scheme", "pp",
+          "--pump-bw-nm", "1.71"], "signal_axis = X\n", "signal_axis"),
+        (["gvm-map", *_MAP_RANGES], "signal_axis = X\n", "signal_axis"),
+        (["gvm-map", "--signal-range-nm", "1310:1310:1"], "pump_range_nm = 700:710\n",
+         "pump_range_nm"),
+        (["gvm-map", "--pump-range-nm", "710:710:1"],
+         '{"signal_range_nm": [1300, 1320, 10, 1]}\n', "signal_range_nm"),
+        (["gvm-map", "--signal-range-nm", "1310:1310:1", "--pump-range-nm", "700:710:0"],
+         None, "pump_range_nm"),
+        (["gvm-map", "--signal-range-nm", "1310:1310:1", "--pump-range-nm", "700:710:-5"],
+         None, "pump_range_nm"),
+    ],
+)
+def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, argv, text, key):
+    # runs in tmp_path, so an out_dir that slipped through lands there
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        Path("run.cfg").write_text(text)
+        argv = [*argv, "--config", "run.cfg"]
+    if "out_dir" not in (text or ""):
+        argv = [*argv, "--out-dir", "out"]
+    assert run(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if text else [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gvm-map", *_MAP_RANGES],
+        ["design", "--preset", "o-band-i", "--scheme", "dc", "--length-mm", "1.5",
+         "--pump-bw-nm", "3", "--pso-particles", "2", "--pso-iterations", "1", "--seed", "5"],
+        ["sweep-range", "--preset", "o-band-i", "--schemes", "pp", "--r-list", "5,10",
+         "--pump-bw-nm", "1.71", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_written_config_replays_byte_identical(tmp_path, argv):
+    out = tmp_path / "run"
+    code = run([*argv, "--out-dir", str(out)])
+    assert code in (EXIT_OK, EXIT_BELOW_THRESHOLD)
+    first = _file_hashes(out)
+    assert run([argv[0], "--config", str(out / "run_config.json")]) == code
+    assert _file_hashes(out) == first
+
+
+# a valid value away from its field default, for every key but command
+_FLOATS = st.floats(2.0, 100.0)
+_RANGES = st.tuples(st.floats(500.0, 900.0), st.floats(900.0, 1600.0), st.floats(0.1, 20.0))
+_VALID = {
+    "preset": st.sampled_from(sorted(PRESETS)),
+    "pump_nm": st.floats(400.0, 1000.0),
+    "signal_nm": st.floats(1000.0, 2000.0),
+    "signal_axis": st.just("Y"),
+    "length_mm": st.floats(0.1, 20.0),
+    "scheme": st.sampled_from(["pp", "mqpm", "dc"]),
+    "r_mult": _FLOATS,
+    "out_dir": st.just("elsewhere"),
+    "seed": st.integers(1, 2**32),
+    "sellmeier": st.just("default"),
+    "pump_range_nm": _RANGES,
+    "signal_range_nm": _RANGES,
+    "schemes": st.lists(st.sampled_from(list(_READS["design"])), min_size=1).map(tuple),
+    "r_list": st.lists(_FLOATS, min_size=1).map(tuple),
+    "design_dir": st.just("elsewhere"),
+    "mqpm_orders": st.sampled_from([(1,), (1, 3), (1, 3, 5, 7)]),
+    "alpha": st.floats(0.1, 20.0),
+    "beta_ladder": st.lists(st.floats(0.1, 30.0), min_size=1).map(tuple),
+    "purity_threshold": st.floats(0.5, 1.0),
+    "pso_particles": st.integers(1, 100),
+    "pso_iterations": st.integers(0, 500),
+    "pump_bandwidth_nm": st.floats(0.1, 20.0),
+}
+_RUNS = [("gvm-map", None), ("sweep-range", None),
+         *(("design", scheme) for scheme in _READS["design"])]
+
+
+@st.composite
+def _run_key_value(draw):
+    command, scheme = draw(st.sampled_from(_RUNS))
+    key = draw(st.sampled_from(sorted(_VALID.keys() - {"scheme"} if scheme else _VALID)))
+    default = next(f.default for f in fields(RunConfig) if f.name == key)
+    return command, scheme, key, draw(_VALID[key].filter(lambda v: v != default))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_run_key_value(), st.booleans())
+def test_read_table_property(run_key_value, as_json):
+    """A key the run reads takes any valid value; any other key away from its
+    default exits 2 naming it, from a JSON or a key = value config file."""
+    command, scheme, key, value = run_key_value
+    reads = _READS[command] if scheme is None else _READS[command][scheme]
+    text = (json.dumps({key: value}) if as_json else
+            f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text + "\n")
+        argv = [command, *(["--scheme", scheme] if scheme else []), "--config", str(path)]
+        if key in reads:
+            assert getattr(build_run_config(argv), key) == value
+            return
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            build_run_config(argv)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(argv) == EXIT_CONFIG
+        assert err.getvalue().startswith(f"config error: {key}: ")
