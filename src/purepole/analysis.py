@@ -33,8 +33,9 @@ from .poling import (
 from .spectrum import (
     JointSpectrum,
     PumpSpec,
+    _JsaEvaluator,
     _ridge_slopes,
-    build_jsa,
+    build_jsa,  # noqa: F401  (perfbench/test_trace.py checks that analysis binds it)
     make_grid,
     measure_delta_omega,
     standard_jsa,
@@ -409,6 +410,12 @@ class PsoSettings:
             raise ValueError(f"n_iterations must be at least 0, got {self.n_iterations!r}")
 
 
+def _swarm_purities(evaluator: _JsaEvaluator, period_m: float, fractions: np.ndarray) -> np.ndarray:
+    """Gram purity of each duty-cycle profile (rows of `fractions`) on the
+    evaluator's grid, all profiles assembled in one batch."""
+    return np.array([jsa_purity(f) for f in evaluator.duty_cycle_amplitudes(period_m, fractions)])
+
+
 def pso_optimize_dc(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
@@ -421,10 +428,14 @@ def pso_optimize_dc(
 
     The profile holds one duty cycle per period, floor(L / 2 l_c) of them.
     The swarm is initialized around the error-function profile (first
-    particle exactly on it; `initial_profile` overrides it), evaluated on a
-    coarse `coarse_points`-squared grid, with reflecting bounds; the best
-    profile is re-scored on the standard grid.  Fully deterministic for a
-    fixed seed.
+    particle exactly on it; `initial_profile` overrides it) and moves with
+    reflecting bounds.  Particles are scored on a coarse
+    `coarse_points`-squared R = 10 dw grid: one `_JsaEvaluator` is built on
+    it, and the initial swarm and each iteration are scored as one batch
+    (`_JsaEvaluator.duty_cycle_amplitudes`, then the Gram purity of each
+    particle), within 1e-12 of `jsa_purity(build_jsa(...))` per particle.
+    The best profile is re-scored on the standard grid.  Fully deterministic
+    for a fixed seed.
     """
     gp = phase_mismatch_and_lc(model, cfg)
     lc = gp.coherence_length_m
@@ -451,10 +462,8 @@ def pso_optimize_dc(
         step_divisor=settings.coarse_points // 10,
     )
 
-    def score(profile: np.ndarray) -> float:
-        structure = dc_domains(cfg.length_m, lc, profile)
-        jsa = build_jsa(model, cfg, structure, pump, coarse_grid, mask_invalid=True)
-        return jsa_purity(jsa)
+    evaluator = _JsaEvaluator(model, cfg, coarse_grid, pump)
+    period = 2.0 * lc
 
     rng = np.random.default_rng(seed)
     x = np.clip(
@@ -466,7 +475,7 @@ def pso_optimize_dc(
     x[0] = init
     v = np.zeros_like(x)
     best_x = x.copy()
-    best_f = np.array([score(p) for p in x])
+    best_f = _swarm_purities(evaluator, period, x)
     g_idx = int(np.argmax(best_f))
     g_x = best_x[g_idx].copy()
     g_f = float(best_f[g_idx])
@@ -488,7 +497,7 @@ def pso_optimize_dc(
         x[under] = 2 * lo - x[under]
         v[over | under] *= -1.0
         x = np.clip(x, lo, hi)
-        f = np.array([score(p) for p in x])
+        f = _swarm_purities(evaluator, period, x)
         improved = f > best_f
         best_x[improved] = x[improved]
         best_f[improved] = f[improved]

@@ -273,8 +273,13 @@ class RunConfig:
         return cls(**data)
 
 
+def _sellmeier_name(name: str) -> str:
+    """The Sellmeier set a config value names: the built-in one for its aliases."""
+    return KTP_KATO_2002.name if name in ("", KTP_KATO_2002.name, "default") else name
+
+
 def _resolve_model(cfg: RunConfig) -> DispersionModel:
-    if cfg.sellmeier in ("", KTP_KATO_2002.name, "default"):
+    if _sellmeier_name(cfg.sellmeier) == KTP_KATO_2002.name:
         return KTP_KATO_2002
     path = Path(cfg.sellmeier)
     if not path.exists():
@@ -523,6 +528,42 @@ def cmd_design(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# the scheme a design artifact records for each design scheme: cl-scl
+# records the rung it stopped on, "cl" at beta 1 and "scl" above
+_ARTIFACT_SCHEMES = {"cl-scl": ("cl", "scl"), "mqpm": ("mqpm",), "dc": ("dc",)}
+
+
+def _check_design_artifact(cfg: RunConfig, case: PhaseMatchConfig, data: dict, path: Path) -> None:
+    """Raise ConfigError unless the design artifact `data` (read from `path`)
+    was made for this run: every optimized scheme swept is the artifact's
+    (naming `schemes`), and the wavelengths, signal axis, Sellmeier set and
+    crystal length are the run's (naming `design_dir`)."""
+    for scheme in cfg.schemes:
+        if scheme != "pp" and data["scheme"] not in _ARTIFACT_SCHEMES[scheme]:
+            raise ConfigError(
+                f"schemes: {scheme!r} cannot be swept from the {data['scheme']!r} design in {path}")
+    structure = _structure_from_dict(data["structure"])
+    unit = structure.width_m if isinstance(structure, DomainArray) else structure.period_m
+    checks = []
+    for band in ("p", "s", "i"):
+        key, run = f"lambda_{band}_nm", getattr(case, f"lambda_{band}_um") * 1e3
+        checks.append((key, data[key], run, math.isclose(data[key], run, rel_tol=1e-12)))
+    checks += [
+        ("signal_axis", data["signal_axis"], case.signal_axis.value,
+         data["signal_axis"] == case.signal_axis.value),
+        ("sellmeier", data["sellmeier"], cfg.sellmeier,
+         _sellmeier_name(data["sellmeier"]) == _sellmeier_name(cfg.sellmeier)),
+        # the structure fills the crystal the way the design rules do: a
+        # whole number of domains or periods with less than one left over
+        ("structure length (mm)", structure.length_m * 1e3, cfg.length_mm,
+         -1e-9 * unit <= case.length_m - structure.length_m < unit),
+    ]
+    for what, artifact, run, ok in checks:
+        if not ok:
+            raise ConfigError(f"design_dir: {path} holds a design with {what} {artifact!r}, "
+                              f"this run has {run!r}")
+
+
 def cmd_sweep_range(cfg: RunConfig) -> int:
     model = _resolve_model(cfg)
     case = _resolve_case(cfg, model)
@@ -532,12 +573,16 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
     if not cfg.r_list:
         raise ConfigError("r_list: sweep-range requires a list of spectral ranges")
 
+    optimized = [scheme for scheme in cfg.schemes if scheme != "pp"]
+    if optimized and cfg.design_dir is None:
+        raise ConfigError(f"design_dir: scheme {optimized[0]!r} needs an existing design artifact")
     design_data = None
     if cfg.design_dir is not None:
         path = Path(cfg.design_dir) / "design_result.json"
         if not path.exists():
             raise ConfigError(f"design_dir: missing design artifact {path}")
         design_data = json.loads(path.read_text())
+        _check_design_artifact(cfg, case, design_data, path)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -550,10 +595,6 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
             else:
                 bw, _ = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
         else:
-            if design_data is None:
-                raise ConfigError(
-                    f"design_dir: scheme {scheme!r} needs an existing design artifact"
-                )
             structure = _structure_from_dict(design_data["structure"])
             bw = design_data["pump_bandwidth_nm"]
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw)

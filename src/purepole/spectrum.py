@@ -30,6 +30,16 @@ the standard grids of all presets (about 1e-13 measured).  Size rule: arrays
 with fewer points than twice the lattice nodes they span, scalars among
 them, take the exact sum at every point instead.
 
+One `_JsaEvaluator` per (grid, pump) holds the grid plan, the sign
+normalization and the envelope on the 2N - 1 pump sums, and assembles
+envelope x PMF for the dw climb (chosen points), for `build_jsa` (the whole
+grid) and for the duty-cycle swarm.  The swarm's profiles share one period
+Lambda = 2 l_c, so per period only the split point moves: period m adds
+(2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk b_m}) / (i dk) at a lattice node,
+and the node sums of a whole swarm come from one batch of exponentials and
+one stacked matmul, with no per-structure table (nodes with |dk| Lambda < 1
+take the per-segment sum instead).
+
 dw is measured without building the grid: an 8-neighbour hill climb from the
 grid centre finds the |f|^2 peak, and only the row and the column through it
 are evaluated.  A climb that reaches the grid edge falls back to a full
@@ -41,6 +51,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +189,7 @@ LATTICE_STENCIL = 12
 _TABLE_BLOCK = 64
 _POINT_BLOCK = 8192  # points per interpolation block
 _SUM_BLOCK = 1 << 16  # point x segment terms per block of the exact sum
+_BATCH_BLOCK = 1 << 15  # profile x point values per block of the duty-cycle batch
 
 
 def _interval_polynomials() -> np.ndarray:
@@ -302,6 +314,66 @@ def _interpolate(dk: np.ndarray, structure: DomainArray | DutyCycleStructure) ->
     return out
 
 
+# A duty-cycle lattice node takes the closed form of `_duty_cycle_node_sums`
+# where |dk| period is at least this, and the per-segment sum, which does not
+# cancel, below it.
+_CLOSED_FORM_MIN = 1.0
+
+
+def _lattice_phase_sums(first: int, count: int, step: float, x: np.ndarray) -> np.ndarray:
+    """S[..., n] = sum_m e^{i (first + n) step x[..., m]} for n < count.
+
+    With n = b K + k, K about sqrt(count), the phase factors into
+    e^{i (first + b K) step x} e^{i k step x}: about 2 sqrt(count)
+    exponentials per position and one stacked matmul instead of `count`
+    exponentials per position.  Each leading index is summed on its own.
+    """
+    inner_n = max(1, math.isqrt(count))
+    outer_n = -(-count // inner_n)
+    outer = np.exp(1j * (step * (first + inner_n * np.arange(outer_n)))[:, None] * x[..., None, :])
+    inner = np.exp(1j * x[..., :, None] * (step * np.arange(inner_n)))
+    sums = outer @ inner
+    return sums.reshape(*x.shape[:-1], outer_n * inner_n)[..., :count]
+
+
+def _duty_cycle_node_sums(
+    first: int, count: int, period_m: float, fractions: np.ndarray, edge_sums: np.ndarray
+) -> np.ndarray:
+    """G at the lattice nodes first .. first + count - 1 of each row of duty
+    fractions (shape (P, M), all of one period), shape (P, count).
+
+    Period m is UP on [a_m, s_m] and DOWN on [s_m, b_m] (positions from the
+    crystal centre), which adds (2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk b_m})
+    / (i dk) to G.  Only the split s_m depends on the row: `edge_sums` holds
+    sum_m e^{i dk a_m} + e^{i dk b_m} at the same nodes
+    (`_lattice_phase_sums` of the 2M edges), computed once per period.  Nodes
+    with |dk| period < _CLOSED_FORM_MIN, where the closed form cancels, take
+    the per-segment sum, which gives the limit sum(w_up - w_down) at dk = 0.
+    """
+    n_periods = fractions.shape[1]
+    length = n_periods * period_m
+    step = _lattice_step(length)
+    starts = period_m * np.arange(n_periods)
+    splits = starts + period_m * fractions - 0.5 * length
+    dk = step * np.arange(first, first + count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (2.0 * _lattice_phase_sums(first, count, step, splits) - edge_sums) / (1j * dk)
+    small = np.abs(dk) * period_m < _CLOSED_FORM_MIN
+    if small.any():
+        for row, f in zip(out, fractions):
+            row[small] = _segment_sum(dk[small], *_segments(DutyCycleStructure(period_m, f)))
+    return out
+
+
+def _duty_cycle_edge_sums(first: int, count: int, period_m: float, n_periods: int) -> np.ndarray:
+    """sum_m e^{i dk a_m} + e^{i dk b_m} over the period edges a_m = m period
+    - L/2, b_m = a_m + period, at the lattice nodes first .. first + count - 1."""
+    length = n_periods * period_m
+    starts = period_m * np.arange(n_periods)
+    edges = np.concatenate([starts, starts + period_m]) - 0.5 * length
+    return _lattice_phase_sums(first, count, _lattice_step(length), edges)
+
+
 def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
     """Exact piecewise-constant PMF integral of a poling structure.
 
@@ -378,6 +450,14 @@ class _GridPlan:
     def valid(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         return self.valid_pump[j + k] & self.valid_signal[j] & self.valid_idler[k]
 
+    def full(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dk, valid) at every grid point, dk a new writable array."""
+        n = self.k_idler.size
+        dk = _hankel(self.k_pump, n) - self.k_signal[:, None]
+        dk -= self.k_idler[None, :]
+        valid = _hankel(self.valid_pump, n) & self.valid_signal[:, None] & self.valid_idler[None, :]
+        return dk, valid
+
 
 def _grid_plan(
     model: DispersionModel, cfg: PhaseMatchConfig, grid: SpectralGrid, mask_invalid: bool
@@ -415,12 +495,7 @@ def delta_k_grid(
     (delta_k there is a placeholder); otherwise such points raise.  The pump
     terms come from the 2N - 1 pump sums of the grid plan.
     """
-    plan = _grid_plan(model, cfg, grid, mask_invalid)
-    n = grid.n_idler
-    dk = _hankel(plan.k_pump, n) - plan.k_signal[:, None]
-    dk -= plan.k_idler[None, :]
-    valid = _hankel(plan.valid_pump, n) & plan.valid_signal[:, None] & plan.valid_idler[None, :]
-    return dk, valid
+    return _grid_plan(model, cfg, grid, mask_invalid).full()
 
 
 def make_grid(
@@ -499,6 +574,154 @@ def _central_mismatch(model: DispersionModel, cfg: PhaseMatchConfig) -> float:
     return kp0 - ks0 - ki0
 
 
+class _JsaEvaluator:
+    """Pump envelope x PMF on one grid for one (model, cfg, pump), shared by
+    every structure evaluated there.
+
+    It holds the grid plan, the sign that normalizes the central mismatch to
+    +pi/l_c and the pump envelope on the 2N - 1 pump sums, and evaluates the
+    unnormalized JSA three ways: `power` at chosen points (the dw climb),
+    `amplitude` on the whole grid for one structure (`build_jsa`), and
+    `duty_cycle_amplitudes` on the whole grid for many duty-cycle profiles of
+    one period at once (the duty-cycle swarm).
+    """
+
+    def __init__(
+        self,
+        model: DispersionModel,
+        cfg: PhaseMatchConfig,
+        grid: SpectralGrid,
+        pump: PumpSpec,
+        mask_invalid: bool = True,
+    ):
+        self.grid = grid
+        self.mask_invalid = mask_invalid
+        self.plan = _grid_plan(model, cfg, grid, mask_invalid)
+        self.delta_k0 = _central_mismatch(model, cfg)
+        self.sign = 1.0 if self.delta_k0 >= 0 else -1.0
+        self.length_m = cfg.length_m
+        self.envelope = pump_envelope(self.plan.pump_sums, 0.0, pump)
+        self._duty_cells: dict[tuple[float, int], tuple | None] = {}
+
+    def power(self, structure: DomainArray | DutyCycleStructure, j: np.ndarray, k: np.ndarray):
+        """|f|^2 at the grid points (j, k), zero at masked points; each point
+        takes the lattice interpolation of `structure`'s table."""
+        out = np.zeros(j.size)
+        ok = self.plan.valid(j, k)
+        if ok.any():
+            j, k = j[ok], k[ok]
+            f = self.envelope[j + k] * _interpolate(self.sign * self.plan.delta_k(j, k), structure)
+            out[ok] = np.abs(f) ** 2
+        return out
+
+    def amplitude(
+        self, structure: DomainArray | DutyCycleStructure | None, scheme: str = "piecewise"
+    ) -> tuple[np.ndarray, int]:
+        """(f, masked points) on the whole grid; see `build_jsa`.
+
+        Its N^2 arrays are dk, its sign-normalized copy, the valid mask, the
+        PMF and f.  Fewer, with the sign flip and the envelope in place, made
+        the peak RSS of two R = 50 range sweeps 8 MB higher at 1000^2, since
+        glibc then served the next large arrays from its heap.
+        """
+        dk, valid = self.plan.full()
+        dk_eval = self.sign * dk
+        masked = int(valid.size - np.count_nonzero(valid)) if self.mask_invalid else 0
+        if masked:
+            # zeroed below anyway; the first valid point's dk keeps the
+            # placeholder mismatch out of the structure's lattice table
+            dk_eval[~valid] = dk_eval.flat[int(np.argmax(valid))]
+
+        if scheme == "analytic-pp":
+            phi = pmf_pp_analytic(dk_eval, math.pi / abs(self.delta_k0), self.length_m)
+        elif scheme == "piecewise":
+            if structure is None:
+                raise ValueError("piecewise scheme requires a poling structure")
+            phi = pmf_piecewise(dk_eval.ravel(), structure).reshape(dk_eval.shape)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r} (use 'analytic-pp' or 'piecewise')")
+        f = _hankel(self.envelope, self.grid.n_idler) * phi
+        if masked:
+            f[~valid] = 0.0
+        return f, masked
+
+    @cached_property
+    def _valid_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(flat indices, sign-normalized dk, envelope) of the valid points."""
+        dk, valid = self.plan.full()
+        index = np.flatnonzero(valid)
+        envelope = _hankel(self.envelope, self.grid.n_idler).ravel()
+        return index, self.sign * dk.ravel()[index], envelope[index]
+
+    def _duty_cycle_cells(self, period_m: float, n_periods: int) -> tuple | None:
+        """What the duty-cycle batch of one period keeps for the grid: None
+        when the valid points are too few for the lattice (`_lattice`), else
+        (first stencil node, node count, each point's cell from the first,
+        its Horner offset in the cell, e^{i dk_mid L/2} per cell, and the
+        period edges' node sums)."""
+        key = (period_m, n_periods)
+        if key not in self._duty_cells:
+            length = n_periods * period_m
+            dk = self._valid_points[1]
+            lattice = _lattice(dk, length)
+            if lattice is None:
+                self._duty_cells[key] = None
+            else:
+                first, last = lattice
+                step = _lattice_step(length)
+                t = dk * (1.0 / step)
+                cells = np.floor(t)
+                lo, count = first - (LATTICE_STENCIL // 2 - 1), last - first + LATTICE_STENCIL
+                mids = step * (np.arange(first, last + 1) + 0.5)
+                self._duty_cells[key] = (
+                    lo, count, cells.astype(np.intp) - first, t - cells - 0.5,
+                    np.exp(0.5j * length * mids),
+                    _duty_cycle_edge_sums(lo, count, period_m, n_periods))
+        return self._duty_cells[key]
+
+    def duty_cycle_amplitudes(self, period_m: float, fractions: np.ndarray) -> np.ndarray:
+        """f, shape (P, N_s, N_i), of each row of duty fractions (shape
+        (P, M), all of one period), with masked points zero.
+
+        The lattice of `pmf_piecewise`, with the node sums of all rows from
+        `_duty_cycle_node_sums` and one Horner pass over the grid's fixed
+        cells; a grid with too few points for the lattice takes the exact
+        sum at each point, as `pmf_piecewise` does.
+        """
+        fractions = np.asarray(fractions, dtype=float)
+        rows, n_periods = fractions.shape
+        index, dk, envelope = self._valid_points
+        out = np.zeros((rows, self.grid.n_signal * self.grid.n_idler), dtype=complex)
+        cells = self._duty_cycle_cells(period_m, n_periods)
+        if cells is None:
+            phase = np.exp(0.5j * (n_periods * period_m) * dk)
+            for row, f in zip(out, fractions):
+                segments = _segments(DutyCycleStructure(period_m, f))
+                row[index] = envelope * (_segment_sum(dk, *segments) * phase)
+            return out.reshape(rows, self.grid.n_signal, self.grid.n_idler)
+
+        lo, count, cell, offset, phase, edge_sums = cells
+        nodes = _duty_cycle_node_sums(lo, count, period_m, fractions, edge_sums)
+        windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL, axis=-1)
+        coef = ((windows @ _INTERVAL_POLY) * phase[:, None]).transpose(2, 0, 1)
+        # Horner on the real and imaginary parts apart, each (stencil, row,
+        # cell): the offsets are real, so this is the complex recurrence
+        # without its multiplications by 0
+        parts = [np.ascontiguousarray(part) for part in (coef.real, coef.imag)]
+        block = max(1, _BATCH_BLOCK // rows)
+        for start in range(0, cell.size, block):
+            here, points = cell[start : start + block], index[start : start + block]
+            s, weight = offset[start : start + block], envelope[start : start + block]
+            for part, target in zip(parts, (out.real, out.imag)):
+                acc = part[-1].take(here, axis=1)
+                for poly in part[-2::-1]:
+                    acc *= s
+                    acc += poly.take(here, axis=1)
+                acc *= weight
+                target[:, points] = acc
+        return out.reshape(rows, self.grid.n_signal, self.grid.n_idler)
+
+
 def build_jsa(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
@@ -515,28 +738,7 @@ def build_jsa(
     structure needed).  The phase mismatch is sign-normalized so the central
     value is +pi/l_c.  The grid must keep the `SpectralGrid` contract.
     """
-    dk, valid = delta_k_grid(model, cfg, grid, mask_invalid=mask_invalid)
-    dk0 = _central_mismatch(model, cfg)
-    dk_eval = (1.0 if dk0 >= 0 else -1.0) * dk
-    masked = int(valid.size - np.count_nonzero(valid)) if mask_invalid else 0
-    if masked:
-        # zeroed below anyway; the first valid point's dk keeps the
-        # placeholder mismatch out of the structure's lattice table
-        dk_eval[~valid] = dk_eval.flat[int(np.argmax(valid))]
-
-    if scheme == "analytic-pp":
-        phi = pmf_pp_analytic(dk_eval, math.pi / abs(dk0), cfg.length_m)
-    elif scheme == "piecewise":
-        if structure is None:
-            raise ValueError("piecewise scheme requires a poling structure")
-        phi = pmf_piecewise(dk_eval.ravel(), structure).reshape(dk_eval.shape)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r} (use 'analytic-pp' or 'piecewise')")
-
-    envelope = pump_envelope(_pump_sums(grid), 0.0, pump)
-    f = _hankel(envelope, grid.n_idler) * phi
-    if masked:
-        f[~valid] = 0.0
+    f, masked = _JsaEvaluator(model, cfg, grid, pump, mask_invalid).amplitude(structure, scheme)
     parts = f.reshape(-1).view(float)
     norm = math.sqrt(float(np.dot(parts, parts)))
     if norm == 0.0:
@@ -586,28 +788,17 @@ def _climbed_cuts(
     An 8-neighbour hill climb from the grid centre moves to the largest
     neighbour while it is strictly larger, then the two cuts through the
     peak are evaluated.  Each value equals that of `build_jsa` before its
-    normalization: same grid plan, same table, pointwise arithmetic.
+    normalization: the points come from `_JsaEvaluator.power` on the same
+    grid plan, envelope and lattice interpolation as the build.
     """
     if structure is None:
         raise ValueError("piecewise scheme requires a poling structure")
-    plan = _grid_plan(model, cfg, grid, mask_invalid=True)
-    envelope = pump_envelope(plan.pump_sums, 0.0, pump)
-    sign0 = 1.0 if _central_mismatch(model, cfg) >= 0 else -1.0
-
-    def power(j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        out = np.zeros(j.size)
-        ok = plan.valid(j, k)
-        if ok.any():
-            j, k = j[ok], k[ok]
-            f = envelope[j + k] * _interpolate(sign0 * plan.delta_k(j, k), structure)
-            out[ok] = np.abs(f) ** 2
-        return out
-
+    evaluator = _JsaEvaluator(model, cfg, grid, pump)
     n_s, n_i = grid.n_signal, grid.n_idler
     j, k = n_s // 2, n_i // 2
-    here = power(np.array([j]), np.array([k]))[0]
+    here = evaluator.power(structure, np.array([j]), np.array([k]))[0]
     while 0 < j < n_s - 1 and 0 < k < n_i - 1:
-        around = power(j + _NEIGHBOURS_J, k + _NEIGHBOURS_K)
+        around = evaluator.power(structure, j + _NEIGHBOURS_J, k + _NEIGHBOURS_K)
         best = int(np.argmax(around))
         if not around[best] > here:
             break
@@ -617,7 +808,8 @@ def _climbed_cuts(
     if here == 0.0:
         return None
     rows, cols = np.arange(n_s), np.arange(n_i)
-    cuts = power(np.concatenate([rows, np.full(n_i, j)]), np.concatenate([np.full(n_s, k), cols]))
+    cuts = evaluator.power(
+        structure, np.concatenate([rows, np.full(n_i, j)]), np.concatenate([np.full(n_s, k), cols]))
     return (int(j), int(k)), cuts[:n_s], cuts[n_s:]
 
 

@@ -121,8 +121,8 @@ def test_criterion_03_idler_wavelengths():
 
 
 def test_criterion_04_pp_purity(model):
-    with report(4, "periodically-poled purity, cases i/iv/x within 3 pp"):
-        for name in ("i", "iv", "x"):
+    with report(4, "periodically-poled purity, all 14 cases within 3 pp"):
+        for name in CASES:
             _, _, pur, elapsed = _timed_pp_optimum(model, name)
             assert pur == pytest.approx(CASES[name].pp_purity, abs=0.03), name
             assert elapsed < 30.0, f"{name}: {elapsed:.1f} s"
@@ -320,3 +320,37 @@ def test_criterion_10_determinism(tmp_path):
         data = json.loads((out / "design_result.json").read_text())
         assert data["run_config_digest"]
         assert data["sellmeier"] == "ktp-kato-takaoka-2002"
+
+
+# The rung (alpha, beta) the default CL/SCL ladder lands on for each O-band
+# case in a 5 mm crystal, from one full ladder run, with the bandwidth and
+# purity it reached.  o-band-v stops below the CLI's 0.995 threshold (exit
+# 3); the abstract's claim is > 99.4 %.
+O_BAND_RUNGS = {
+    "i": (5.1, 1.0, 3.065, 0.99866),
+    "ii": (4.2, 10.0, 5.755, 0.99559),
+    "iii": (4.7, 3.0, 3.213, 0.99607),
+    "iv": (6.0, 1.0, 4.121, 0.99700),
+    "v": (4.6, 4.0, 9.995, 0.99475),
+    "vi": (5.2, 3.0, 3.540, 0.99515),
+    "vii": (4.5, 5.0, 5.767, 0.99582),
+    "viii": (4.7, 4.0, 3.711, 0.99668),
+}
+
+
+def test_criterion_11_o_band_purity(model):
+    with report(11, "optimized purity > 99.4 % for all eight O-band cases"):
+        for name, (alpha, beta, ladder_bw, ladder_p) in O_BAND_RUNGS.items():
+            cfg = case_config(name)
+            gp = phase_mismatch_and_lc(model, cfg)
+            lc = gp.coherence_length_m
+            profile = TargetProfile.from_alpha(alpha, cfg.length_m, math.pi / lc)
+            array = greedy_track(profile, beta, lc, cfg.length_m)
+            bw, pur = optimize_pump_bandwidth(model, cfg, array, gp.theta_deg)
+            note = " (below the 0.995 design threshold: exit 3)" if pur < 0.995 else ""
+            print(f"ACCEPTANCE 11 case {name}: alpha {alpha:g} beta {beta:g} "
+                  f"pump bw {bw:.3f} nm P {100 * pur:.2f} %{note}")
+            assert pur > 0.994, name
+            # the pinned rung is the ladder's design
+            assert bw == pytest.approx(ladder_bw, rel=1e-2), name
+            assert pur == pytest.approx(ladder_p, abs=1e-4), name

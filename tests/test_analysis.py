@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import purepole
-from purepole import analysis
+from purepole import analysis, spectrum
 from purepole import (
+    DutyCycleStructure,
     JointSpectrum,
     NoInteriorMaximum,
     PsoSettings,
@@ -21,6 +22,7 @@ from purepole import (
     WindowExceedsGrid,
     ZeroSpectrum,
     build_jsa,
+    dc_domains,
     heralding_efficiency,
     jsa_purity,
     make_grid,
@@ -599,6 +601,95 @@ class TestPsoDutyCycle:
         grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
         p_pp = purity(schmidt_decompose(build_jsa(model, cfg, pp, pump, grid)))
         assert res.purity == pytest.approx(p_pp, abs=1e-6)
+
+
+class TestDutyCycleBatch:
+    """The swarm's batch scores against `jsa_purity(build_jsa(...))` per
+    structure, at the 1e-12 the per-structure path is held to."""
+
+    @staticmethod
+    def _per_structure(model, cfg, lc, pump, grid, profiles):
+        return np.array([
+            jsa_purity(build_jsa(model, cfg, dc_domains(cfg.length_m, lc, p), pump, grid,
+                                 mask_invalid=True))
+            for p in profiles])
+
+    @pytest.mark.parametrize("coarse_points", [60, 100])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_coarse_grid(self, model, preset, coarse_points):
+        cfg, gp, structures = preset_structures(model, preset)
+        lc = gp.coherence_length_m
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=10.0,
+                         step_divisor=coarse_points // 10)
+        random = structures["dc"].fractions
+        rng = np.random.default_rng(coarse_points)
+        pinned = rng.choice([0.02, 0.98], random.size)
+        profiles = np.stack([random, pinned])
+        evaluator = spectrum._JsaEvaluator(model, cfg, grid, pump)
+        assert evaluator._duty_cycle_cells(2 * lc, random.size) is not None
+        batch = analysis._swarm_purities(evaluator, 2 * lc, profiles)
+        want = self._per_structure(model, cfg, lc, pump, grid, profiles)
+        assert np.max(np.abs(batch - want)) <= 1e-12
+
+    def test_grid_below_the_size_rule(self, model):
+        # 10 x 10 points are fewer than twice the lattice nodes they span:
+        # the batch takes the exact sum at each point, as pmf_piecewise does
+        cfg = case_config("i", length_m=1.5e-3)
+        gp = phase_mismatch_and_lc(model, cfg)
+        lc = gp.coherence_length_m
+        pump, dw = _standard_pump_and_dw(model, cfg, gp,
+                                         periodic_domains(cfg.length_m, lc))
+        grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=10.0,
+                         step_divisor=1)
+        n_periods = int(cfg.length_m / (2 * lc) + 1e-12)
+        profiles = np.random.default_rng(5).uniform(0.02, 0.98, (3, n_periods))
+        evaluator = spectrum._JsaEvaluator(model, cfg, grid, pump)
+        assert evaluator._duty_cycle_cells(2 * lc, n_periods) is None
+        batch = analysis._swarm_purities(evaluator, 2 * lc, profiles)
+        want = self._per_structure(model, cfg, lc, pump, grid, profiles)
+        assert np.max(np.abs(batch - want)) <= 1e-12
+
+    def test_swarm_first_iteration(self, model, monkeypatch):
+        cfg = case_config("i", length_m=1.5e-3)
+        gp = phase_mismatch_and_lc(model, cfg)
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
+        calls = []
+        real = analysis._swarm_purities
+
+        def recording(evaluator, period_m, fractions):
+            scores = real(evaluator, period_m, fractions)
+            calls.append((evaluator.grid, fractions.copy(), scores.copy()))
+            return scores
+
+        monkeypatch.setattr(analysis, "_swarm_purities", recording)
+        pso_optimize_dc(model, cfg, pump, PsoSettings(n_particles=6, n_iterations=1), seed=3)
+        # one call for the initial swarm and one per iteration
+        assert len(calls) == 2
+        for grid, profiles, scores in calls:
+            assert profiles.shape[0] == 6
+            want = self._per_structure(model, cfg, gp.coherence_length_m, pump, grid, profiles)
+            assert np.max(np.abs(scores - want)) <= 1e-12
+
+    def test_node_sums_at_and_near_zero_mismatch(self):
+        # the closed form divides by dk: at dk = 0 and at small |dk| period
+        # the per-segment sum takes over, and the limit is sum(w_up - w_down)
+        period = 40e-6
+        fractions = np.random.default_rng(2).uniform(0.02, 0.98, (3, 25))
+        step = spectrum._lattice_step(25 * period)
+        first, count = -40, 120
+        small = np.abs(step * np.arange(first, first + count)) * period < spectrum._CLOSED_FORM_MIN
+        assert small[-first] and 1 < np.count_nonzero(small) < count
+        edges = spectrum._duty_cycle_edge_sums(first, count, period, 25)
+        got = spectrum._duty_cycle_node_sums(first, count, period, fractions, edges)
+        for row, f in zip(got, fractions):
+            structure = DutyCycleStructure(period_m=period, fractions=f)
+            segments = spectrum._segments(structure)
+            want = spectrum._segment_sum(step * np.arange(first, first + count), *segments)
+            assert row[-first] == want[-first] == pytest.approx(period * np.sum(2 * f - 1),
+                                                                rel=1e-12)
+            assert np.array_equal(row[small], want[small])
+            assert np.max(np.abs(row - want)) <= 1e-12 * structure.length_m
 
 
 class TestExports:

@@ -552,6 +552,16 @@ def test_bad_config_file_exit_2_names_key(tmp_path, capsys, text, key):
 
 _SWEEP = ["sweep-range", "--preset", "o-band-i", "--schemes", "pp", "--r-list", "10",
           "--pump-bw-nm", "1.71"]
+# stands for the directory of an o-band-i mqpm design in a 5 mm crystal
+_MQPM_DESIGN = "<mqpm design dir>"
+
+
+@pytest.fixture(scope="module")
+def mqpm_design_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mqpm-design")
+    assert run(["design", "--preset", "o-band-i", "--scheme", "mqpm", "--pump-bw-nm", "3",
+                "--out-dir", str(out)]) == EXIT_OK
+    return str(out)
 _DESIGN_PP = ["design", "--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm", "1.71"]
 
 
@@ -576,9 +586,19 @@ _DESIGN_PP = ["design", "--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm"
          None, "pump_range_nm"),
         (["gvm-map", "--signal-range-nm", "1310:1310:1", "--pump-range-nm", "700:710:-5"],
          None, "pump_range_nm"),
+        (["sweep-range", "--preset", "o-band-i", "--schemes", "dc,cl-scl", "--r-list", "10",
+          "--design-dir", _MQPM_DESIGN, "--pump-bw-nm", "1.71"], None, "schemes"),
+        (["sweep-range", "--preset", "o-band-ii", "--schemes", "mqpm", "--r-list", "10",
+          "--design-dir", _MQPM_DESIGN], None, "design_dir"),
+        (["sweep-range", "--preset", "o-band-i", "--length-mm", "2", "--schemes", "mqpm",
+          "--r-list", "10", "--design-dir", _MQPM_DESIGN], None, "design_dir"),
     ],
 )
-def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, argv, text, key):
+def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, request, argv, text,
+                                            key):
+    if _MQPM_DESIGN in argv:
+        design = request.getfixturevalue("mqpm_design_dir")
+        argv = [design if arg == _MQPM_DESIGN else arg for arg in argv]
     # runs in tmp_path, so an out_dir that slipped through lands there
     monkeypatch.chdir(tmp_path)
     if text is not None:
