@@ -79,6 +79,7 @@ _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
 # is built in column blocks of this width.
 _FLUSH_FLOOR = math.sqrt(np.finfo(float).tiny)
 _GRAM_BLOCK = 128
+_FLUSH_BLOCK = 1 << 16  # parts per block of the flush to zero
 # Smallest spectral range R, in units of dw, that a purity grid may span.
 MIN_RANGE_DW = 2.0
 
@@ -139,14 +140,17 @@ def _unit_working_copy(amp: np.ndarray) -> np.ndarray:
     """
     work = np.array(amp, dtype=np.result_type(amp.dtype, float))
     parts = work.view(float).reshape(-1)  # real and imaginary parts, in place
-    peak = float(np.max(np.abs(parts)))
-    if not math.isfinite(peak):
+    high, low = float(parts.max()), float(parts.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("JSA contains non-finite entries")
+    peak = max(high, -low)
     if peak == 0.0:
         raise ZeroSpectrum("the JSA amplitude vanishes")
     parts /= peak
     parts /= math.sqrt(float(np.dot(parts, parts)))
-    parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
+    for start in range(0, parts.size, _FLUSH_BLOCK):
+        chunk = parts[start : start + _FLUSH_BLOCK]
+        chunk[np.abs(chunk) < _FLUSH_FLOOR] = 0.0
     return work
 
 

@@ -44,7 +44,6 @@ from .gvm import (
     PhaseMatchConfig,
     gvm_map,
     phase_mismatch_and_lc,
-    write_gvm_lc_csv,
     write_gvm_map_csv,
 )
 from .poling import (
@@ -357,8 +356,7 @@ def cmd_gvm_map(cfg: RunConfig) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_gvm_map_csv(out / "gvm_theta_map.csv", gmap, _header(cfg))
-    write_gvm_lc_csv(out / "gvm_lc_map.csv", gmap, _header(cfg))
+    write_gvm_map_csv(out / "gvm_theta_map.csv", gmap, _header(cfg), lc_path=out / "gvm_lc_map.csv")
     (out / "mask_legend.txt").write_text(
         "\n".join(
             [

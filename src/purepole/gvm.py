@@ -249,31 +249,60 @@ def gvm_map(
     )
 
 
-def _write_cells(path: str | Path, comments: list[str], gmap: GvmMap, columns: dict) -> None:
-    """The row loop of both map files: `comments` as '# ' lines, a header, and
-    per cell lambda_p_nm, lambda_s_nm, lambda_i_nm, then each named column."""
-    row = ",".join(["{:.4f}"] * 3 + ["{:.6f}"] * len(columns))
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(["lambda_p_nm", "lambda_s_nm", "lambda_i_nm", *columns]))
-    ls_nm = (gmap.lambda_s_um * 1e3).tolist()
-    for i, lp_nm in enumerate((gmap.lambda_p_um * 1e3).tolist()):
-        cells = [(gmap.lambda_i_um[i] * 1e3).tolist(), *(col[i].tolist() for col in columns.values())]
-        lines.extend(row.format(lp_nm, ls, *values) for ls, *values in zip(ls_nm, *cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    """Each value printf-formatted with `spec`, by one % operation per array
+    (the same text as format() with the spec, nan and inf included)."""
+    return (f"%{spec}\x00" * values.size % tuple(values.tolist())).split("\x00")[:-1]
 
 
-def write_gvm_map_csv(path: str | Path, gmap: GvmMap, header_lines: list[str] | None = None) -> None:
+def _write_maps(gmap: GvmMap, theta_file=None, lc_file=None) -> None:
+    """Write the cell rows of the theta and l_c files (each an open text
+    file or None) in one pass over pump rows: every wavelength, theta and
+    l_c is formatted once and shared by the files that print it."""
+    signal = [f"{ls}," for ls in _formatted(gmap.lambda_s_um * 1e3, ".4f")]
+    for i, lp in enumerate(_formatted(gmap.lambda_p_um * 1e3, ".4f")):
+        cells = [f"{lp},{ls}{li}," for ls, li in zip(signal, _formatted(gmap.lambda_i_um[i] * 1e3, ".4f"))]
+        lc = _formatted(gmap.coherence_length_um[i], ".6f")
+        if theta_file is not None:
+            theta = _formatted(gmap.theta_deg[i], ".6f")
+            theta_file.writelines(f"{c}{t},{x}\n" for c, t, x in zip(cells, theta, lc))
+        if lc_file is not None:
+            lc_file.writelines(f"{c}{x}\n" for c, x in zip(cells, lc))
+
+
+def _write_header(fh, comments: list[str], columns: list[str]) -> None:
+    """`comments` as '# ' lines, then a header of lambda_p_nm, lambda_s_nm,
+    lambda_i_nm and `columns`."""
+    header = ",".join(["lambda_p_nm", "lambda_s_nm", "lambda_i_nm", *columns])
+    fh.write("".join(f"{line}\n" for line in [*(f"# {c}" for c in comments), header]))
+
+
+def write_gvm_map_csv(
+    path: str | Path,
+    gmap: GvmMap,
+    header_lines: list[str] | None = None,
+    lc_path: str | Path | None = None,
+) -> None:
     """Write one row per map cell: lambda_p_nm, lambda_s_nm, lambda_i_nm,
-    theta_deg (nan = masked), l_c_um (nan = invalid cell)."""
-    _write_cells(
-        path,
-        [*(header_lines or []), f"signal_axis: {gmap.signal_axis.value}"],
-        gmap,
-        {"theta_deg": gmap.theta_deg, "l_c_um": gmap.coherence_length_um},
-    )
+    theta_deg (nan = masked), l_c_um (nan = invalid cell).
+
+    With `lc_path`, also write the file of `write_gvm_lc_csv` there, with
+    the same header lines, in the same pass over the map's cells."""
+    header_lines = header_lines or []
+    with open(path, "w") as theta_file:
+        _write_header(theta_file, [*header_lines, f"signal_axis: {gmap.signal_axis.value}"],
+                      ["theta_deg", "l_c_um"])
+        if lc_path is None:
+            _write_maps(gmap, theta_file)
+            return
+        with open(lc_path, "w") as lc_file:
+            _write_header(lc_file, header_lines, ["l_c_um"])
+            _write_maps(gmap, theta_file, lc_file)
 
 
 def write_gvm_lc_csv(path: str | Path, gmap: GvmMap, header_lines: list[str] | None = None) -> None:
     """Write one row per map cell: lambda_p_nm, lambda_s_nm, lambda_i_nm,
     l_c_um (nan = invalid cell)."""
-    _write_cells(path, header_lines or [], gmap, {"l_c_um": gmap.coherence_length_um})
+    with open(path, "w") as lc_file:
+        _write_header(lc_file, header_lines or [], ["l_c_um"])
+        _write_maps(gmap, lc_file=lc_file)

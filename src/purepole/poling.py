@@ -94,8 +94,8 @@ class _Structure:
     @cached_property
     def pmf_table(self) -> dict:
         """Phase-matching node sums and cell polynomials of this structure,
-        by lattice block, filled by `spectrum.pmf_piecewise`; it lives and
-        dies with the structure."""
+        each one contiguous span of lattice blocks, filled by
+        `spectrum.pmf_piecewise`; it lives and dies with the structure."""
         return {}
 
 

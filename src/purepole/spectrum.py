@@ -21,14 +21,21 @@ The phase-matching function of a poling structure depends on the grid only
 through dk, so `pmf_piecewise` sums the exact per-segment integral on a 1-D
 lattice in dk and interpolates from it: nodes at the integer multiples of
 (2 pi/L)/16, with the sum centred on the crystal (phase reference z = L/2) so
-that it is band-limited to |z| <= L/2, and a local 12-node polynomial per
-lattice cell.  Because the nodes do not depend on the points, each structure
-keeps its node sums and cell polynomials in a table that lives as long as the
-structure and grows in aligned blocks, so the builds of a bandwidth search
-share them.  This holds to 1e-10 x max|Phi| against the per-segment sum on
-the standard grids of all presets (about 1e-13 measured).  Size rule: arrays
-with fewer points than twice the lattice nodes they span, scalars among
-them, take the exact sum at every point instead.
+that it is band-limited to |z| <= L/2, and a local 12-node polynomial of
+degree 11 per lattice cell.  Each cell is split into 8 sub-cells, and each
+point is evaluated from the degree-5 Chebyshev interpolant of its cell's
+polynomial on its sub-cell, a 6-term Horner pass instead of a 12-term one
+(the interpolants leave about 7e-15 of the largest cell value).  Because the
+nodes do not depend on the points, each structure keeps its node sums and
+cell polynomials in a table that lives as long as the structure: one
+contiguous span of aligned blocks, grown downward or upward as evaluations
+need, so the builds of a bandwidth search share it.  Each call looks the
+span up once and derives the sub-cell polynomials of the blocks it needs.
+This holds to 1e-10 x max|Phi| against the per-segment sum on the standard
+grids of all presets (at most 1.7e-13 measured, the same as with the
+degree-11 polynomials).  Size rule: arrays with fewer points than twice the
+lattice nodes they span, scalars among them, take the exact sum at every
+point instead.
 
 One `_JsaEvaluator` per (grid, pump) holds the grid plan, the sign
 normalization and the envelope on the 2N - 1 pump sums, and assembles
@@ -38,7 +45,8 @@ Lambda = 2 l_c, so per period only the split point moves: period m adds
 (2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk b_m}) / (i dk) at a lattice node,
 and the node sums of a whole swarm come from one batch of exponentials and
 one stacked matmul, with no per-structure table (nodes with |dk| Lambda < 1
-take the per-segment sum instead).
+take the per-segment sum instead); each profile then takes the sub-cell
+Horner pass over the grid's fixed sub-cells.
 
 dw is measured without building the grid: an 8-neighbour hill climb from the
 grid centre finds the |f|^2 peak, and only the row and the column through it
@@ -182,14 +190,27 @@ def pmf_pp_analytic(delta_k, coherence_length_m: float, length_m: float):
 
 # The dk lattice of `pmf_piecewise`: nodes m (2 pi/L) / LATTICE_NODES_PER_PERIOD
 # for integer m, and an even number LATTICE_STENCIL of nodes around each
-# lattice cell.  A structure's table holds node sums and cell polynomials in
-# aligned blocks of _TABLE_BLOCK nodes or cells.
+# lattice cell.  Each cell is split into SUBCELLS equal sub-cells, each with
+# its own polynomial of degree SUBCELL_DEGREE.  A structure's table holds
+# node sums and cell polynomials in aligned blocks of _TABLE_BLOCK nodes or
+# cells.
 LATTICE_NODES_PER_PERIOD = 16
 LATTICE_STENCIL = 12
+SUBCELLS = 8
+SUBCELL_DEGREE = 5
 _TABLE_BLOCK = 64
 _POINT_BLOCK = 8192  # points per interpolation block
 _SUM_BLOCK = 1 << 16  # point x segment terms per block of the exact sum
-_BATCH_BLOCK = 1 << 15  # profile x point values per block of the duty-cycle batch
+
+
+def _lagrange_basis(nodes: np.ndarray) -> np.ndarray:
+    """L[k, m]: coefficient of x^m in the Lagrange polynomial of node k,
+    expanded from its roots (inverting the Vandermonde matrix instead loses
+    digits at 12 nodes, and would need LAPACK)."""
+    return np.array([
+        np.poly(np.delete(nodes, k))[::-1] / np.prod(nodes[k] - np.delete(nodes, k))
+        for k in range(nodes.size)
+    ])
 
 
 def _interval_polynomials() -> np.ndarray:
@@ -197,24 +218,47 @@ def _interval_polynomials() -> np.ndarray:
     cell, that node k of its stencil contributes to the cell's polynomial
     for G(dk) e^{i (dk - dk_mid) L/2}.
 
-    The Lagrange basis of the stencil nodes s_k = k - (n - 1)/2 is expanded
-    from its roots (inverting the Vandermonde matrix instead loses digits at
-    n = 12) and multiplied by the Taylor series of e^{i theta s}, theta =
+    The Lagrange basis of the stencil nodes s_k = k - (n - 1)/2 is
+    multiplied by the Taylor series of e^{i theta s}, theta =
     pi / LATTICE_NODES_PER_PERIOD, truncated at the same degree.
     """
     n = LATTICE_STENCIL
-    nodes = np.arange(n) - (n - 1) / 2.0
-    lagrange = np.array([
-        np.poly(np.delete(nodes, k))[::-1] / np.prod(nodes[k] - np.delete(nodes, k))
-        for k in range(n)
-    ])
+    lagrange = _lagrange_basis(np.arange(n) - (n - 1) / 2.0)
     theta = math.pi / LATTICE_NODES_PER_PERIOD
     series = [(1j * theta) ** q / math.factorial(q) for q in range(n)]
     shift = np.array([[series[m - k] if m >= k else 0.0 for m in range(n)] for k in range(n)])
     return lagrange @ shift
 
 
+def _subcell_polynomials() -> np.ndarray:
+    """Q[j SUBCELLS + q, m]: coefficient of u^j, for u in [-1/2, 1/2]
+    across sub-cell q of a lattice cell (s = (q + 1/2 + u) / SUBCELLS -
+    1/2), that the s^m term of the cell polynomial contributes to the
+    sub-cell's polynomial of degree SUBCELL_DEGREE.
+
+    Each sub-cell polynomial interpolates the cell polynomial at the
+    Chebyshev nodes of the sub-cell.  The cell polynomials of a band-limited
+    G turn by at most pi/8 in phase per cell, so the dropped terms leave
+    about 7e-15 of the largest cell value (measured on the presets' tables).
+    Built in plain Python from the Lagrange basis of the nodes, without
+    BLAS or LAPACK; complex, so that the products with it run on the
+    complex matmul kernel that the other steps load.
+    """
+    n = SUBCELL_DEGREE + 1
+    u = [0.5 * math.cos((2 * k + 1) * math.pi / (2 * n)) for k in range(n)]
+    lagrange = _lagrange_basis(np.array(u)).tolist()
+    coef = [[0.0] * LATTICE_STENCIL for _ in range(n * SUBCELLS)]
+    for q in range(SUBCELLS):
+        for k in range(n):
+            s = (q + 0.5 + u[k]) / SUBCELLS - 0.5
+            for m in range(LATTICE_STENCIL):
+                for j in range(n):
+                    coef[j * SUBCELLS + q][m] += s**m * lagrange[k][j]
+    return np.array(coef, dtype=complex)
+
+
 _INTERVAL_POLY = _interval_polynomials()
+_SUBCELL_POLY = _subcell_polynomials()
 
 
 def _segment_sum(dk: np.ndarray, centers: np.ndarray, widths: np.ndarray, weights: np.ndarray):
@@ -259,58 +303,111 @@ def _lattice(dk: np.ndarray, length_m: float) -> tuple[int, int] | None:
     return first, last
 
 
-def _node_block(structure: DomainArray | DutyCycleStructure, block: int) -> np.ndarray:
-    """G at the nodes block B .. (block + 1) B - 1, B = _TABLE_BLOCK, from the
-    structure's table.  A block is always summed by one call on the same
-    nodes, so a node's value does not depend on which evaluation needed it
-    first (the exact sum can differ in the last bit with the batch)."""
-    key = ("nodes", block)
-    table = structure.pmf_table
-    if key not in table:
-        m = np.arange(block * _TABLE_BLOCK, (block + 1) * _TABLE_BLOCK)
-        table[key] = _segment_sum(_lattice_step(structure.length_m) * m, *_segments(structure))
-    return table[key]
+def _cell_polynomials(nodes: np.ndarray, first_cell: int, count: int, length_m: float) -> np.ndarray:
+    """Cell polynomial coefficients, shape (..., count, LATTICE_STENCIL), of
+    the cells first_cell .. first_cell + count - 1 from node sums (shape
+    (..., count + LATTICE_STENCIL - 1), starting at the first cell's first
+    stencil node), with e^{i dk_mid L/2} folded in."""
+    windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL, axis=-1)
+    mids = _lattice_step(length_m) * (np.arange(first_cell, first_cell + count) + 0.5)
+    return (windows @ _INTERVAL_POLY) * np.exp(0.5j * length_m * mids)[:, None]
 
 
-def _cell_block(structure: DomainArray | DutyCycleStructure, block: int) -> np.ndarray:
-    """Polynomial coefficients, shape (LATTICE_STENCIL, B), of the cells
-    block B .. (block + 1) B - 1, with e^{i dk_mid L/2} folded in, from the
-    structure's table."""
-    key = ("cells", block)
+def _cell_table(structure: DomainArray | DutyCycleStructure, first: int, last: int):
+    """(first block, cells) of the structure's table, grown to cover the cell
+    blocks first .. last: `cells` has shape (blocks, LATTICE_STENCIL, B),
+    B = _TABLE_BLOCK, one contiguous span of aligned blocks.
+
+    The node sums (one span of blocks, from one block before the cells to
+    one after) grow with it.  A block is always summed by one call on the
+    same nodes and its cell polynomials come from one fixed-size product,
+    so no value depends on which evaluation needed the block first (the
+    exact sum can differ in the last bit with the batch, a matmul with the
+    number of rows).
+    """
     table = structure.pmf_table
-    if key not in table:
-        nodes = np.concatenate([_node_block(structure, b) for b in (block - 1, block, block + 1)])
-        lo = _TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)  # first stencil node of the block
-        windows = np.lib.stride_tricks.sliding_window_view(
-            nodes[lo : lo + _TABLE_BLOCK + LATTICE_STENCIL - 1], LATTICE_STENCIL)
-        cells = np.arange(block * _TABLE_BLOCK, (block + 1) * _TABLE_BLOCK)
-        mids = _lattice_step(structure.length_m) * (cells + 0.5)
-        coef = (windows @ _INTERVAL_POLY) * np.exp(0.5j * structure.length_m * mids)[:, None]
-        table[key] = np.ascontiguousarray(coef.T)
-    return table[key]
+    if "cells" not in table:
+        table["cells"] = (first, np.empty((0, LATTICE_STENCIL, _TABLE_BLOCK), dtype=complex))
+        table["nodes"] = np.empty((0, _TABLE_BLOCK), dtype=complex)
+    have, cells = table["cells"]
+    if have <= first and last < have + len(cells):
+        return have, cells
+    first, last = min(first, have), max(last, have + len(cells) - 1)
+    nodes = table["nodes"]  # blocks have - 1 .. have + len(cells)
+    step = _lattice_step(structure.length_m)
+    segments = _segments(structure)
+
+    def summed(blocks: range) -> np.ndarray:
+        out = np.empty((len(blocks), _TABLE_BLOCK), dtype=complex)
+        for row, b in zip(out, blocks):
+            row[:] = _segment_sum(step * np.arange(b * _TABLE_BLOCK, (b + 1) * _TABLE_BLOCK), *segments)
+        return out
+
+    nodes = np.concatenate([summed(range(first - 1, have - 1)), nodes,
+                            summed(range(have - 1 + len(nodes), last + 2))])
+    flat = nodes.reshape(-1)
+    lead = _TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)  # first stencil node of a block
+
+    def polynomials(b: int) -> np.ndarray:
+        if have <= b < have + len(cells):
+            return cells[b - have]
+        start = (b - first) * _TABLE_BLOCK + lead
+        window = flat[start : start + _TABLE_BLOCK + LATTICE_STENCIL - 1]
+        return _cell_polynomials(window, b * _TABLE_BLOCK, _TABLE_BLOCK, structure.length_m).T
+
+    span = np.empty((last - first + 1, LATTICE_STENCIL, _TABLE_BLOCK), dtype=complex)
+    for b, block in enumerate(span, first):
+        block[:] = polynomials(b)
+    table["nodes"] = nodes
+    table["cells"] = (first, span)
+    return first, span
+
+
+def _subcell_coefficients(cells: np.ndarray) -> np.ndarray:
+    """Sub-cell polynomial coefficients, shape (SUBCELL_DEGREE + 1,
+    SUBCELLS x cells), from cell polynomials of shape (blocks,
+    LATTICE_STENCIL, cells per block): row j holds the u^j coefficient of
+    sub-cell SUBCELLS c + q.  Each block is one product of a fixed size, so
+    a coefficient does not depend on the other blocks."""
+    blocks, _, width = cells.shape
+    sub = np.matmul(_SUBCELL_POLY, cells)  # (block, j SUBCELLS + q, cell)
+    sub = sub.reshape(blocks, SUBCELL_DEGREE + 1, SUBCELLS, width).transpose(1, 0, 3, 2)
+    return sub.reshape(SUBCELL_DEGREE + 1, -1)
+
+
+def _horner(coef: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j coef[j, index] u^j at each point, by Horner over the rows of
+    `coef` (one per degree, lowest first)."""
+    acc = coef[-1].take(index)
+    for row in coef[-2::-1]:
+        acc *= u
+        acc += row.take(index)
+    return acc
 
 
 def _interpolate(dk: np.ndarray, structure: DomainArray | DutyCycleStructure) -> np.ndarray:
     """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's table.
 
-    Each point takes the polynomial of its lattice cell, evaluated by Horner
-    in blocks; a point's value depends only on its dk.
+    The table is looked up once, for the cell blocks that the points span,
+    and their sub-cell polynomials are derived from it; each point takes the
+    polynomial of its sub-cell, evaluated by Horner in blocks of points.  A
+    point's value depends only on its dk.
     """
-    t = dk * (1.0 / _lattice_step(structure.length_m))
-    cells = np.floor(t)
-    first = int(cells.min()) // _TABLE_BLOCK
-    last = int(cells.max()) // _TABLE_BLOCK
-    coef = np.concatenate([_cell_block(structure, b) for b in range(first, last + 1)], axis=1)
+    scale = SUBCELLS / _lattice_step(structure.length_m)
+    lo = math.floor(float(dk.min()) * scale) // (SUBCELLS * _TABLE_BLOCK)
+    hi = math.floor(float(dk.max()) * scale) // (SUBCELLS * _TABLE_BLOCK)
+    first, cells = _cell_table(structure, lo, hi)
+    coef = _subcell_coefficients(cells[lo - first : hi - first + 1])
+    base = lo * SUBCELLS * _TABLE_BLOCK
     out = np.empty(dk.size, dtype=complex)
     for start in range(0, dk.size, _POINT_BLOCK):
-        cell = cells[start : start + _POINT_BLOCK]
-        s = t[start : start + _POINT_BLOCK] - cell - 0.5
-        index = cell.astype(np.intp) - first * _TABLE_BLOCK
-        acc = coef[-1].take(index)
-        for row in coef[-2::-1]:
-            acc *= s
-            acc += row.take(index)
-        out[start : start + _POINT_BLOCK] = acc
+        u = dk[start : start + _POINT_BLOCK] * scale
+        sub = np.floor(u)
+        u -= sub
+        u -= 0.5
+        index = sub.astype(np.intp)
+        index -= base
+        out[start : start + _POINT_BLOCK] = _horner(coef, index, u)
     return out
 
 
@@ -386,16 +483,18 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
 
     Size rule: an array with at least twice as many points as the lattice
     nodes it needs is interpolated on the lattice of nodes m (2 pi/L) /
-    LATTICE_NODES_PER_PERIOD, m integer: each point takes the degree
-    LATTICE_STENCIL - 1 polynomial through the LATTICE_STENCIL nodes around
-    its lattice cell, with e^{i dk L/2} folded in, so the lattice spans the
+    LATTICE_NODES_PER_PERIOD, m integer: the degree LATTICE_STENCIL - 1
+    polynomial through the LATTICE_STENCIL nodes around a lattice cell, with
+    e^{i dk L/2} folded in, is replaced on each of the cell's SUBCELLS
+    sub-cells by its Chebyshev interpolant of degree SUBCELL_DEGREE, and
+    each point takes the polynomial of its sub-cell.  The lattice spans the
     points' dk range plus LATTICE_STENCIL - 1 end nodes.  Node sums and cell
     polynomials are kept in the structure's table (`pmf_table`) and reused
     by later calls; a value does not depend on what the table held before.
     Against the exact sum the error stays within 1e-10 x max|Phi| on the
-    standard grids of all presets (about 1e-13 measured, the rounding floor
-    of the sum itself).  Smaller arrays, scalars and arrays with non-finite
-    values take the exact sum at every point.
+    standard grids of all presets (at most 1.7e-13 measured, the rounding
+    floor of the sum itself).  Smaller arrays, scalars and arrays with
+    non-finite values take the exact sum at every point.
     """
     dk = np.asarray(delta_k, dtype=float)
     flat = dk.ravel()
@@ -619,25 +718,29 @@ class _JsaEvaluator:
     ) -> tuple[np.ndarray, int]:
         """(f, masked points) on the whole grid; see `build_jsa`.
 
-        Its N^2 arrays are dk, its sign-normalized copy, the valid mask, the
-        PMF and f.  Fewer, with the sign flip and the envelope in place, made
-        the peak RSS of two R = 50 range sweeps 8 MB higher at 1000^2, since
-        glibc then served the next large arrays from its heap.
+        Its N^2 arrays are dk (sign-normalized in place), the valid mask,
+        the PMF and f; the PMF kernel forms its per-point temporaries in
+        blocks of points.  Four range sweeps (PP and CL at R = 10 and 50,
+        up to 1000^2) in one process peaked at 85.8 MB RSS with a
+        sign-normalized copy of dk, the kernel's N^2 cell and offset arrays
+        and the purity flush's N^2 temporaries, and at 80.7 MB without them.
+        Applying the envelope in place as well gave 81.4 MB, since glibc
+        then serves the next large arrays from its heap.
         """
         dk, valid = self.plan.full()
-        dk_eval = self.sign * dk
+        dk *= self.sign
         masked = int(valid.size - np.count_nonzero(valid)) if self.mask_invalid else 0
         if masked:
             # zeroed below anyway; the first valid point's dk keeps the
             # placeholder mismatch out of the structure's lattice table
-            dk_eval[~valid] = dk_eval.flat[int(np.argmax(valid))]
+            dk[~valid] = dk.flat[int(np.argmax(valid))]
 
         if scheme == "analytic-pp":
-            phi = pmf_pp_analytic(dk_eval, math.pi / abs(self.delta_k0), self.length_m)
+            phi = pmf_pp_analytic(dk, math.pi / abs(self.delta_k0), self.length_m)
         elif scheme == "piecewise":
             if structure is None:
                 raise ValueError("piecewise scheme requires a poling structure")
-            phi = pmf_piecewise(dk_eval.ravel(), structure).reshape(dk_eval.shape)
+            phi = pmf_piecewise(dk.ravel(), structure).reshape(dk.shape)
         else:
             raise ValueError(f"unknown scheme {scheme!r} (use 'analytic-pp' or 'piecewise')")
         f = _hankel(self.envelope, self.grid.n_idler) * phi
@@ -656,9 +759,9 @@ class _JsaEvaluator:
     def _duty_cycle_cells(self, period_m: float, n_periods: int) -> tuple | None:
         """What the duty-cycle batch of one period keeps for the grid: None
         when the valid points are too few for the lattice (`_lattice`), else
-        (first stencil node, node count, each point's cell from the first,
-        its Horner offset in the cell, e^{i dk_mid L/2} per cell, and the
-        period edges' node sums)."""
+        (first cell, first stencil node, node count, each point's sub-cell
+        from the first cell's first, its Horner offset in the sub-cell, and
+        the period edges' node sums)."""
         key = (period_m, n_periods)
         if key not in self._duty_cells:
             length = n_periods * period_m
@@ -668,14 +771,11 @@ class _JsaEvaluator:
                 self._duty_cells[key] = None
             else:
                 first, last = lattice
-                step = _lattice_step(length)
-                t = dk * (1.0 / step)
-                cells = np.floor(t)
+                u = dk * (SUBCELLS / _lattice_step(length))
+                sub = np.floor(u)
                 lo, count = first - (LATTICE_STENCIL // 2 - 1), last - first + LATTICE_STENCIL
-                mids = step * (np.arange(first, last + 1) + 0.5)
                 self._duty_cells[key] = (
-                    lo, count, cells.astype(np.intp) - first, t - cells - 0.5,
-                    np.exp(0.5j * length * mids),
+                    first, lo, count, sub.astype(np.intp) - SUBCELLS * first, u - sub - 0.5,
                     _duty_cycle_edge_sums(lo, count, period_m, n_periods))
         return self._duty_cells[key]
 
@@ -684,9 +784,9 @@ class _JsaEvaluator:
         (P, M), all of one period), with masked points zero.
 
         The lattice of `pmf_piecewise`, with the node sums of all rows from
-        `_duty_cycle_node_sums` and one Horner pass over the grid's fixed
-        cells; a grid with too few points for the lattice takes the exact
-        sum at each point, as `pmf_piecewise` does.
+        `_duty_cycle_node_sums`, then per row the sub-cell Horner pass over
+        the grid's fixed sub-cells; a grid with too few points for the
+        lattice takes the exact sum at each point, as `pmf_piecewise` does.
         """
         fractions = np.asarray(fractions, dtype=float)
         rows, n_periods = fractions.shape
@@ -700,25 +800,17 @@ class _JsaEvaluator:
                 row[index] = envelope * (_segment_sum(dk, *segments) * phase)
             return out.reshape(rows, self.grid.n_signal, self.grid.n_idler)
 
-        lo, count, cell, offset, phase, edge_sums = cells
+        first, lo, count, sub, offset, edge_sums = cells
         nodes = _duty_cycle_node_sums(lo, count, period_m, fractions, edge_sums)
-        windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL, axis=-1)
-        coef = ((windows @ _INTERVAL_POLY) * phase[:, None]).transpose(2, 0, 1)
-        # Horner on the real and imaginary parts apart, each (stencil, row,
-        # cell): the offsets are real, so this is the complex recurrence
-        # without its multiplications by 0
-        parts = [np.ascontiguousarray(part) for part in (coef.real, coef.imag)]
-        block = max(1, _BATCH_BLOCK // rows)
-        for start in range(0, cell.size, block):
-            here, points = cell[start : start + block], index[start : start + block]
-            s, weight = offset[start : start + block], envelope[start : start + block]
-            for part, target in zip(parts, (out.real, out.imag)):
-                acc = part[-1].take(here, axis=1)
-                for poly in part[-2::-1]:
-                    acc *= s
-                    acc += poly.take(here, axis=1)
-                acc *= weight
-                target[:, points] = acc
+        polynomials = _cell_polynomials(
+            nodes, first, count - LATTICE_STENCIL + 1, n_periods * period_m)
+        for row, cell_poly in zip(out, polynomials):
+            coef = _subcell_coefficients(cell_poly.T[None])
+            for start in range(0, sub.size, _POINT_BLOCK):
+                part = slice(start, start + _POINT_BLOCK)
+                value = _horner(coef, sub[part], offset[part])
+                value *= envelope[part]
+                row[index[part]] = value
         return out.reshape(rows, self.grid.n_signal, self.grid.n_idler)
 
 

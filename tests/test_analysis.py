@@ -160,6 +160,45 @@ class TestGramPurity:
         assert not np.any((work < _FLUSH_FLOOR) & (work != 0))
         assert not np.any((work < tiny) & (work != 0))
 
+    @staticmethod
+    def _old_working_copy(amp):
+        """The working copy as formed before it lost its N^2 temporaries:
+        the peak from np.abs and the flush through one N^2 mask."""
+        work = np.array(amp, dtype=np.result_type(amp.dtype, float))
+        parts = work.view(float).reshape(-1)
+        parts /= float(np.max(np.abs(parts)))
+        parts /= math.sqrt(float(np.dot(parts, parts)))
+        parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
+        return work
+
+    @pytest.mark.parametrize("shape", [(40, 40), (257, 131), (1000, 1000)])
+    def test_working_copy_equals_the_old_formulas(self, shape):
+        # exact zeros of both signs, masked (zeroed) rows and subnormal parts;
+        # equal bit for bit, the signs of zeros included
+        f = _complex_matrix(shape[0], shape)
+        rng = np.random.default_rng(shape[1])
+        parts = f.view(float).reshape(-1)
+        pick = rng.random(parts.size)
+        parts[pick < 0.05] = 0.0
+        parts[(pick >= 0.05) & (pick < 0.1)] = -0.0
+        parts[(pick >= 0.1) & (pick < 0.15)] *= 1e-310
+        f[: shape[0] // 4] = 0.0
+        for amp in (f, -f, f * 1e300, f.real.copy()):
+            want = self._old_working_copy(amp)
+            got = _unit_working_copy(amp)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_working_copy_peak_from_a_negative_part(self):
+        f = np.array([[1.0, -4.0], [2.0, 0.5]])
+        got = _unit_working_copy(f)
+        assert np.array_equal(got, self._old_working_copy(f))
+        for bad in (np.nan, np.inf, -np.inf):
+            g = f.copy()
+            g[1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                _unit_working_copy(g)
+
     def test_pso_coarse_grid(self, model):
         cfg, gp, structures = preset_structures(model, "o-band-i")
         pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])

@@ -1,5 +1,6 @@
 """GVM geometry: idler wavelengths, angles, coherence lengths, scan maps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,20 @@ from purepole import (
 from purepole.gvm import write_gvm_lc_csv, write_gvm_map_csv
 
 from conftest import CASES, case_config
+
+
+def _per_row_formatter(comments, gmap, columns) -> str:
+    """A map file as the writer formatted it before, one format call per
+    cell: comments, header, then lambda_p, lambda_s, lambda_i and the
+    columns of every cell."""
+    row = ",".join(["{:.4f}"] * 3 + ["{:.6f}"] * len(columns))
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(["lambda_p_nm", "lambda_s_nm", "lambda_i_nm", *columns]))
+    ls_nm = (gmap.lambda_s_um * 1e3).tolist()
+    for i, lp_nm in enumerate((gmap.lambda_p_um * 1e3).tolist()):
+        cells = [(gmap.lambda_i_um[i] * 1e3).tolist(), *(col[i].tolist() for col in columns.values())]
+        lines.extend(row.format(lp_nm, ls, *values) for ls, *values in zip(ls_nm, *cells))
+    return "\n".join(lines) + "\n"
 
 
 class TestIdlerWavelength:
@@ -210,3 +225,24 @@ class TestGvmMap:
         assert lc_rows[2:] == expected_lc
         assert any("nan" in row for row in expected_lc)
         assert any("nan" not in row for row in expected_lc)
+
+    def test_both_files_in_one_pass_equal_the_per_row_formatter(self, model, tmp_path):
+        # masked and invalid cells, and theta values outside [0, 90] (which
+        # gvm_map itself masks) to show that every value is printed as given
+        gmap = gvm_map(model, (0.55, 0.72), (0.6, 1.4), Axis.Z,
+                       pump_step_um=0.01, signal_step_um=0.1)
+        theta = gmap.theta_deg.copy()
+        theta[1, 2], theta[2, 3], theta[3, 4] = -12.5, 97.25, np.inf
+        gmap = dataclasses.replace(gmap, theta_deg=theta)
+        write_gvm_map_csv(tmp_path / "theta.csv", gmap, header_lines=["h", "k"],
+                          lc_path=tmp_path / "lc.csv")
+        write_gvm_lc_csv(tmp_path / "lc_alone.csv", gmap, header_lines=["h", "k"])
+        for name, columns, comments in (
+            ("theta.csv", {"theta_deg": theta, "l_c_um": gmap.coherence_length_um},
+             ["h", "k", "signal_axis: Z"]),
+            ("lc.csv", {"l_c_um": gmap.coherence_length_um}, ["h", "k"]),
+            ("lc_alone.csv", {"l_c_um": gmap.coherence_length_um}, ["h", "k"]),
+        ):
+            want = _per_row_formatter(comments, gmap, columns)
+            assert (tmp_path / name).read_bytes() == want.encode()
+        assert "-12.500000" in (tmp_path / "theta.csv").read_text()

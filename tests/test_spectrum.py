@@ -284,14 +284,52 @@ class TestPmfLattice:
     def test_values_do_not_depend_on_the_table(self, model):
         cfg, gp, structures = preset_structures(model, "o-band-i")
         dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
+        blocks = spectrum._TABLE_BLOCK * _lattice_step(structures["pp"])
         for structure in structures.values():
             cold, warm = dataclasses.replace(structure), dataclasses.replace(structure)
             from_cold = pmf_piecewise(dk, cold)
+            first, cells = cold.pmf_table["cells"]
             # warm the table on an overlapping range shifted by 37.3 steps
             pmf_piecewise(dk[::7] + 37.3 * _lattice_step(structure), warm)
             assert np.array_equal(pmf_piecewise(dk, warm), from_cold)
             # and a table that already holds every block gives them again
             assert np.array_equal(pmf_piecewise(dk, cold), from_cold)
+            # a span built three blocks above the points grows downward to
+            # them, one built three blocks below grows upward
+            for shift, grows in ((3.0, "down"), (-3.0, "up")):
+                other = dataclasses.replace(structure)
+                pmf_piecewise(dk + shift * blocks, other)
+                before = other.pmf_table["cells"][0]
+                assert np.array_equal(pmf_piecewise(dk, other), from_cold)
+                after, span = other.pmf_table["cells"]
+                if grows == "down":
+                    assert after == first < before
+                else:
+                    assert after == before < first
+                assert span.flags.c_contiguous and len(span) >= len(cells) + 3
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_subcells_reproduce_the_cell_polynomial(self, model, preset):
+        # each sub-cell polynomial against its degree-11 cell polynomial on a
+        # dense sample of every cell of the tables the standard grid needs
+        cfg, gp, structures = preset_structures(model, preset)
+        dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
+        s = np.linspace(-0.5, 0.5, 2001)
+        sub = np.minimum(np.floor((s + 0.5) * spectrum.SUBCELLS), spectrum.SUBCELLS - 1)
+        u = (s + 0.5) * spectrum.SUBCELLS - sub - 0.5
+        for structure in structures.values():
+            pmf_piecewise(dk, structure)
+            _, cells = structure.pmf_table["cells"]
+            cells = cells.transpose(0, 2, 1).reshape(-1, LATTICE_STENCIL)
+            want = np.polynomial.polynomial.polyval(s, cells.T)
+            coef = spectrum._subcell_coefficients(cells.T[None])
+            index = spectrum.SUBCELLS * np.arange(len(cells))[:, None] + sub.astype(int)
+            got = spectrum._horner(coef, index, u)
+            # the scale of the table is its largest cell value; a cell far
+            # from phase matching, whose own coefficients nearly cancel,
+            # keeps the absolute error and not a relative one
+            scale = np.max(np.abs(cells[:, 0]))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -447,6 +485,21 @@ class TestBuildJsa:
         jsa = build_jsa(model, cfg, arr, pump_i, grid)
         assert float(np.sum(np.abs(jsa.amplitude) ** 2)) == pytest.approx(1.0, abs=1e-12)
         assert jsa.normalized and jsa.masked_points == 0
+
+    def test_normalization_is_complex_division_bit_for_bit(self, model):
+        # at R = 50 the envelope underflows, so f holds -0.0 parts; numpy's
+        # complex f / norm turns some of them into +0.0, which scaling the
+        # real parts by 1 / norm would not
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.71)
+        dw = measure_delta_omega(model, cfg, structures["pp"], pump, gp.theta_deg)
+        grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=50.0)
+        f, _ = spectrum._JsaEvaluator(model, cfg, grid, pump).amplitude(structures["pp"])
+        parts = f.reshape(-1).view(float)
+        assert np.any((parts == 0.0) & np.signbit(parts))
+        want = f / math.sqrt(float(np.dot(parts, parts)))
+        got = build_jsa(model, cfg, structures["pp"], pump, grid, mask_invalid=True).amplitude
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_analytic_pp_and_piecewise_agree_in_purity(self, model, pump_i):
         cfg = case_config("i")
