@@ -219,7 +219,7 @@ def heralding_efficiency(
 def heralding_efficiency_extended(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     theta_deg: float,
     delta_omega: float,
@@ -256,7 +256,7 @@ def _seed_index(model: DispersionModel, cfg: PhaseMatchConfig, logs: np.ndarray)
 def optimize_pump_bandwidth(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     theta_deg: float,
     bounds_nm: tuple[float, float] = (0.05, 50.0),
 ) -> tuple[float, float]:
@@ -353,20 +353,19 @@ class RangeSweepCurve:
 def purity_vs_range(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     r_values: list[float] | np.ndarray,
     theta_deg: float,
     delta_omega: float | None = None,
-    tag: str | None = None,
+    tag: str = "piecewise",
 ) -> RangeSweepCurve:
     """Purity for each spectral range R (in dw units) at the fixed D rule.
 
     dw is measured once at the R = 10 baseline and frozen for the whole sweep
     so the R axis keeps a single unit; grid points that leave the transparency
     window are masked to zero and the masked fraction reported per point.
-    `tag` labels the curve (poling scheme name) in exports; it defaults to
-    "piecewise", the phase-matching integral used.
+    `tag` labels the curve (poling scheme name) in exports.
     """
     r_values = np.asarray(r_values, dtype=float)
     if np.any(r_values < MIN_RANGE_DW):
@@ -382,7 +381,7 @@ def purity_vs_range(
     return RangeSweepCurve(
         r_values=r_values,
         purities=purities,
-        scheme=tag if tag is not None else "piecewise",
+        scheme=tag,
         masked_fractions=masked,
         delta_omega=delta_omega,
     )

@@ -41,12 +41,14 @@ from .design import DesignOptions, design_cl_scl
 from .dispersion import Axis, DispersionModel, KTP_KATO_2002
 from .gvm import (
     EmptyRange,
+    GvmPoint,
     PhaseMatchConfig,
     gvm_map,
     phase_mismatch_and_lc,
     write_gvm_map_csv,
 )
 from .poling import (
+    MIN_DOMAIN_WIDTH_M,
     DesignResult,
     DomainArray,
     DutyCycleStructure,
@@ -286,7 +288,10 @@ def _resolve_model(cfg: RunConfig) -> DispersionModel:
     return DispersionModel.from_file(path)
 
 
-def _resolve_case(cfg: RunConfig, model: DispersionModel) -> PhaseMatchConfig:
+def _resolve_phase_match(cfg: RunConfig, model: DispersionModel) -> tuple[PhaseMatchConfig, GvmPoint]:
+    """The run's wavelength case and its GVM angle and coherence length l_c.
+    Every scheme poles at least two coherence lengths, so a crystal of 2 l_c
+    or less is an error naming length_mm."""
     if cfg.preset is not None:
         if cfg.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {cfg.preset!r}")
@@ -296,7 +301,7 @@ def _resolve_case(cfg: RunConfig, model: DispersionModel) -> PhaseMatchConfig:
             raise ConfigError("pump_nm: required when no preset is given")
         pump_nm, signal_nm, axis = cfg.pump_nm, cfg.signal_nm, cfg.signal_axis
     try:
-        return PhaseMatchConfig.from_pump_signal(
+        case = PhaseMatchConfig.from_pump_signal(
             pump_nm * 1e-3,
             signal_nm * 1e-3,
             Axis(axis),
@@ -305,6 +310,12 @@ def _resolve_case(cfg: RunConfig, model: DispersionModel) -> PhaseMatchConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"pump_nm/signal_nm: {exc}") from exc
+    gp = phase_mismatch_and_lc(model, case)
+    if case.length_m <= 2.0 * gp.coherence_length_m:
+        raise ConfigError(
+            f"length_mm: the crystal must be longer than 2 l_c = "
+            f"{2e3 * gp.coherence_length_m:.6g} mm, got {cfg.length_mm!r}")
+    return case, gp
 
 
 def _header(cfg: RunConfig) -> list[str]:
@@ -375,13 +386,20 @@ def cmd_gvm_map(cfg: RunConfig) -> int:
 
 
 def _design_structure(
-    cfg: RunConfig, model: DispersionModel, case: PhaseMatchConfig
+    cfg: RunConfig, model: DispersionModel, case: PhaseMatchConfig, gp: GvmPoint
 ) -> DesignResult:
     """Run the scheme selected in the config and return its DesignResult."""
-    gp = phase_mismatch_and_lc(model, case)
     lc = gp.coherence_length_m
 
     if cfg.scheme == "cl-scl":
+        # the ladder stops at the first rung whose domains are below the
+        # fabrication floor, so such a rung would never run
+        for beta in cfg.beta_ladder or ():
+            if lc / beta < MIN_DOMAIN_WIDTH_M:
+                raise ConfigError(
+                    f"beta_ladder: rung {beta:g} gives domains of l_c/{beta:g} = "
+                    f"{lc / beta * 1e6:.4g} um, below the {MIN_DOMAIN_WIDTH_M * 1e6:g} um "
+                    "fabrication floor")
         options = DesignOptions(
             purity_threshold=cfg.purity_threshold,
             **({"beta_ladder": cfg.beta_ladder} if cfg.beta_ladder else {}),
@@ -440,8 +458,8 @@ def _fmt(value, spec=".4g", empty="-"):
 
 def cmd_design(cfg: RunConfig) -> int:
     model = _resolve_model(cfg)
-    case = _resolve_case(cfg, model)
-    result = _design_structure(cfg, model, case)
+    case, gp = _resolve_phase_match(cfg, model)
+    result = _design_structure(cfg, model, case, gp)
 
     # periodic baseline purity for the summary row
     if cfg.scheme == "pp":
@@ -531,41 +549,57 @@ def cmd_design(cfg: RunConfig) -> int:
 _ARTIFACT_SCHEMES = {"cl-scl": ("cl", "scl"), "mqpm": ("mqpm",), "dc": ("dc",)}
 
 
-def _check_design_artifact(cfg: RunConfig, case: PhaseMatchConfig, data: dict, path: Path) -> None:
-    """Raise ConfigError unless the design artifact `data` (read from `path`)
-    was made for this run: every optimized scheme swept is the artifact's
-    (naming `schemes`), and the wavelengths, signal axis, Sellmeier set and
-    crystal length are the run's (naming `design_dir`)."""
+def _read_design_artifact(
+    cfg: RunConfig, case: PhaseMatchConfig
+) -> tuple[DomainArray | DutyCycleStructure, float]:
+    """(structure, pump bandwidth in nm) of the design artifact in
+    `cfg.design_dir`, which must have been made for this run: every
+    optimized scheme swept is the artifact's (naming `schemes`), and the
+    wavelengths, signal axis, Sellmeier set and crystal length are the run's
+    (naming `design_dir`).  A missing, unparseable or incomplete artifact is
+    an error naming design_dir too."""
+    path = Path(cfg.design_dir) / "design_result.json"
+    if not path.exists():
+        raise ConfigError(f"design_dir: missing design artifact {path}")
+    try:
+        data = json.loads(path.read_text())
+        recorded = data["scheme"]
+        structure = _structure_from_dict(data["structure"])
+        bandwidth = data["pump_bandwidth_nm"]
+        PumpSpec.from_bandwidth_nm(case.lambda_p_um, bandwidth)
+        unit = structure.width_m if isinstance(structure, DomainArray) else structure.period_m
+        checks = []
+        for band in ("p", "s", "i"):
+            key, run = f"lambda_{band}_nm", getattr(case, f"lambda_{band}_um") * 1e3
+            checks.append((key, data[key], run, math.isclose(data[key], run, rel_tol=1e-12)))
+        checks += [
+            ("signal_axis", data["signal_axis"], case.signal_axis.value,
+             data["signal_axis"] == case.signal_axis.value),
+            ("sellmeier", data["sellmeier"], cfg.sellmeier,
+             _sellmeier_name(data["sellmeier"]) == _sellmeier_name(cfg.sellmeier)),
+            # the structure fills the crystal the way the design rules do: a
+            # whole number of domains or periods with less than one left over
+            ("structure length (mm)", structure.length_m * 1e3, cfg.length_mm,
+             -1e-9 * unit <= case.length_m - structure.length_m < unit),
+        ]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"design_dir: {path} is not a readable design artifact "
+            f"({type(exc).__name__}: {exc})") from exc
     for scheme in cfg.schemes:
-        if scheme != "pp" and data["scheme"] not in _ARTIFACT_SCHEMES[scheme]:
+        if scheme != "pp" and recorded not in _ARTIFACT_SCHEMES[scheme]:
             raise ConfigError(
-                f"schemes: {scheme!r} cannot be swept from the {data['scheme']!r} design in {path}")
-    structure = _structure_from_dict(data["structure"])
-    unit = structure.width_m if isinstance(structure, DomainArray) else structure.period_m
-    checks = []
-    for band in ("p", "s", "i"):
-        key, run = f"lambda_{band}_nm", getattr(case, f"lambda_{band}_um") * 1e3
-        checks.append((key, data[key], run, math.isclose(data[key], run, rel_tol=1e-12)))
-    checks += [
-        ("signal_axis", data["signal_axis"], case.signal_axis.value,
-         data["signal_axis"] == case.signal_axis.value),
-        ("sellmeier", data["sellmeier"], cfg.sellmeier,
-         _sellmeier_name(data["sellmeier"]) == _sellmeier_name(cfg.sellmeier)),
-        # the structure fills the crystal the way the design rules do: a
-        # whole number of domains or periods with less than one left over
-        ("structure length (mm)", structure.length_m * 1e3, cfg.length_mm,
-         -1e-9 * unit <= case.length_m - structure.length_m < unit),
-    ]
+                f"schemes: {scheme!r} cannot be swept from the {recorded!r} design in {path}")
     for what, artifact, run, ok in checks:
         if not ok:
             raise ConfigError(f"design_dir: {path} holds a design with {what} {artifact!r}, "
                               f"this run has {run!r}")
+    return structure, bandwidth
 
 
 def cmd_sweep_range(cfg: RunConfig) -> int:
     model = _resolve_model(cfg)
-    case = _resolve_case(cfg, model)
-    gp = phase_mismatch_and_lc(model, case)
+    case, gp = _resolve_phase_match(cfg, model)
     if not cfg.schemes:
         raise ConfigError("schemes: sweep-range requires at least one scheme")
     if not cfg.r_list:
@@ -574,13 +608,7 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
     optimized = [scheme for scheme in cfg.schemes if scheme != "pp"]
     if optimized and cfg.design_dir is None:
         raise ConfigError(f"design_dir: scheme {optimized[0]!r} needs an existing design artifact")
-    design_data = None
-    if cfg.design_dir is not None:
-        path = Path(cfg.design_dir) / "design_result.json"
-        if not path.exists():
-            raise ConfigError(f"design_dir: missing design artifact {path}")
-        design_data = json.loads(path.read_text())
-        _check_design_artifact(cfg, case, design_data, path)
+    design = None if cfg.design_dir is None else _read_design_artifact(cfg, case)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -593,8 +621,7 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
             else:
                 bw, _ = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
         else:
-            structure = _structure_from_dict(design_data["structure"])
-            bw = design_data["pump_bandwidth_nm"]
+            structure, bw = design
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw)
         curve = purity_vs_range(
             model, case, structure, pump, list(cfg.r_list), gp.theta_deg, tag=scheme

@@ -40,7 +40,6 @@ __all__ = [
     "phase_mismatch_and_lc",
     "gvm_map",
     "write_gvm_map_csv",
-    "write_gvm_lc_csv",
 ]
 
 DEFAULT_CRYSTAL_LENGTH_M = 5e-3
@@ -255,17 +254,17 @@ def _formatted(values: np.ndarray, spec: str) -> list[str]:
     return (f"%{spec}\x00" * values.size % tuple(values.tolist())).split("\x00")[:-1]
 
 
-def _write_maps(gmap: GvmMap, theta_file=None, lc_file=None) -> None:
-    """Write the cell rows of the theta and l_c files (each an open text
-    file or None) in one pass over pump rows: every wavelength, theta and
-    l_c is formatted once and shared by the files that print it."""
+def _write_maps(gmap: GvmMap, theta_file, lc_file=None) -> None:
+    """Write the cell rows of the theta file and of the l_c file (open text
+    files, the l_c one or None) in one pass over pump rows: every
+    wavelength, theta and l_c is formatted once and shared by the files that
+    print it."""
     signal = [f"{ls}," for ls in _formatted(gmap.lambda_s_um * 1e3, ".4f")]
     for i, lp in enumerate(_formatted(gmap.lambda_p_um * 1e3, ".4f")):
         cells = [f"{lp},{ls}{li}," for ls, li in zip(signal, _formatted(gmap.lambda_i_um[i] * 1e3, ".4f"))]
         lc = _formatted(gmap.coherence_length_um[i], ".6f")
-        if theta_file is not None:
-            theta = _formatted(gmap.theta_deg[i], ".6f")
-            theta_file.writelines(f"{c}{t},{x}\n" for c, t, x in zip(cells, theta, lc))
+        theta = _formatted(gmap.theta_deg[i], ".6f")
+        theta_file.writelines(f"{c}{t},{x}\n" for c, t, x in zip(cells, theta, lc))
         if lc_file is not None:
             lc_file.writelines(f"{c}{x}\n" for c, x in zip(cells, lc))
 
@@ -286,8 +285,9 @@ def write_gvm_map_csv(
     """Write one row per map cell: lambda_p_nm, lambda_s_nm, lambda_i_nm,
     theta_deg (nan = masked), l_c_um (nan = invalid cell).
 
-    With `lc_path`, also write the file of `write_gvm_lc_csv` there, with
-    the same header lines, in the same pass over the map's cells."""
+    With `lc_path`, also write there one row per map cell of lambda_p_nm,
+    lambda_s_nm, lambda_i_nm and l_c_um (nan = invalid cell), with the same
+    header lines, in the same pass over the map's cells."""
     header_lines = header_lines or []
     with open(path, "w") as theta_file:
         _write_header(theta_file, [*header_lines, f"signal_axis: {gmap.signal_axis.value}"],
@@ -298,11 +298,3 @@ def write_gvm_map_csv(
         with open(lc_path, "w") as lc_file:
             _write_header(lc_file, header_lines, ["l_c_um"])
             _write_maps(gmap, theta_file, lc_file)
-
-
-def write_gvm_lc_csv(path: str | Path, gmap: GvmMap, header_lines: list[str] | None = None) -> None:
-    """Write one row per map cell: lambda_p_nm, lambda_s_nm, lambda_i_nm,
-    l_c_um (nan = invalid cell)."""
-    with open(path, "w") as lc_file:
-        _write_header(lc_file, header_lines or [], ["l_c_um"])
-        _write_maps(gmap, lc_file=lc_file)

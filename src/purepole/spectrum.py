@@ -21,21 +21,21 @@ The phase-matching function of a poling structure depends on the grid only
 through dk, so `pmf_piecewise` sums the exact per-segment integral on a 1-D
 lattice in dk and interpolates from it: nodes at the integer multiples of
 (2 pi/L)/16, with the sum centred on the crystal (phase reference z = L/2) so
-that it is band-limited to |z| <= L/2, and a local 12-node polynomial of
-degree 11 per lattice cell.  Each cell is split into 8 sub-cells, and each
-point is evaluated from the degree-5 Chebyshev interpolant of its cell's
-polynomial on its sub-cell, a 6-term Horner pass instead of a 12-term one
-(the interpolants leave about 7e-15 of the largest cell value).  Because the
-nodes do not depend on the points, each structure keeps its node sums and
-cell polynomials in a table that lives as long as the structure: one
-contiguous span of aligned blocks, grown downward or upward as evaluations
-need, so the builds of a bandwidth search share it.  Each call looks the
-span up once and derives the sub-cell polynomials of the blocks it needs.
+that it is band-limited to |z| <= L/2.  Each lattice cell is split into 8
+sub-cells, and each point is evaluated from the degree-5 Chebyshev
+interpolant, on its sub-cell, of the 12-node polynomial of degree 11 through
+the nodes around its cell: a 6-term Horner pass (the interpolants leave about
+7e-15 of the largest cell value).  One fixed (12 x 48) matrix fits the 48
+sub-cell coefficients of a cell from its 12 node sums.  Because the nodes do
+not depend on the points, each structure keeps its node sums and sub-cell
+coefficients in a table that lives as long as the structure: one contiguous
+span of aligned blocks, grown downward or upward as evaluations need, so the
+builds of a bandwidth search and the points of a dw climb share it.  A block
+is fitted once, when it enters the table; a call only indexes the table.
 This holds to 1e-10 x max|Phi| against the per-segment sum on the standard
-grids of all presets (at most 1.7e-13 measured, the same as with the
-degree-11 polynomials).  Size rule: arrays with fewer points than twice the
-lattice nodes they span, scalars among them, take the exact sum at every
-point instead.
+grids of all presets (at most 1.7e-13 measured).  Size rule: arrays with fewer
+points than twice the lattice nodes they span, scalars among them, take the
+exact sum at every point instead.
 
 One `_JsaEvaluator` per (grid, pump) holds the grid plan, the sign
 normalization and the envelope on the 2N - 1 pump sums, and assembles
@@ -45,8 +45,8 @@ Lambda = 2 l_c, so per period only the split point moves: period m adds
 (2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk b_m}) / (i dk) at a lattice node,
 and the node sums of a whole swarm come from one batch of exponentials and
 one stacked matmul, with no per-structure table (nodes with |dk| Lambda < 1
-take the per-segment sum instead); each profile then takes the sub-cell
-Horner pass over the grid's fixed sub-cells.
+take the per-segment sum instead); each profile then takes the same sub-cell
+fit and the Horner pass over the grid's fixed sub-cells.
 
 dw is measured without building the grid: an 8-neighbour hill climb from the
 grid centre finds the |f|^2 peak, and only the row and the column through it
@@ -192,8 +192,8 @@ def pmf_pp_analytic(delta_k, coherence_length_m: float, length_m: float):
 # for integer m, and an even number LATTICE_STENCIL of nodes around each
 # lattice cell.  Each cell is split into SUBCELLS equal sub-cells, each with
 # its own polynomial of degree SUBCELL_DEGREE.  A structure's table holds
-# node sums and cell polynomials in aligned blocks of _TABLE_BLOCK nodes or
-# cells.
+# node sums and sub-cell coefficients in aligned blocks of _TABLE_BLOCK nodes
+# or cells.
 LATTICE_NODES_PER_PERIOD = 16
 LATTICE_STENCIL = 12
 SUBCELLS = 8
@@ -241,8 +241,7 @@ def _subcell_polynomials() -> np.ndarray:
     G turn by at most pi/8 in phase per cell, so the dropped terms leave
     about 7e-15 of the largest cell value (measured on the presets' tables).
     Built in plain Python from the Lagrange basis of the nodes, without
-    BLAS or LAPACK; complex, so that the products with it run on the
-    complex matmul kernel that the other steps load.
+    BLAS or LAPACK.
     """
     n = SUBCELL_DEGREE + 1
     u = [0.5 * math.cos((2 * k + 1) * math.pi / (2 * n)) for k in range(n)]
@@ -254,11 +253,15 @@ def _subcell_polynomials() -> np.ndarray:
             for m in range(LATTICE_STENCIL):
                 for j in range(n):
                     coef[j * SUBCELLS + q][m] += s**m * lagrange[k][j]
-    return np.array(coef, dtype=complex)
+    return np.array(coef)
 
 
-_INTERVAL_POLY = _interval_polynomials()
-_SUBCELL_POLY = _subcell_polynomials()
+# _SUBCELL_FIT[j, k, q]: the u^j coefficient of sub-cell q's polynomial that
+# node k of the cell's stencil contributes, the product of the two stages
+# above (cell polynomial, then its sub-cell interpolants) as one
+# (LATTICE_STENCIL x SUBCELLS) matrix per degree j.
+_SUBCELL_FIT = (_interval_polynomials() @ _subcell_polynomials().T).reshape(
+    LATTICE_STENCIL, SUBCELL_DEGREE + 1, SUBCELLS).transpose(1, 0, 2).copy()
 
 
 def _segment_sum(dk: np.ndarray, centers: np.ndarray, widths: np.ndarray, weights: np.ndarray):
@@ -303,37 +306,43 @@ def _lattice(dk: np.ndarray, length_m: float) -> tuple[int, int] | None:
     return first, last
 
 
-def _cell_polynomials(nodes: np.ndarray, first_cell: int, count: int, length_m: float) -> np.ndarray:
-    """Cell polynomial coefficients, shape (..., count, LATTICE_STENCIL), of
-    the cells first_cell .. first_cell + count - 1 from node sums (shape
-    (..., count + LATTICE_STENCIL - 1), starting at the first cell's first
-    stencil node), with e^{i dk_mid L/2} folded in."""
-    windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL, axis=-1)
-    mids = _lattice_step(length_m) * (np.arange(first_cell, first_cell + count) + 0.5)
-    return (windows @ _INTERVAL_POLY) * np.exp(0.5j * length_m * mids)[:, None]
+def _subcell_fit(nodes: np.ndarray, first_cell: int, length_m: float) -> np.ndarray:
+    """Sub-cell coefficients, shape (SUBCELL_DEGREE + 1, SUBCELLS x count),
+    of the count = nodes.size - LATTICE_STENCIL + 1 cells from first_cell on,
+    from their node sums (starting at the first cell's first stencil node):
+    row j holds the u^j coefficient of sub-cell SUBCELLS c + q, with each
+    cell's e^{i dk_mid L/2} folded in.  One product of a size fixed by count,
+    so a coefficient depends only on count and its own cell's nodes."""
+    windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL)
+    mids = _lattice_step(length_m) * (np.arange(first_cell, first_cell + len(windows)) + 0.5)
+    fit = np.matmul(windows * np.exp(0.5j * length_m * mids)[:, None], _SUBCELL_FIT)
+    return fit.reshape(SUBCELL_DEGREE + 1, -1)
 
 
 def _cell_table(structure: DomainArray | DutyCycleStructure, first: int, last: int):
-    """(first block, cells) of the structure's table, grown to cover the cell
-    blocks first .. last: `cells` has shape (blocks, LATTICE_STENCIL, B),
-    B = _TABLE_BLOCK, one contiguous span of aligned blocks.
+    """(first block, coefficients) of the structure's table, grown to cover
+    the cell blocks first .. last: `coefficients` holds the rows of
+    `_subcell_fit` over one contiguous span of aligned blocks of _TABLE_BLOCK
+    cells, so sub-cell q of cell c is column SUBCELLS c + q, counted from the
+    span's first cell.
 
     The node sums (one span of blocks, from one block before the cells to
     one after) grow with it.  A block is always summed by one call on the
-    same nodes and its cell polynomials come from one fixed-size product,
-    so no value depends on which evaluation needed the block first (the
-    exact sum can differ in the last bit with the batch, a matmul with the
-    number of rows).
+    same nodes and fitted by one `_subcell_fit` of _TABLE_BLOCK cells when it
+    enters the table, so no value depends on which evaluation needed the
+    block first (the exact sum can differ in the last bit with the batch, a
+    matmul with the number of rows).
     """
     table = structure.pmf_table
-    if "cells" not in table:
-        table["cells"] = (first, np.empty((0, LATTICE_STENCIL, _TABLE_BLOCK), dtype=complex))
+    if "subcells" not in table:
+        table["subcells"] = (first, np.empty((SUBCELL_DEGREE + 1, 0), dtype=complex))
         table["nodes"] = np.empty((0, _TABLE_BLOCK), dtype=complex)
-    have, cells = table["cells"]
-    if have <= first and last < have + len(cells):
-        return have, cells
-    first, last = min(first, have), max(last, have + len(cells) - 1)
-    nodes = table["nodes"]  # blocks have - 1 .. have + len(cells)
+    have, coef = table["subcells"]
+    blocks = coef.shape[1] // (SUBCELLS * _TABLE_BLOCK)
+    if have <= first and last < have + blocks:
+        return have, coef
+    first, last = min(first, have), max(last, have + blocks - 1)
+    nodes = table["nodes"]  # blocks have - 1 .. have + blocks
     step = _lattice_step(structure.length_m)
     segments = _segments(structure)
 
@@ -348,31 +357,28 @@ def _cell_table(structure: DomainArray | DutyCycleStructure, first: int, last: i
     flat = nodes.reshape(-1)
     lead = _TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)  # first stencil node of a block
 
-    def polynomials(b: int) -> np.ndarray:
-        if have <= b < have + len(cells):
-            return cells[b - have]
+    def fitted(b: int) -> np.ndarray:
         start = (b - first) * _TABLE_BLOCK + lead
         window = flat[start : start + _TABLE_BLOCK + LATTICE_STENCIL - 1]
-        return _cell_polynomials(window, b * _TABLE_BLOCK, _TABLE_BLOCK, structure.length_m).T
+        return _subcell_fit(window, b * _TABLE_BLOCK, structure.length_m)
 
-    span = np.empty((last - first + 1, LATTICE_STENCIL, _TABLE_BLOCK), dtype=complex)
-    for b, block in enumerate(span, first):
-        block[:] = polynomials(b)
+    coef = np.concatenate([*map(fitted, range(first, have)), coef,
+                           *map(fitted, range(have + blocks, last + 1))], axis=1)
     table["nodes"] = nodes
-    table["cells"] = (first, span)
-    return first, span
+    table["subcells"] = (first, coef)
+    return first, coef
 
 
-def _subcell_coefficients(cells: np.ndarray) -> np.ndarray:
-    """Sub-cell polynomial coefficients, shape (SUBCELL_DEGREE + 1,
-    SUBCELLS x cells), from cell polynomials of shape (blocks,
-    LATTICE_STENCIL, cells per block): row j holds the u^j coefficient of
-    sub-cell SUBCELLS c + q.  Each block is one product of a fixed size, so
-    a coefficient does not depend on the other blocks."""
-    blocks, _, width = cells.shape
-    sub = np.matmul(_SUBCELL_POLY, cells)  # (block, j SUBCELLS + q, cell)
-    sub = sub.reshape(blocks, SUBCELL_DEGREE + 1, SUBCELLS, width).transpose(1, 0, 3, 2)
-    return sub.reshape(SUBCELL_DEGREE + 1, -1)
+def _subcells(dk: np.ndarray, length_m: float, first_cell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sub-cell index counted from first_cell's first sub-cell, Horner
+    offset u in [-1/2, 1/2) within the sub-cell) of each point of a 1-D dk."""
+    u = dk * (SUBCELLS / _lattice_step(length_m))
+    sub = np.floor(u)
+    u -= sub
+    u -= 0.5
+    index = sub.astype(np.intp)
+    index -= SUBCELLS * first_cell
+    return index, u
 
 
 def _horner(coef: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -388,26 +394,19 @@ def _horner(coef: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _interpolate(dk: np.ndarray, structure: DomainArray | DutyCycleStructure) -> np.ndarray:
     """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's table.
 
-    The table is looked up once, for the cell blocks that the points span,
-    and their sub-cell polynomials are derived from it; each point takes the
-    polynomial of its sub-cell, evaluated by Horner in blocks of points.  A
-    point's value depends only on its dk.
+    The table is looked up once, and grown to the cell blocks that the points
+    span if it does not cover them; each point takes the coefficients of its
+    sub-cell from the table's rows, evaluated by Horner in blocks of points.
+    A point's value depends only on its dk.
     """
-    scale = SUBCELLS / _lattice_step(structure.length_m)
-    lo = math.floor(float(dk.min()) * scale) // (SUBCELLS * _TABLE_BLOCK)
-    hi = math.floor(float(dk.max()) * scale) // (SUBCELLS * _TABLE_BLOCK)
-    first, cells = _cell_table(structure, lo, hi)
-    coef = _subcell_coefficients(cells[lo - first : hi - first + 1])
-    base = lo * SUBCELLS * _TABLE_BLOCK
+    # the blocks of the extreme points' sub-cells, scaled as `_subcells` does
+    scale, width = SUBCELLS / _lattice_step(structure.length_m), SUBCELLS * _TABLE_BLOCK
+    first, coef = _cell_table(structure, math.floor(float(dk.min()) * scale) // width,
+                              math.floor(float(dk.max()) * scale) // width)
     out = np.empty(dk.size, dtype=complex)
     for start in range(0, dk.size, _POINT_BLOCK):
-        u = dk[start : start + _POINT_BLOCK] * scale
-        sub = np.floor(u)
-        u -= sub
-        u -= 0.5
-        index = sub.astype(np.intp)
-        index -= base
-        out[start : start + _POINT_BLOCK] = _horner(coef, index, u)
+        part = slice(start, start + _POINT_BLOCK)
+        out[part] = _horner(coef, *_subcells(dk[part], structure.length_m, first * _TABLE_BLOCK))
     return out
 
 
@@ -483,18 +482,19 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
 
     Size rule: an array with at least twice as many points as the lattice
     nodes it needs is interpolated on the lattice of nodes m (2 pi/L) /
-    LATTICE_NODES_PER_PERIOD, m integer: the degree LATTICE_STENCIL - 1
-    polynomial through the LATTICE_STENCIL nodes around a lattice cell, with
-    e^{i dk L/2} folded in, is replaced on each of the cell's SUBCELLS
-    sub-cells by its Chebyshev interpolant of degree SUBCELL_DEGREE, and
-    each point takes the polynomial of its sub-cell.  The lattice spans the
-    points' dk range plus LATTICE_STENCIL - 1 end nodes.  Node sums and cell
-    polynomials are kept in the structure's table (`pmf_table`) and reused
-    by later calls; a value does not depend on what the table held before.
-    Against the exact sum the error stays within 1e-10 x max|Phi| on the
-    standard grids of all presets (at most 1.7e-13 measured, the rounding
-    floor of the sum itself).  Smaller arrays, scalars and arrays with
-    non-finite values take the exact sum at every point.
+    LATTICE_NODES_PER_PERIOD, m integer: each of a lattice cell's SUBCELLS
+    sub-cells has the Chebyshev interpolant of degree SUBCELL_DEGREE of the
+    degree LATTICE_STENCIL - 1 polynomial through the LATTICE_STENCIL nodes
+    around the cell, with e^{i dk L/2} folded in, fitted from the node sums
+    by one fixed matrix, and each point takes the polynomial of its
+    sub-cell.  The lattice spans the points' dk range plus LATTICE_STENCIL -
+    1 end nodes.  Node sums and sub-cell coefficients are kept in the
+    structure's table (`pmf_table`) and reused by later calls; a value does
+    not depend on what the table held before.  Against the exact sum the
+    error stays within 1e-10 x max|Phi| on the standard grids of all presets
+    (at most 1.7e-13 measured, the rounding floor of the sum itself).  Smaller
+    arrays, scalars and arrays with non-finite values take the exact sum at
+    every point.
     """
     dk = np.asarray(delta_k, dtype=float)
     flat = dk.ravel()
@@ -696,9 +696,7 @@ class _JsaEvaluator:
         self.grid = grid
         self.mask_invalid = mask_invalid
         self.plan = _grid_plan(model, cfg, grid, mask_invalid)
-        self.delta_k0 = _central_mismatch(model, cfg)
-        self.sign = 1.0 if self.delta_k0 >= 0 else -1.0
-        self.length_m = cfg.length_m
+        self.sign = 1.0 if _central_mismatch(model, cfg) >= 0 else -1.0
         self.envelope = pump_envelope(self.plan.pump_sums, 0.0, pump)
         self._duty_cells: dict[tuple[float, int], tuple | None] = {}
 
@@ -713,9 +711,7 @@ class _JsaEvaluator:
             out[ok] = np.abs(f) ** 2
         return out
 
-    def amplitude(
-        self, structure: DomainArray | DutyCycleStructure | None, scheme: str = "piecewise"
-    ) -> tuple[np.ndarray, int]:
+    def amplitude(self, structure: DomainArray | DutyCycleStructure) -> tuple[np.ndarray, int]:
         """(f, masked points) on the whole grid; see `build_jsa`.
 
         Its N^2 arrays are dk (sign-normalized in place), the valid mask,
@@ -734,15 +730,7 @@ class _JsaEvaluator:
             # zeroed below anyway; the first valid point's dk keeps the
             # placeholder mismatch out of the structure's lattice table
             dk[~valid] = dk.flat[int(np.argmax(valid))]
-
-        if scheme == "analytic-pp":
-            phi = pmf_pp_analytic(dk, math.pi / abs(self.delta_k0), self.length_m)
-        elif scheme == "piecewise":
-            if structure is None:
-                raise ValueError("piecewise scheme requires a poling structure")
-            phi = pmf_piecewise(dk.ravel(), structure).reshape(dk.shape)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r} (use 'analytic-pp' or 'piecewise')")
+        phi = pmf_piecewise(dk.ravel(), structure).reshape(dk.shape)
         f = _hankel(self.envelope, self.grid.n_idler) * phi
         if masked:
             f[~valid] = 0.0
@@ -771,11 +759,9 @@ class _JsaEvaluator:
                 self._duty_cells[key] = None
             else:
                 first, last = lattice
-                u = dk * (SUBCELLS / _lattice_step(length))
-                sub = np.floor(u)
                 lo, count = first - (LATTICE_STENCIL // 2 - 1), last - first + LATTICE_STENCIL
                 self._duty_cells[key] = (
-                    first, lo, count, sub.astype(np.intp) - SUBCELLS * first, u - sub - 0.5,
+                    first, lo, count, *_subcells(dk, length, first),
                     _duty_cycle_edge_sums(lo, count, period_m, n_periods))
         return self._duty_cells[key]
 
@@ -784,8 +770,8 @@ class _JsaEvaluator:
         (P, M), all of one period), with masked points zero.
 
         The lattice of `pmf_piecewise`, with the node sums of all rows from
-        `_duty_cycle_node_sums`, then per row the sub-cell Horner pass over
-        the grid's fixed sub-cells; a grid with too few points for the
+        `_duty_cycle_node_sums`, then per row the sub-cell fit and the Horner
+        pass over the grid's fixed sub-cells; a grid with too few points for the
         lattice takes the exact sum at each point, as `pmf_piecewise` does.
         """
         fractions = np.asarray(fractions, dtype=float)
@@ -802,10 +788,8 @@ class _JsaEvaluator:
 
         first, lo, count, sub, offset, edge_sums = cells
         nodes = _duty_cycle_node_sums(lo, count, period_m, fractions, edge_sums)
-        polynomials = _cell_polynomials(
-            nodes, first, count - LATTICE_STENCIL + 1, n_periods * period_m)
-        for row, cell_poly in zip(out, polynomials):
-            coef = _subcell_coefficients(cell_poly.T[None])
+        for row, row_nodes in zip(out, nodes):
+            coef = _subcell_fit(row_nodes, first, n_periods * period_m)
             for start in range(0, sub.size, _POINT_BLOCK):
                 part = slice(start, start + _POINT_BLOCK)
                 value = _horner(coef, sub[part], offset[part])
@@ -817,20 +801,17 @@ class _JsaEvaluator:
 def build_jsa(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     grid: SpectralGrid,
-    scheme: str = "piecewise",
     mask_invalid: bool = False,
 ) -> JointSpectrum:
-    """Assemble the normalized JSA f = pump envelope x PMF on the grid.
-
-    scheme "piecewise" integrates the poling structure exactly;
-    "analytic-pp" uses the first-order periodically-poled formula (no
-    structure needed).  The phase mismatch is sign-normalized so the central
-    value is +pi/l_c.  The grid must keep the `SpectralGrid` contract.
+    """Assemble the normalized JSA f = pump envelope x PMF on the grid, with
+    the PMF of the poling structure from `pmf_piecewise`.  The phase
+    mismatch is sign-normalized so the central value is +pi/l_c.  The grid
+    must keep the `SpectralGrid` contract.
     """
-    f, masked = _JsaEvaluator(model, cfg, grid, pump, mask_invalid).amplitude(structure, scheme)
+    f, masked = _JsaEvaluator(model, cfg, grid, pump, mask_invalid).amplitude(structure)
     parts = f.reshape(-1).view(float)
     norm = math.sqrt(float(np.dot(parts, parts)))
     if norm == 0.0:
@@ -869,7 +850,7 @@ _NEIGHBOURS_K = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 def _climbed_cuts(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     grid: SpectralGrid,
 ) -> tuple[tuple[int, int], np.ndarray, np.ndarray] | None:
@@ -883,8 +864,6 @@ def _climbed_cuts(
     normalization: the points come from `_JsaEvaluator.power` on the same
     grid plan, envelope and lattice interpolation as the build.
     """
-    if structure is None:
-        raise ValueError("piecewise scheme requires a poling structure")
     evaluator = _JsaEvaluator(model, cfg, grid, pump)
     n_s, n_i = grid.n_signal, grid.n_idler
     j, k = n_s // 2, n_i // 2
@@ -908,7 +887,7 @@ def _climbed_cuts(
 def measure_delta_omega(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     theta_deg: float,
     max_iter: int = 12,
@@ -946,7 +925,7 @@ def measure_delta_omega(
 def standard_jsa(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
-    structure: DomainArray | DutyCycleStructure | None,
+    structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     theta_deg: float,
     delta_omega: float | None = None,

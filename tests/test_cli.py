@@ -592,6 +592,22 @@ _DESIGN_PP = ["design", "--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm"
           "--design-dir", _MQPM_DESIGN], None, "design_dir"),
         (["sweep-range", "--preset", "o-band-i", "--length-mm", "2", "--schemes", "mqpm",
           "--r-list", "10", "--design-dir", _MQPM_DESIGN], None, "design_dir"),
+        # a crystal of at most 2 l_c (37.7 um at o-band-i) for every scheme
+        (["design", "--preset", "o-band-i", "--length-mm", "0.03", "--scheme", "pp"], None,
+         "length_mm"),
+        (["design", "--preset", "o-band-i", "--length-mm", "0.03", "--scheme", "mqpm"], None,
+         "length_mm"),
+        (["design", "--preset", "o-band-i", "--length-mm", "0.03", "--scheme", "dc",
+          "--pump-bw-nm", "10"], None, "length_mm"),
+        (["design", "--preset", "o-band-i", "--length-mm", "0.03", "--scheme", "cl-scl"], None,
+         "length_mm"),
+        (["sweep-range", "--preset", "o-band-i", "--length-mm", "0.03", "--schemes", "pp",
+          "--r-list", "10"], None, "length_mm"),
+        # a rung with domains below the 1 um floor (l_c/100 = 0.19 um) never runs
+        (["design", "--preset", "o-band-i", "--scheme", "cl-scl", "--beta-ladder", "100"], None,
+         "beta_ladder"),
+        (["design", "--preset", "o-band-i", "--scheme", "cl-scl", "--beta-ladder", "100,1"],
+         None, "beta_ladder"),
     ],
 )
 def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, request, argv, text,
@@ -609,6 +625,28 @@ def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, reque
     assert run(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if text else [])
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", '{"scheme": "cl"}', "[]", b"\xff\xfe",
+     '{"scheme": "cl", "structure": {"kind": "uniform", "width_m": 1e-5}}'],
+    ids=["malformed", "no-structure", "not-an-object", "not-text", "no-signs"],
+)
+def test_unreadable_design_artifact_exit_2(tmp_path, capsys, content):
+    design = tmp_path / "design"
+    design.mkdir()
+    path = design / "design_result.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    argv = ["sweep-range", "--preset", "o-band-i", "--schemes", "cl-scl", "--r-list", "10",
+            "--design-dir", str(design), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: design_dir:") and str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

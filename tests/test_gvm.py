@@ -18,7 +18,7 @@ from purepole import (
     idler_wavelength,
     phase_mismatch_and_lc,
 )
-from purepole.gvm import write_gvm_lc_csv, write_gvm_map_csv
+from purepole.gvm import write_gvm_map_csv
 
 from conftest import CASES, case_config
 
@@ -207,8 +207,7 @@ class TestGvmMap:
         # masked and invalid cells included; each row formats its cell's values
         gmap = gvm_map(model, (0.55, 0.72), (0.6, 1.4), Axis.Z,
                        pump_step_um=0.01, signal_step_um=0.1)
-        write_gvm_map_csv(tmp_path / "theta.csv", gmap, header_lines=["h"])
-        write_gvm_lc_csv(tmp_path / "lc.csv", gmap, header_lines=["h"])
+        write_gvm_map_csv(tmp_path / "theta.csv", gmap, header_lines=["h"], lc_path=tmp_path / "lc.csv")
         theta_rows = (tmp_path / "theta.csv").read_text().splitlines()
         lc_rows = (tmp_path / "lc.csv").read_text().splitlines()
         assert theta_rows[:3] == ["# h", "# signal_axis: Z",
@@ -223,6 +222,8 @@ class TestGvmMap:
                 expected_lc.append(f"{cell},{lc:.6f}")
         assert theta_rows[3:] == expected_theta
         assert lc_rows[2:] == expected_lc
+        assert (tmp_path / "lc.csv").read_text() == _per_row_formatter(
+            ["h"], gmap, {"l_c_um": gmap.coherence_length_um})
         assert any("nan" in row for row in expected_lc)
         assert any("nan" not in row for row in expected_lc)
 
@@ -236,12 +237,14 @@ class TestGvmMap:
         gmap = dataclasses.replace(gmap, theta_deg=theta)
         write_gvm_map_csv(tmp_path / "theta.csv", gmap, header_lines=["h", "k"],
                           lc_path=tmp_path / "lc.csv")
-        write_gvm_lc_csv(tmp_path / "lc_alone.csv", gmap, header_lines=["h", "k"])
+        # without lc_path, the theta file alone, and no l_c file
+        write_gvm_map_csv(tmp_path / "theta_alone.csv", gmap, header_lines=["h", "k"])
         for name, columns, comments in (
             ("theta.csv", {"theta_deg": theta, "l_c_um": gmap.coherence_length_um},
              ["h", "k", "signal_axis: Z"]),
+            ("theta_alone.csv", {"theta_deg": theta, "l_c_um": gmap.coherence_length_um},
+             ["h", "k", "signal_axis: Z"]),
             ("lc.csv", {"l_c_um": gmap.coherence_length_um}, ["h", "k"]),
-            ("lc_alone.csv", {"l_c_um": gmap.coherence_length_um}, ["h", "k"]),
         ):
             want = _per_row_formatter(comments, gmap, columns)
             assert (tmp_path / name).read_bytes() == want.encode()

@@ -208,6 +208,22 @@ def _standard_delta_k(model, cfg, gp, pp, r_mult):
     return math.copysign(1.0, gp.delta_k0) * dk.ravel()
 
 
+def _table_cell_polynomials(structure):
+    """(first block, sub-cell coefficients, degree-11 cell polynomials of
+    shape (cells, LATTICE_STENCIL)) of the structure's table, the cell
+    polynomials formed from its stored node sums with the cell's
+    e^{i dk_mid L/2} as the kernel rounds it."""
+    first, coef = structure.pmf_table["subcells"]
+    n_cells = coef.shape[1] // spectrum.SUBCELLS
+    lead = spectrum._TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)
+    nodes = structure.pmf_table["nodes"].ravel()[lead : lead + n_cells + LATTICE_STENCIL - 1]
+    windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL)
+    length = structure.length_m
+    mids = spectrum._lattice_step(length) * (first * spectrum._TABLE_BLOCK + np.arange(n_cells) + 0.5)
+    cells = (windows @ spectrum._interval_polynomials()) * np.exp(0.5j * length * mids)[:, None]
+    return first, coef, cells
+
+
 def _assert_lattice_matches_segment_sum(dk, structure, rng):
     # the lattice path is taken, and compared at the peak plus 1500 points
     assert spectrum._lattice(dk, structure.length_m) is not None
@@ -285,33 +301,45 @@ class TestPmfLattice:
         cfg, gp, structures = preset_structures(model, "o-band-i")
         dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
         blocks = spectrum._TABLE_BLOCK * _lattice_step(structures["pp"])
+        width = spectrum.SUBCELLS * spectrum._TABLE_BLOCK  # columns per block
         for structure in structures.values():
             cold, warm = dataclasses.replace(structure), dataclasses.replace(structure)
             from_cold = pmf_piecewise(dk, cold)
-            first, cells = cold.pmf_table["cells"]
+            first, coef = cold.pmf_table["subcells"]
+            assert coef.shape[0] == spectrum.SUBCELL_DEGREE + 1 and coef.shape[1] % width == 0
+            assert len(cold.pmf_table["nodes"]) == coef.shape[1] // width + 2
             # warm the table on an overlapping range shifted by 37.3 steps
             pmf_piecewise(dk[::7] + 37.3 * _lattice_step(structure), warm)
             assert np.array_equal(pmf_piecewise(dk, warm), from_cold)
             # and a table that already holds every block gives them again
             assert np.array_equal(pmf_piecewise(dk, cold), from_cold)
+            assert cold.pmf_table["subcells"][1] is coef
             # a span built three blocks above the points grows downward to
             # them, one built three blocks below grows upward
             for shift, grows in ((3.0, "down"), (-3.0, "up")):
                 other = dataclasses.replace(structure)
                 pmf_piecewise(dk + shift * blocks, other)
-                before = other.pmf_table["cells"][0]
+                before = other.pmf_table["subcells"][0]
                 assert np.array_equal(pmf_piecewise(dk, other), from_cold)
-                after, span = other.pmf_table["cells"]
+                after, span = other.pmf_table["subcells"]
                 if grows == "down":
                     assert after == first < before
                 else:
                     assert after == before < first
-                assert span.flags.c_contiguous and len(span) >= len(cells) + 3
+                assert span.flags.c_contiguous and span.shape[1] >= coef.shape[1] + 3 * width
+                assert len(other.pmf_table["nodes"]) == span.shape[1] // width + 2
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_subcells_reproduce_the_cell_polynomial(self, model, preset):
-        # each sub-cell polynomial against its degree-11 cell polynomial on a
-        # dense sample of every cell of the tables the standard grid needs
+        # each stored sub-cell polynomial against the degree-11 polynomial of
+        # its cell, formed here from the stored node sums, on a dense sample
+        # of every cell of the tables the standard grid needs; and the stored
+        # rows, fitted by one fused matrix, against the two stages it fuses:
+        # the cell polynomial, then its Chebyshev sub-cell interpolants
+        degrees = spectrum.SUBCELL_DEGREE + 1
+        two_stage = spectrum._interval_polynomials() @ spectrum._subcell_polynomials().T
+        assert np.array_equal(spectrum._SUBCELL_FIT, two_stage.reshape(
+            LATTICE_STENCIL, degrees, spectrum.SUBCELLS).transpose(1, 0, 2))
         cfg, gp, structures = preset_structures(model, preset)
         dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
         s = np.linspace(-0.5, 0.5, 2001)
@@ -319,16 +347,17 @@ class TestPmfLattice:
         u = (s + 0.5) * spectrum.SUBCELLS - sub - 0.5
         for structure in structures.values():
             pmf_piecewise(dk, structure)
-            _, cells = structure.pmf_table["cells"]
-            cells = cells.transpose(0, 2, 1).reshape(-1, LATTICE_STENCIL)
-            want = np.polynomial.polynomial.polyval(s, cells.T)
-            coef = spectrum._subcell_coefficients(cells.T[None])
-            index = spectrum.SUBCELLS * np.arange(len(cells))[:, None] + sub.astype(int)
-            got = spectrum._horner(coef, index, u)
+            _, coef, cells = _table_cell_polynomials(structure)
             # the scale of the table is its largest cell value; a cell far
             # from phase matching, whose own coefficients nearly cancel,
             # keeps the absolute error and not a relative one
             scale = np.max(np.abs(cells[:, 0]))
+            staged = spectrum._subcell_polynomials() @ cells.T  # [j SUBCELLS + q, cell]
+            staged = staged.reshape(degrees, spectrum.SUBCELLS, -1).transpose(0, 2, 1)
+            assert np.max(np.abs(coef - staged.reshape(degrees, -1))) <= 2e-15 * scale
+            want = np.polynomial.polynomial.polyval(s, cells.T)
+            index = spectrum.SUBCELLS * np.arange(len(cells))[:, None] + sub.astype(int)
+            got = spectrum._horner(coef, index, u)
             assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
     @given(
@@ -508,16 +537,15 @@ class TestBuildJsa:
         dw = measure_delta_omega(model, cfg, arr, pump_i, gp.theta_deg)
         grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
         p_exact = purity(schmidt_decompose(build_jsa(model, cfg, arr, pump_i, grid)))
-        p_approx = purity(
-            schmidt_decompose(build_jsa(model, cfg, None, pump_i, grid, scheme="analytic-pp"))
-        )
-        assert p_exact == pytest.approx(p_approx, abs=1e-3)
-
-    def test_unknown_scheme(self, model, pump_i):
-        cfg = case_config("i")
-        grid = make_grid(27.0, 1e12, cfg.omega_s0, cfg.omega_i0)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            build_jsa(model, cfg, None, pump_i, grid, scheme="bulk")
+        # the first-order formula on the same grid, with dk sign-normalised
+        # to +pi/l_c at the centre as `build_jsa` does
+        dk, _ = delta_k_grid(model, cfg, grid)
+        envelope = pump_envelope(grid.omega_s[:, None], grid.omega_i[None, :], pump_i)
+        phi = pmf_pp_analytic(math.copysign(1.0, gp.delta_k0) * dk, gp.coherence_length_m,
+                              cfg.length_m)
+        f = envelope * phi
+        analytic = JointSpectrum(grid=grid, amplitude=f / np.linalg.norm(f))
+        assert purity(schmidt_decompose(analytic)) == pytest.approx(p_exact, abs=1e-3)
 
     def test_masking_counts_out_of_window_points(self, model):
         # idler at 3.9 um sits near the 4 um transparency edge: a wide grid
