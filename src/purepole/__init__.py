@@ -35,7 +35,6 @@ from .poling import (
     InvalidOrderList,
     MIN_DOMAIN_WIDTH_M,
     TargetProfile,
-    TrackedAmplitude,
     ZeroPhaseMismatch,
     dc_domains,
     effective_pmf_tracked,

@@ -28,6 +28,7 @@ import numpy as np
 
 from .analysis import (
     MIN_RANGE_DW,
+    NoInteriorMaximum,
     PsoSettings,
     jsa_purity,
     pso_optimize_dc,
@@ -610,9 +611,9 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
         raise ConfigError(f"design_dir: scheme {optimized[0]!r} needs an existing design artifact")
     design = None if cfg.design_dir is None else _read_design_artifact(cfg, case)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    # every curve is computed before anything is written, so a failed
+    # bandwidth search leaves no output behind
+    curves = []
     for scheme in cfg.schemes:
         if scheme == "pp":
             structure = periodic_domains(case.length_m, gp.coherence_length_m)
@@ -623,9 +624,14 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
         else:
             structure, bw = design
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw)
-        curve = purity_vs_range(
+        curves.append((scheme, bw, purity_vs_range(
             model, case, structure, pump, list(cfg.r_list), gp.theta_deg, tag=scheme
-        )
+        )))
+
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for scheme, bw, curve in curves:
         dest = out / f"purity_vs_range_{scheme}.csv"
         write_curve_csv(dest, curve, _header(cfg) + [f"pump_bandwidth_nm: {bw!r}"])
         written.append(dest)
@@ -736,6 +742,20 @@ def run(argv: list[str]) -> int:
         return handlers[cfg.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NoInteriorMaximum as exc:
+        # a crystal of a few coherence lengths phase-matches so broadly that
+        # purity still rises at the widest pump searched
+        reads = _READS[cfg.command]
+        reads = reads[cfg.scheme] if isinstance(reads, dict) else reads
+        hint = ""
+        if cfg.pump_bandwidth_nm is not None:
+            hint = "; --pump-bw-nm does not set the periodic baseline's bandwidth"
+        elif "pump_bandwidth_nm" in reads:
+            hint = "; fix the bandwidth with --pump-bw-nm"
+        print(f"config error: length_mm: the pump-bandwidth search for a "
+              f"{cfg.length_mm:g} mm crystal has no interior maximum ({exc}){hint}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -85,7 +85,6 @@ def design_cl_scl(
             purity=pur,
             theta_deg=gp.theta_deg,
             coherence_length_m=lc,
-            final_cost=float(costs[pick]),
         )
         if pur >= options.purity_threshold:
             return candidate

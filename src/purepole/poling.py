@@ -39,7 +39,6 @@ __all__ = [
     "DutyCycleStructure",
     "periodic_domains",
     "target_pmf",
-    "TrackedAmplitude",
     "effective_pmf_tracked",
     "greedy_track",
     "tracking_cost",
@@ -216,7 +215,6 @@ class DesignResult:
     pp_purity: float | None = None
     pp_pump_bandwidth_nm: float | None = None
     below_threshold: bool = False
-    final_cost: float | None = None
 
 
 def periodic_domains(length_m: float, coherence_length_m: float) -> DomainArray:
@@ -239,14 +237,12 @@ def periodic_domains(length_m: float, coherence_length_m: float) -> DomainArray:
 _erf_elements = np.frompyfunc(math.erf, 1, 1)
 
 
-def _erf(x: float | np.ndarray) -> float | np.ndarray:
-    """math.erf of a float, or of each element of an array.
+def _erf(x: float | np.ndarray) -> np.ndarray:
+    """math.erf of each element of x (a float gives a 0-d array).
 
-    The tracker calls this once per domain with a Python float, so the float
-    test comes first and costs no array dispatch.
+    Callers pass whole arrays: the tracker its target at every domain end,
+    the duty-cycle profile its period centers.
     """
-    if isinstance(x, float):
-        return math.erf(x)
     return np.asarray(_erf_elements(x), dtype=float)
 
 
@@ -258,44 +254,6 @@ def target_pmf(z_m: float | np.ndarray, profile: TargetProfile) -> float | np.nd
     return math.sqrt(2.0 / math.pi) * s * (
         _erf(L / (2.0 * root2 * s)) + _erf((z_m - L / 2.0) / (root2 * s))
     )
-
-
-class TrackedAmplitude:
-    """Incrementally tracked effective amplitude of a growing sign array.
-
-    Maintains phi_eff(z = n w) = (i/dk0) (e^{-i w dk0} - 1) sum_j A_j e^{i w j dk0}
-    with an O(1) update per appended domain.
-    """
-
-    def __init__(self, width_m: float, delta_k0: float):
-        if delta_k0 == 0.0:
-            raise ZeroPhaseMismatch("tracked amplitude undefined at dk0 = 0")
-        if width_m <= 0:
-            raise ValueError("domain width must be positive")
-        self.width_m = width_m
-        self.delta_k0 = delta_k0
-        self._step = cmath.exp(1j * width_m * delta_k0)
-        self._prefactor = (1j / delta_k0) * (cmath.exp(-1j * width_m * delta_k0) - 1.0)
-        self._sum = 0j
-        self._term = 1.0 + 0j  # e^{i w j dk0} for the last appended j
-        self.n = 0
-
-    @property
-    def value(self) -> complex:
-        return self._prefactor * self._sum
-
-    def next_term(self) -> complex:
-        """Phase factor the next appended domain would contribute."""
-        return self._term * self._step
-
-    def peek(self, sign: int) -> complex:
-        """Amplitude if the next domain were appended with the given sign."""
-        return self._prefactor * (self._sum + sign * self.next_term())
-
-    def append(self, sign: int) -> None:
-        self._term *= self._step
-        self._sum += sign * self._term
-        self.n += 1
 
 
 def effective_pmf_tracked(
@@ -320,6 +278,10 @@ def greedy_track(
 
     Domain width is w = l_c / beta; at step j the orientation minimizing the
     aligned cost |(-i) phi_eff(j w) - phi_T(j w)|^2 is kept (ties choose +1).
+    The target does not depend on the choices, so phi_T is evaluated at all
+    N domain ends in one call; the loop carries only the running sum
+    S = sum_j A_j e^{i w dk0 j} and its last phase term, and
+    phi_eff = (i/dk0) (e^{-i w dk0} - 1) S.
     Deterministic: identical inputs yield identical arrays.
     """
     w = coherence_length_m / beta
@@ -328,15 +290,21 @@ def greedy_track(
             f"w = l_c/beta = {w * 1e6:.3f} um below the 1 um fabrication floor"
         )
     n = int(math.floor(length_m / w + 1e-12))
-    track = TrackedAmplitude(width_m=w, delta_k0=profile.delta_k0)
+    dk0 = profile.delta_k0
+    step = cmath.exp(1j * w * dk0)
+    prefactor = (1j / dk0) * (cmath.exp(-1j * w * dk0) - 1.0)
+    targets = target_pmf(w * np.arange(1, n + 1), profile).tolist()
     signs = np.empty(n, dtype=np.int8)
-    for j in range(1, n + 1):
-        t = target_pmf(j * w, profile)
-        c_plus = abs(ALIGNMENT_PHASE * track.peek(+1) - t) ** 2
-        c_minus = abs(ALIGNMENT_PHASE * track.peek(-1) - t) ** 2
-        sign = 1 if c_plus <= c_minus else -1
-        track.append(sign)
-        signs[j - 1] = sign
+    total, term = 0j, 1.0 + 0j
+    for j, t in enumerate(targets):
+        term *= step
+        plus, minus = total + term, total - term
+        c_plus = abs(ALIGNMENT_PHASE * (prefactor * plus) - t) ** 2
+        c_minus = abs(ALIGNMENT_PHASE * (prefactor * minus) - t) ** 2
+        if c_plus <= c_minus:
+            total, signs[j] = plus, 1
+        else:
+            total, signs[j] = minus, -1
     return DomainArray(width_m=w, signs=signs)
 
 

@@ -153,15 +153,14 @@ class SpectralGrid:
 class JointSpectrum:
     """Complex joint spectral amplitude f(omega_s, omega_i) on a grid.
 
-    amplitude[j, k] corresponds to (omega_s[j], omega_i[k]).  When
-    `normalized` is set the Frobenius norm is 1 (to 1e-12).  `masked_points`
-    counts grid points zeroed because a wavelength left the transparency
-    window (masking mode only).
+    amplitude[j, k] corresponds to (omega_s[j], omega_i[k]).  `build_jsa`
+    normalizes the Frobenius norm to 1 (to 1e-12).  `masked_points` counts
+    grid points zeroed because a wavelength left the transparency window
+    (masking mode only).
     """
 
     grid: SpectralGrid
     amplitude: np.ndarray
-    normalized: bool = True
     masked_points: int = 0
 
     @property
@@ -817,7 +816,7 @@ def build_jsa(
     if norm == 0.0:
         raise ValueError("JSA vanished on the grid (all points masked?)")
     f /= norm
-    return JointSpectrum(grid=grid, amplitude=f, normalized=True, masked_points=masked)
+    return JointSpectrum(grid=grid, amplitude=f, masked_points=masked)
 
 
 def _ridge_slopes(model: DispersionModel, cfg: PhaseMatchConfig) -> tuple[float, float]:

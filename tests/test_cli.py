@@ -608,6 +608,13 @@ _DESIGN_PP = ["design", "--preset", "o-band-i", "--scheme", "pp", "--pump-bw-nm"
          "beta_ladder"),
         (["design", "--preset", "o-band-i", "--scheme", "cl-scl", "--beta-ladder", "100,1"],
          None, "beta_ladder"),
+        # just over 2 l_c, purity peaks at the 50 nm bound of the bandwidth search
+        (["design", "--preset", "o-band-i", "--scheme", "pp", "--length-mm", "0.05"], None,
+         "length_mm"),
+        (["design", "--preset", "o-band-i", "--scheme", "cl-scl", "--length-mm", "0.2"], None,
+         "length_mm"),
+        (["sweep-range", "--preset", "o-band-i", "--schemes", "pp", "--r-list", "10",
+          "--length-mm", "0.05"], None, "length_mm"),
     ],
 )
 def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, request, argv, text,
@@ -625,6 +632,16 @@ def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, reque
     assert run(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if text else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--scheme", "pp"],
+    ["sweep-range", "--schemes", "pp", "--r-list", "10"],
+])
+def test_short_crystal_with_fixed_bandwidth_exit_0(tmp_path, argv):
+    # a fixed bandwidth skips the search that has no interior maximum here
+    assert run([*argv, "--preset", "o-band-i", "--length-mm", "0.05", "--pump-bw-nm", "10",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ class TestDesignLoop:
         assert result.alpha == pytest.approx(5.1)
         assert result.purity > 0.99
         assert not result.below_threshold
-        assert result.final_cost is not None
 
     def test_unreachable_threshold_flags_best_effort(self, model):
         result = design_cl_scl(

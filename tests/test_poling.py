@@ -19,7 +19,6 @@ from purepole import (
     InvalidOrderList,
     PhaseMatchConfig,
     TargetProfile,
-    TrackedAmplitude,
     ZeroPhaseMismatch,
     dc_domains,
     effective_pmf_tracked,
@@ -125,8 +124,6 @@ class TestErfAgainstScipy:
         x = np.linspace(-6.0, 6.0, 20001)
         got, want = poling._erf(x), scipy_erf(x)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
-        # the scalar path is the same math.erf, bit for bit
-        assert [poling._erf(v) for v in x.tolist()] == got.tolist()
 
     @pytest.mark.parametrize("alpha", [4.0, 5.0, 6.0])
     def test_target_pmf_scalars_and_arrays(self, monkeypatch, alpha):
@@ -193,27 +190,7 @@ class TestTrackedAmplitude:
         assert phi.real > 0
         assert abs(phi.imag) < 1e-9 * abs(phi)
 
-    def test_incremental_matches_direct(self):
-        dk0 = math.pi / (24e-6)
-        w = 24e-6 / 3
-        track = TrackedAmplitude(w, dk0)
-        rng = np.random.default_rng(7)
-        signs = rng.choice([1, -1], size=50)
-        for s in signs:
-            track.append(int(s))
-        direct = effective_pmf_tracked(signs, w, dk0)
-        assert track.value == pytest.approx(direct, rel=1e-12)
-
-    def test_peek_does_not_mutate(self):
-        track = TrackedAmplitude(1e-5, 1e5)
-        track.append(1)
-        before = track.value
-        track.peek(-1)
-        assert track.value == before
-
     def test_zero_mismatch_rejected(self):
-        with pytest.raises(ZeroPhaseMismatch):
-            TrackedAmplitude(1e-5, 0.0)
         with pytest.raises(ZeroPhaseMismatch):
             effective_pmf_tracked([1, -1], 1e-5, 0.0)
 
@@ -256,18 +233,24 @@ class TestGreedyTrack:
         assert np.array_equal(a.signs, b.signs)
 
     def test_greedy_step_optimality(self):
-        # every chosen sign has cost <= the rejected alternative
+        # every chosen sign has cost <= the rejected alternative; both costs
+        # come from the direct sum over the prefix, not the tracker's
+        # running sum
         lc = 20e-6
         dk0 = math.pi / lc
-        profile = TargetProfile.from_alpha(4.7, L5MM, dk0)
-        arr = greedy_track(profile, 1.0, lc, L5MM)
-        track = TrackedAmplitude(arr.width_m, dk0)
-        for j, sign in enumerate(arr.signs, start=1):
-            t = target_pmf(j * arr.width_m, profile)
-            chosen = abs(ALIGNMENT_PHASE * track.peek(int(sign)) - t) ** 2
-            other = abs(ALIGNMENT_PHASE * track.peek(-int(sign)) - t) ** 2
-            assert chosen <= other
-            track.append(int(sign))
+        for alpha in (4.0, 4.7, 6.0):
+            profile = TargetProfile.from_alpha(alpha, L5MM, dk0)
+            for beta in (1.0, 3.0):
+                arr = greedy_track(profile, beta, lc, L5MM)
+                for j in range(1, arr.n_domains + 1):
+                    t = target_pmf(j * arr.width_m, profile)
+                    prefix = arr.signs[:j].astype(int)
+                    chosen = abs(ALIGNMENT_PHASE * effective_pmf_tracked(
+                        prefix, arr.width_m, dk0) - t) ** 2
+                    prefix[-1] = -prefix[-1]
+                    other = abs(ALIGNMENT_PHASE * effective_pmf_tracked(
+                        prefix, arr.width_m, dk0) - t) ** 2
+                    assert chosen <= other
 
     def test_width_floor(self):
         lc = 10e-6
