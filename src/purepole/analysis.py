@@ -34,6 +34,7 @@ from .spectrum import (
     JointSpectrum,
     PumpSpec,
     _JsaEvaluator,
+    _grid_side,
     _ridge_slopes,
     build_jsa,  # noqa: F401  (perfbench/test_trace.py checks that analysis binds it)
     make_grid,
@@ -131,14 +132,19 @@ def purity(spectrum: SchmidtSpectrum | np.ndarray) -> float:
     return float(np.sum(c**4))
 
 
-def _unit_working_copy(amp: np.ndarray) -> np.ndarray:
+def _unit_working_copy(amp: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """A copy of `amp` scaled to unit Frobenius norm by way of its largest
-    part, with every real or imaginary part below `_FLUSH_FLOOR` set to zero.
+    part, with every real or imaginary part below `_FLUSH_FLOOR` set to zero;
+    with `overwrite`, `amp` itself when it is a writable C-contiguous
+    float64 or complex128 array.
 
     Raises ValueError for non-finite entries and ZeroSpectrum for an
     all-zero amplitude.
     """
-    work = np.array(amp, dtype=np.result_type(amp.dtype, float))
+    dtype = np.result_type(amp.dtype, float)
+    in_place = (overwrite and amp.dtype == dtype and amp.flags.c_contiguous
+                and amp.flags.writeable)
+    work = amp if in_place else np.array(amp, dtype=dtype)
     parts = work.view(float).reshape(-1)  # real and imaginary parts, in place
     high, low = float(parts.max()), float(parts.min())
     if not (math.isfinite(high) and math.isfinite(low)):
@@ -154,7 +160,7 @@ def _unit_working_copy(amp: np.ndarray) -> np.ndarray:
     return work
 
 
-def jsa_purity(jsa: JointSpectrum | np.ndarray) -> float:
+def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> float:
     """Schmidt purity Tr(rho_s^2) = sum_j c_j^4 of a joint spectrum, from the
     Gram matrix: P = ||F^H F||_F^2 / ||F||_F^4, with no singular values.
 
@@ -167,13 +173,17 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray) -> float:
     block's squared norm is accumulated, off-diagonal blocks twice.  Agrees
     with `purity(schmidt_decompose(jsa))` to 1e-12.
 
+    With `overwrite` the amplitude may serve as the working copy (it does
+    when it is a writable C-contiguous float64 or complex128 array) and is
+    left scaled and flushed; the purity is the same bit for bit.
+
     Raises ValueError for non-finite entries and ZeroSpectrum for an
     all-zero amplitude.
     """
     amp = jsa.amplitude if isinstance(jsa, JointSpectrum) else np.asarray(jsa)
     if amp.ndim != 2:
         raise ValueError("JSA amplitude must be a 2-D array")
-    work = _unit_working_copy(amp)
+    work = _unit_working_copy(amp, overwrite)
     parts = work.view(float).reshape(-1)
     gram_sq = 0.0
     for c0 in range(0, work.shape[1], _GRAM_BLOCK):
@@ -280,14 +290,24 @@ def optimize_pump_bandwidth(
     lattice's maximum whenever purity has no higher maximum beyond a dip
     outside that window; wherever the two agree, (bandwidth, purity) equals
     that of a scan of all `_N_COARSE` points bit for bit.
+
+    Every candidate is built and scored in two buffers that live as long as
+    the search, one complex and one float array of the standard grid's
+    size, which does not depend on dw: the build writes the JSA into them
+    and the purity scales and flushes it in place (`standard_jsa`'s `out`
+    and `work`, `jsa_purity`'s `overwrite`).  Each purity equals
+    `jsa_purity(standard_jsa(...))` without them, bit for bit.
     """
     lo, hi = bounds_nm
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"bounds_nm: must be finite with 0 < lo < hi, got {bounds_nm!r}")
+    side = _grid_side(theta_deg)[1]
+    amplitude, work = np.empty((side, side), dtype=complex), np.empty((side, side))
 
     def purity_at(log_bw: float) -> float:
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
-        return jsa_purity(standard_jsa(model, cfg, structure, pump, theta_deg))
+        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, out=amplitude, work=work)
+        return jsa_purity(jsa, overwrite=True)
 
     logs = np.log(np.geomspace(lo, hi, _N_COARSE))
     seed = _seed_index(model, cfg, logs)

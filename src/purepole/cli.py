@@ -468,9 +468,14 @@ def cmd_design(cfg: RunConfig) -> int:
         result.pp_pump_bandwidth_nm = result.pump_bandwidth_nm
     elif result.pp_purity is None:
         pp = periodic_domains(case.length_m, result.coherence_length_m)
-        result.pp_pump_bandwidth_nm, result.pp_purity = optimize_pump_bandwidth(
-            model, case, pp, result.theta_deg
-        )
+        try:
+            result.pp_pump_bandwidth_nm, result.pp_purity = optimize_pump_bandwidth(
+                model, case, pp, result.theta_deg
+            )
+        except NoInteriorMaximum as exc:
+            # the design ran at a fixed bandwidth; only its baseline has no
+            # optimum, so the baseline is left out rather than the run
+            print(f"design: periodic baseline unavailable ({exc})", file=sys.stderr)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -530,7 +535,7 @@ def cmd_design(cfg: RunConfig) -> int:
         f"{case.lambda_i_um * 1e3:.1f} nm | theta {result.theta_deg:6.2f} deg | "
         f"l_c {result.coherence_length_m * 1e6:6.2f} um | alpha {_fmt(result.alpha, '.1f')} | "
         f"beta {_fmt(result.beta, 'g')} | pump bw {result.pump_bandwidth_nm:.3g} nm | "
-        f"P_PP {100 * result.pp_purity:.2f}% | P_opt {100 * result.purity:.2f}%"
+        f"P_PP {_fmt(result.pp_purity, '.2%')} | P_opt {100 * result.purity:.2f}%"
     )
     summary_text = "\n".join([*(f"# {h}" for h in header), row]) + "\n"
     (out / "design_summary.txt").write_text(summary_text)
@@ -748,11 +753,7 @@ def run(argv: list[str]) -> int:
         # purity still rises at the widest pump searched
         reads = _READS[cfg.command]
         reads = reads[cfg.scheme] if isinstance(reads, dict) else reads
-        hint = ""
-        if cfg.pump_bandwidth_nm is not None:
-            hint = "; --pump-bw-nm does not set the periodic baseline's bandwidth"
-        elif "pump_bandwidth_nm" in reads:
-            hint = "; fix the bandwidth with --pump-bw-nm"
+        hint = "; fix the bandwidth with --pump-bw-nm" if "pump_bandwidth_nm" in reads else ""
         print(f"config error: length_mm: the pump-bandwidth search for a "
               f"{cfg.length_mm:g} mm crystal has no interior maximum ({exc}){hint}",
               file=sys.stderr)

@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -390,8 +390,11 @@ def _horner(coef: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _interpolate(dk: np.ndarray, structure: DomainArray | DutyCycleStructure) -> np.ndarray:
-    """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's table.
+def _interpolate(
+    dk: np.ndarray, structure: DomainArray | DutyCycleStructure, out: np.ndarray | None = None
+) -> np.ndarray:
+    """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's
+    table, written to `out` (a complex array of dk's size) when given.
 
     The table is looked up once, and grown to the cell blocks that the points
     span if it does not cover them; each point takes the coefficients of its
@@ -402,7 +405,8 @@ def _interpolate(dk: np.ndarray, structure: DomainArray | DutyCycleStructure) ->
     scale, width = SUBCELLS / _lattice_step(structure.length_m), SUBCELLS * _TABLE_BLOCK
     first, coef = _cell_table(structure, math.floor(float(dk.min()) * scale) // width,
                               math.floor(float(dk.max()) * scale) // width)
-    out = np.empty(dk.size, dtype=complex)
+    if out is None:
+        out = np.empty(dk.size, dtype=complex)
     for start in range(0, dk.size, _POINT_BLOCK):
         part = slice(start, start + _POINT_BLOCK)
         out[part] = _horner(coef, *_subcells(dk[part], structure.length_m, first * _TABLE_BLOCK))
@@ -469,7 +473,18 @@ def _duty_cycle_edge_sums(first: int, count: int, period_m: float, n_periods: in
     return _lattice_phase_sums(first, count, _lattice_step(length), edges)
 
 
-def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
+def _check_buffer(name: str, array, shape: tuple[int, ...], dtype) -> None:
+    """ValueError naming `name` unless `array` is a writable C-contiguous
+    ndarray of exactly this shape and dtype."""
+    if not (isinstance(array, np.ndarray) and array.shape == shape
+            and array.dtype == dtype and array.flags.c_contiguous and array.flags.writeable):
+        got = (f"{array.dtype} array of shape {array.shape}" if isinstance(array, np.ndarray)
+               else type(array).__name__)
+        raise ValueError(f"{name}: must be a writable C-contiguous {np.dtype(dtype)} array "
+                         f"of shape {shape}, got {got}")
+
+
+def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure, out=None):
     """Exact piecewise-constant PMF integral of a poling structure.
 
     Phi(dk) = e^{i dk L/2} G(dk), G(dk) = sum_j a_j w_j sinc(w_j dk/2)
@@ -494,14 +509,24 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure):
     (at most 1.7e-13 measured, the rounding floor of the sum itself).  Smaller
     arrays, scalars and arrays with non-finite values take the exact sum at
     every point.
+
+    With `out`, a writable C-contiguous complex128 array of delta_k's shape
+    (ValueError naming `out` otherwise), Phi is written there and `out` is
+    returned; each value equals that of a call without it, bit for bit.
     """
     dk = np.asarray(delta_k, dtype=float)
     flat = dk.ravel()
+    if out is not None:
+        _check_buffer("out", out, dk.shape, complex)
+    out_flat = None if out is None else out.reshape(-1)
     if _lattice(flat, structure.length_m) is None:
-        out = _segment_sum(flat, *_segments(structure)) * np.exp(0.5j * structure.length_m * flat)
+        phi = np.multiply(_segment_sum(flat, *_segments(structure)),
+                          np.exp(0.5j * structure.length_m * flat), out=out_flat)
     else:
-        out = _interpolate(flat, structure)
-    return complex(out[0]) if dk.ndim == 0 else out.reshape(dk.shape)
+        phi = _interpolate(flat, structure, out_flat)
+    if out is not None:
+        return out
+    return complex(phi[0]) if dk.ndim == 0 else phi.reshape(dk.shape)
 
 
 # Points of a grid axis may sit this far, in units of the step, from the
@@ -548,10 +573,11 @@ class _GridPlan:
     def valid(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         return self.valid_pump[j + k] & self.valid_signal[j] & self.valid_idler[k]
 
-    def full(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dk, valid) at every grid point, dk a new writable array."""
+    def full(self, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(dk, valid) at every grid point, dk written to `out` (a float
+        (N_s, N_i) array) when given, else a new writable array."""
         n = self.k_idler.size
-        dk = _hankel(self.k_pump, n) - self.k_signal[:, None]
+        dk = np.subtract(_hankel(self.k_pump, n), self.k_signal[:, None], out=out)
         dk -= self.k_idler[None, :]
         valid = _hankel(self.valid_pump, n) & self.valid_signal[:, None] & self.valid_idler[None, :]
         return dk, valid
@@ -596,6 +622,21 @@ def delta_k_grid(
     return _grid_plan(model, cfg, grid, mask_invalid).full()
 
 
+def _grid_side(theta_deg: float, r_mult: float = 10.0, step_divisor: int | None = None):
+    """(step divisor, points per axis) of `make_grid`'s rule, which does not
+    depend on dw."""
+    if step_divisor is None:
+        step_divisor = 20 if 10.0 <= theta_deg <= 80.0 else 40
+    if not step_divisor >= 1:
+        raise ValueError(f"step_divisor must be at least 1, got {step_divisor!r}")
+    n = int(round(r_mult * step_divisor))
+    if n < 2:
+        raise ValueError(
+            f"r_mult = {r_mult!r} with step_divisor = {step_divisor!r} gives {n} points "
+            "per axis; a grid needs at least 2")
+    return step_divisor, n
+
+
 def make_grid(
     theta_deg: float,
     delta_omega: float,
@@ -610,16 +651,8 @@ def make_grid(
     ValueError for step_divisor < 1 and for fewer than 2 points per axis."""
     if delta_omega <= 0:
         raise ValueError("delta_omega must be positive")
-    if step_divisor is None:
-        step_divisor = 20 if 10.0 <= theta_deg <= 80.0 else 40
-    if not step_divisor >= 1:
-        raise ValueError(f"step_divisor must be at least 1, got {step_divisor!r}")
+    step_divisor, n = _grid_side(theta_deg, r_mult, step_divisor)
     step = delta_omega / step_divisor
-    n = int(round(r_mult * step_divisor))
-    if n < 2:
-        raise ValueError(
-            f"r_mult = {r_mult!r} with step_divisor = {step_divisor!r} gives {n} points "
-            "per axis; a grid needs at least 2")
     offsets = (np.arange(n) - (n - 1) / 2.0) * step
     return SpectralGrid(
         omega_s=omega_s0 + offsets,
@@ -664,8 +697,10 @@ def estimate_bandwidths(jsa: JointSpectrum) -> tuple[float, float, float]:
     return dws, dwi, 0.5 * (dws + dwi)
 
 
+@lru_cache(maxsize=64)
 def _central_mismatch(model: DispersionModel, cfg: PhaseMatchConfig) -> float:
-    """dk0 = k_p0 - k_s0 - k_i0 at the nominal frequencies (raw material sign)."""
+    """dk0 = k_p0 - k_s0 - k_i0 at the nominal frequencies (raw material
+    sign); kept per (model, cfg), since every evaluator needs it."""
     kp0 = model.wavenumber(cfg.omega_p0, cfg.pump_axis)
     ks0 = model.wavenumber(cfg.omega_s0, cfg.signal_axis)
     ki0 = model.wavenumber(cfg.omega_i0, cfg.idler_axis)
@@ -710,27 +745,40 @@ class _JsaEvaluator:
             out[ok] = np.abs(f) ** 2
         return out
 
-    def amplitude(self, structure: DomainArray | DutyCycleStructure) -> tuple[np.ndarray, int]:
-        """(f, masked points) on the whole grid; see `build_jsa`.
+    def amplitude(
+        self,
+        structure: DomainArray | DutyCycleStructure,
+        out: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, int]:
+        """(f, masked points) on the whole grid; see `build_jsa`.  With
+        `out` (complex) and `work` (float), both C-contiguous (N_s, N_i)
+        arrays, f is formed in `out` and dk in `work`.
 
-        Its N^2 arrays are dk (sign-normalized in place), the valid mask,
-        the PMF and f; the PMF kernel forms its per-point temporaries in
-        blocks of points.  Four range sweeps (PP and CL at R = 10 and 50,
-        up to 1000^2) in one process peaked at 85.8 MB RSS with a
-        sign-normalized copy of dk, the kernel's N^2 cell and offset arrays
-        and the purity flush's N^2 temporaries, and at 80.7 MB without them.
-        Applying the envelope in place as well gave 81.4 MB, since glibc
-        then serves the next large arrays from its heap.
+        Without them its N^2 arrays are dk (sign-normalized in place), the
+        valid mask, the PMF and f; the PMF kernel forms its per-point
+        temporaries in blocks of points.  Four range sweeps (PP and CL at
+        R = 10 and 50, up to 1000^2) in one process peaked at 85.8 MB RSS
+        with a sign-normalized copy of dk, the kernel's N^2 cell and offset
+        arrays and the purity flush's N^2 temporaries, and at 80.7 MB
+        without them.  Applying the envelope in place as well gave 81.4 MB,
+        since glibc then serves the next large arrays from its heap; so a
+        fresh call keeps the PMF and f apart.  With `out` the PMF is written
+        there and the envelope applied in place, the same products in the
+        same order, so f is equal bit for bit.  The bandwidth search passes
+        two buffers that live only as long as the search, so that its
+        candidates allocate no N^2 float or complex array here (only the
+        valid mask) and nothing outlives the search.
         """
-        dk, valid = self.plan.full()
+        dk, valid = self.plan.full(work)
         dk *= self.sign
         masked = int(valid.size - np.count_nonzero(valid)) if self.mask_invalid else 0
         if masked:
             # zeroed below anyway; the first valid point's dk keeps the
             # placeholder mismatch out of the structure's lattice table
             dk[~valid] = dk.flat[int(np.argmax(valid))]
-        phi = pmf_piecewise(dk.ravel(), structure).reshape(dk.shape)
-        f = _hankel(self.envelope, self.grid.n_idler) * phi
+        phi = pmf_piecewise(dk, structure, out=out)
+        f = np.multiply(_hankel(self.envelope, self.grid.n_idler), phi, out=out)
         if masked:
             f[~valid] = 0.0
         return f, masked
@@ -804,13 +852,28 @@ def build_jsa(
     pump: PumpSpec,
     grid: SpectralGrid,
     mask_invalid: bool = False,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> JointSpectrum:
     """Assemble the normalized JSA f = pump envelope x PMF on the grid, with
     the PMF of the poling structure from `pmf_piecewise`.  The phase
     mismatch is sign-normalized so the central value is +pi/l_c.  The grid
     must keep the `SpectralGrid` contract.
+
+    Buffers: `out`, a writable C-contiguous complex128 (N_s, N_i) array,
+    receives the amplitude, and the result's `amplitude` is `out` itself;
+    `work`, a float64 array of the same shape and layout, takes the phase
+    mismatch on the way (its contents afterwards are unspecified).  Either
+    may be given alone; a wrong shape, dtype or layout raises ValueError
+    naming the argument.  The amplitude equals that of a call without
+    them, bit for bit.
     """
-    f, masked = _JsaEvaluator(model, cfg, grid, pump, mask_invalid).amplitude(structure)
+    shape = (grid.n_signal, grid.n_idler)
+    if out is not None:
+        _check_buffer("out", out, shape, complex)
+    if work is not None:
+        _check_buffer("work", work, shape, float)
+    f, masked = _JsaEvaluator(model, cfg, grid, pump, mask_invalid).amplitude(structure, out, work)
     parts = f.reshape(-1).view(float)
     norm = math.sqrt(float(np.dot(parts, parts)))
     if norm == 0.0:
@@ -819,9 +882,11 @@ def build_jsa(
     return JointSpectrum(grid=grid, amplitude=f, masked_points=masked)
 
 
+@lru_cache(maxsize=64)
 def _ridge_slopes(model: DispersionModel, cfg: PhaseMatchConfig) -> tuple[float, float]:
     """(k'_p - k'_s, k'_p - k'_i) at the central frequencies: the slopes of
-    dk along the signal and idler axes, in s/m."""
+    dk along the signal and idler axes, in s/m; kept per (model, cfg), since
+    every dw measurement needs them."""
     kp_p = model.inverse_group_velocity(cfg.omega_p0, cfg.pump_axis)
     kp_s = model.inverse_group_velocity(cfg.omega_s0, cfg.signal_axis)
     kp_i = model.inverse_group_velocity(cfg.omega_i0, cfg.idler_axis)
@@ -929,16 +994,20 @@ def standard_jsa(
     theta_deg: float,
     delta_omega: float | None = None,
     r_mult: float = 10.0,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> JointSpectrum:
     """Masked JSA on the standard grid of range R = r_mult * dw.
 
     dw is measured with `measure_delta_omega` unless `delta_omega` is given;
-    grid points outside the transparency window are zeroed.
+    grid points outside the transparency window are zeroed.  `out` and
+    `work` are `build_jsa`'s buffers; the grid's side, and so their shape,
+    does not depend on dw (`_grid_side`).
     """
     if delta_omega is None:
         delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
     grid = make_grid(theta_deg, delta_omega, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
-    return build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
+    return build_jsa(model, cfg, structure, pump, grid, mask_invalid=True, out=out, work=work)
 
 
 # -- export ------------------------------------------------------------------

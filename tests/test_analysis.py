@@ -13,16 +13,20 @@ from hypothesis import given, settings, strategies as st
 import purepole
 from purepole import analysis, spectrum
 from purepole import (
+    Axis,
     DutyCycleStructure,
     JointSpectrum,
     NoInteriorMaximum,
+    PhaseMatchConfig,
     PsoSettings,
     PumpSpec,
     SchmidtSpectrum,
+    TargetProfile,
     WindowExceedsGrid,
     ZeroSpectrum,
     build_jsa,
     dc_domains,
+    greedy_track,
     heralding_efficiency,
     jsa_purity,
     make_grid,
@@ -377,12 +381,12 @@ def _memoized_purity(monkeypatch, model, cfg, structure, theta_deg):
     pump, so that a point scored by both is built once."""
     cache = {}
 
-    def purity_of(pump):
+    def purity_of(pump, overwrite=False):
         if pump not in cache:
             cache[pump] = jsa_purity(standard_jsa(model, cfg, structure, pump, theta_deg))
         return cache[pump]
 
-    monkeypatch.setattr(analysis, "standard_jsa", lambda *args: args[3])
+    monkeypatch.setattr(analysis, "standard_jsa", lambda *args, **kwargs: args[3])
     monkeypatch.setattr(analysis, "jsa_purity", purity_of)
 
 
@@ -396,7 +400,7 @@ def _lattice_curve(monkeypatch, lattice_values, seed=None):
     scored, in order."""
     scored = []
 
-    def purity_of(pump):
+    def purity_of(pump, overwrite=False):
         x = math.log(pump.bandwidth_nm)
         on = np.flatnonzero(np.abs(_LOGS - x) < 1e-9)
         if on.size:
@@ -404,7 +408,7 @@ def _lattice_curve(monkeypatch, lattice_values, seed=None):
             return float(lattice_values[on[0]])
         return float(np.interp(x, _LOGS, lattice_values))
 
-    monkeypatch.setattr(analysis, "standard_jsa", lambda *args: args[3])
+    monkeypatch.setattr(analysis, "standard_jsa", lambda *args, **kwargs: args[3])
     monkeypatch.setattr(analysis, "jsa_purity", purity_of)
     if seed is not None:
         monkeypatch.setattr(analysis, "_seed_index", lambda *args: seed)
@@ -466,9 +470,9 @@ class TestOptimizePumpBandwidth:
         bandwidths = []
         real = analysis.standard_jsa
 
-        def counted(model, cfg, structure, pump, theta_deg):
+        def counted(model, cfg, structure, pump, theta_deg, **buffers):
             bandwidths.append(pump.bandwidth_nm)
-            return real(model, cfg, structure, pump, theta_deg)
+            return real(model, cfg, structure, pump, theta_deg, **buffers)
 
         monkeypatch.setattr(analysis, "standard_jsa", counted)
         cfg = case_config("i")
@@ -480,6 +484,27 @@ class TestOptimizePumpBandwidth:
         cfg, gp, structures = preset_structures(model, "o-band-ii")
         optimize_pump_bandwidth(model, cfg, structures["pp"], gp.theta_deg)
         assert max(bandwidths) < 0.99 * 50.0
+
+    @pytest.mark.parametrize("preset, length_mm, beta", [
+        ("o-band-i", 5.0, None), ("c-band-x", 3.0, 3.0), ("c-band-ix", 5.0, None),
+    ])
+    def test_search_purity_is_the_unbuffered_purity(self, model, preset, length_mm, beta):
+        # unpatched, so the candidates go through the search's own buffers;
+        # c-band-ix (theta 3.1 deg) scores on 400^2 grids
+        pump_nm, signal_nm, axis = PRESETS[preset]
+        cfg = PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis),
+                                                length_m=length_mm * 1e-3)
+        gp = phase_mismatch_and_lc(model, cfg)
+        lc = gp.coherence_length_m
+        if beta is None:
+            structure = periodic_domains(cfg.length_m, lc)
+        else:  # the design-ladder workload's accepted rung
+            profile = TargetProfile.from_alpha(4.6, cfg.length_m, math.pi / lc)
+            structure = greedy_track(profile, beta, lc, cfg.length_m)
+        bw, p = optimize_pump_bandwidth(model, cfg, structure, gp.theta_deg)
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw)
+        want = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg))
+        assert np.float64(p).view(np.int64) == np.float64(want).view(np.int64)
 
     @pytest.mark.parametrize("peak, seed", [(0, 6), (20, 14), (0, 0), (20, 20)])
     def test_peak_at_a_bound_raises(self, model, monkeypatch, peak, seed):

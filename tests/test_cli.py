@@ -637,11 +637,25 @@ def test_invalid_run_input_exit_2_names_key(tmp_path, monkeypatch, capsys, reque
 @pytest.mark.parametrize("argv", [
     ["design", "--scheme", "pp"],
     ["sweep-range", "--schemes", "pp", "--r-list", "10"],
+    ["design", "--scheme", "mqpm"],
+    ["design", "--scheme", "dc", "--pso-particles", "2", "--pso-iterations", "1"],
 ])
-def test_short_crystal_with_fixed_bandwidth_exit_0(tmp_path, argv):
+def test_short_crystal_with_fixed_bandwidth_exit_0(tmp_path, capsys, argv):
     # a fixed bandwidth skips the search that has no interior maximum here
-    assert run([*argv, "--preset", "o-band-i", "--length-mm", "0.05", "--pump-bw-nm", "10",
-                "--out-dir", str(tmp_path)]) == EXIT_OK
+    code = run([*argv, "--preset", "o-band-i", "--length-mm", "0.05", "--pump-bw-nm", "10",
+                "--out-dir", str(tmp_path)])
+    if "pp" in argv:
+        assert code == EXIT_OK
+        return
+    # mqpm and dc: only the periodic baseline's own search has no interior
+    # maximum, so the baseline is left out and the design decides the exit
+    data = json.loads((tmp_path / "design_result.json").read_text())
+    assert data["pp_purity"] is None and data["pp_pump_bandwidth_nm"] is None
+    assert code == (EXIT_BELOW_THRESHOLD if data["below_threshold"] else EXIT_OK)
+    err = capsys.readouterr().err
+    assert err.startswith("design: periodic baseline unavailable (")
+    assert len([line for line in err.splitlines() if "baseline" in line]) == 1
+    assert "| P_PP - |" in (tmp_path / "design_summary.txt").read_text()
 
 
 @pytest.mark.parametrize(

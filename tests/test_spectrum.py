@@ -593,6 +593,109 @@ class TestBuildJsa:
         assert type(a) is float
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float or complex array, so that signed zeros count."""
+    return a.view(np.int64)
+
+
+class TestBuildBuffers:
+    """`build_jsa` into caller-owned buffers against a fresh build: equal bit
+    for bit, whatever the buffers held before."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_reused_buffers_equal_a_fresh_build(self, model, preset):
+        from purepole.analysis import jsa_purity
+
+        cfg, gp, structures = preset_structures(model, preset)
+        out = work = None
+        for bw_nm in (1.0, 6.0):
+            pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw_nm)
+            dw = measure_delta_omega(model, cfg, structures["pp"], pump, gp.theta_deg)
+            grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
+            if out is None:
+                # NaN at first, then whatever the previous build left
+                out = np.full((grid.n_signal, grid.n_idler), np.nan + 1j * np.nan)
+                work = np.full(out.shape, np.nan)
+            for label in ("pp", "scl-10", "dc"):
+                if label not in structures:
+                    continue
+                fresh = build_jsa(model, cfg, structures[label], pump, grid, mask_invalid=True)
+                got = build_jsa(model, cfg, structures[label], pump, grid, mask_invalid=True,
+                                out=out, work=work)
+                assert got.amplitude is out
+                assert got.masked_points == fresh.masked_points
+                assert np.array_equal(_bits(got.amplitude), _bits(fresh.amplitude)), label
+                # the in-place purity of the buffer against the copying one
+                want = jsa_purity(fresh)
+                assert _bits(np.float64(jsa_purity(got, overwrite=True))) == _bits(np.float64(want))
+
+    @pytest.mark.parametrize("case", ["masked", "r50-signed-zeros"])
+    def test_masked_and_underflowing_grids(self, model, case):
+        if case == "masked":
+            # part of the idler axis leaves the transparency window
+            cfg = PhaseMatchConfig.from_pump_signal(0.650, 0.780, Axis.Z)
+            pump = PumpSpec.from_bandwidth_nm(0.650, 2.0)
+            grid = make_grid(45.0, 0.05 * cfg.omega_i0, cfg.omega_s0, cfg.omega_i0)
+            structure = periodic_domains(cfg.length_m, 20e-6)
+        else:
+            # the envelope underflows, so f holds -0.0 parts
+            cfg, gp, structures = preset_structures(model, "o-band-i")
+            structure = structures["pp"]
+            pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.71)
+            dw = measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
+            grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=50.0)
+        fresh = build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
+        out = np.full((grid.n_signal, grid.n_idler), np.nan + 1j * np.nan)
+        got = build_jsa(model, cfg, structure, pump, grid, mask_invalid=True, out=out,
+                        work=np.full(out.shape, np.nan))
+        assert (fresh.masked_points > 0) == (case == "masked")
+        assert got.masked_points == fresh.masked_points
+        assert np.array_equal(_bits(got.amplitude), _bits(fresh.amplitude))
+
+    def test_standard_jsa_passes_the_buffers(self, model, pump_i):
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        fresh = standard_jsa(model, cfg, arr, pump_i, gp.theta_deg)
+        out = np.empty_like(fresh.amplitude)
+        got = standard_jsa(model, cfg, arr, pump_i, gp.theta_deg, out=out,
+                           work=np.empty(out.shape))
+        assert got.amplitude is out
+        assert np.array_equal(_bits(got.amplitude), _bits(fresh.amplitude))
+
+    def test_pmf_into_out(self, model):
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        step = _lattice_step(structures["pp"])
+        for dk in (np.linspace(0.0, 40 * step, 3000).reshape(60, 50),  # the lattice
+                   np.linspace(0.0, 4 * step, 7)):  # the exact sum
+            want = pmf_piecewise(dk, structures["pp"])
+            out = np.full(dk.shape, np.nan + 0j)
+            assert pmf_piecewise(dk, structures["pp"], out=out) is out
+            assert np.array_equal(_bits(out), _bits(want))
+
+    @pytest.mark.parametrize("name", ["out", "work"])
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "fortran", "read-only", "list"])
+    def test_bad_buffer_names_the_argument(self, model, pump_i, name, bad):
+        cfg = case_config("i")
+        arr = periodic_domains(cfg.length_m, phase_mismatch_and_lc(model, cfg).coherence_length_m)
+        grid = make_grid(27.0, 2e12, cfg.omega_s0, cfg.omega_i0, r_mult=2.0)
+        shape, dtype = (grid.n_signal, grid.n_idler), complex if name == "out" else float
+        buffer = {
+            "shape": lambda: np.empty((shape[0], shape[1] + 1), dtype),
+            "dtype": lambda: np.empty(shape, float if name == "out" else np.float32),
+            "strided": lambda: np.empty((shape[0], 2 * shape[1]), dtype)[:, ::2],
+            "fortran": lambda: np.empty(shape, dtype, order="F"),
+            "read-only": lambda: np.broadcast_to(np.zeros(1, dtype), shape),
+            "list": lambda: np.zeros(shape, dtype).tolist(),
+        }[bad]()
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            build_jsa(model, cfg, arr, pump_i, grid, **{name: buffer})
+        if name == "out":
+            dk = np.zeros(shape)
+            with pytest.raises(ValueError, match="^out: "):
+                pmf_piecewise(dk, arr, out=buffer)
+
+
 def _full_grid_delta_omega(model, cfg, structure, pump, theta_deg, max_iter=12):
     """measure_delta_omega with a full build on every grid, the reference
     path; on each grid the climb must find the full-grid peak cell."""
