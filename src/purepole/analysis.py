@@ -46,6 +46,7 @@ __all__ = [
     "ZeroSpectrum",
     "WindowExceedsGrid",
     "NoInteriorMaximum",
+    "BandwidthOptimum",
     "SchmidtSpectrum",
     "RangeSweepCurve",
     "PsoSettings",
@@ -263,14 +264,33 @@ def _seed_index(model: DispersionModel, cfg: PhaseMatchConfig, logs: np.ndarray)
     return int(np.argmin(np.abs(logs - math.log(bw_nm))))
 
 
+class BandwidthOptimum(tuple):
+    """The (bandwidth_nm, purity) pair of a pump-bandwidth search.  It also
+    keeps the spectrum the search scored last, the one at that bandwidth, so
+    that `delta_omega`, the dw its grid was built from, needs no second
+    measurement.  That spectrum's amplitude is the search's buffer, left
+    scaled and flushed by the purity."""
+
+    def __new__(cls, bandwidth_nm: float, purity: float, spectrum: JointSpectrum):
+        optimum = super().__new__(cls, (bandwidth_nm, purity))
+        optimum._spectrum = spectrum
+        return optimum
+
+    @property
+    def delta_omega(self) -> float:
+        return self._spectrum.grid.delta_omega
+
+
 def optimize_pump_bandwidth(
     model: DispersionModel,
     cfg: PhaseMatchConfig,
     structure: DomainArray | DutyCycleStructure,
     theta_deg: float,
     bounds_nm: tuple[float, float] = (0.05, 50.0),
-) -> tuple[float, float]:
-    """Maximize purity over the pump bandwidth; returns (bandwidth_nm, purity).
+    step_divisor: int | None = None,
+) -> BandwidthOptimum:
+    """Maximize purity over the pump bandwidth; returns (bandwidth_nm, purity)
+    as a `BandwidthOptimum`, which also carries the dw of that last candidate.
 
     The search runs on a lattice of `_N_COARSE` log-spaced bandwidths over
     `bounds_nm`, which must be finite with 0 < lo < hi (ValueError naming
@@ -297,17 +317,24 @@ def optimize_pump_bandwidth(
     and the purity scales and flushes it in place (`standard_jsa`'s `out`
     and `work`, `jsa_purity`'s `overwrite`).  Each purity equals
     `jsa_purity(standard_jsa(...))` without them, bit for bit.
+
+    `step_divisor` is `make_grid`'s for every candidate's dw measurement and
+    grid; None, the default, is the standard grid.  `design_cl_scl` screens
+    its rungs with a coarser one.
     """
     lo, hi = bounds_nm
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"bounds_nm: must be finite with 0 < lo < hi, got {bounds_nm!r}")
-    side = _grid_side(theta_deg)[1]
+    side = _grid_side(theta_deg, step_divisor=step_divisor)[1]
     amplitude, work = np.empty((side, side), dtype=complex), np.empty((side, side))
+    last = None  # the spectrum scored last
 
     def purity_at(log_bw: float) -> float:
+        nonlocal last
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
-        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, out=amplitude, work=work)
-        return jsa_purity(jsa, overwrite=True)
+        last = standard_jsa(model, cfg, structure, pump, theta_deg, out=amplitude, work=work,
+                            step_divisor=step_divisor)
+        return jsa_purity(last, overwrite=True)
 
     logs = np.log(np.geomspace(lo, hi, _N_COARSE))
     seed = _seed_index(model, cfg, logs)
@@ -344,7 +371,7 @@ def optimize_pump_bandwidth(
             x1 = b - _GOLDEN * (b - a)
             f1 = purity_at(x1)
     x_best = 0.5 * (a + b)
-    return math.exp(x_best), purity_at(x_best)
+    return BandwidthOptimum(math.exp(x_best), purity_at(x_best), last)
 
 
 @dataclass

@@ -434,12 +434,15 @@ def _design_structure(
         structure = mqpm_domains(case.length_m, lc, list(cfg.mqpm_orders), profile)
         beta = None
 
+    dw = None
     if cfg.pump_bandwidth_nm is not None:
         bw_nm = cfg.pump_bandwidth_nm
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw_nm)
         pur = jsa_purity(standard_jsa(model, case, structure, pump, gp.theta_deg))
     else:
-        bw_nm, pur = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
+        optimum = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
+        bw_nm, pur = optimum
+        dw = optimum.delta_omega
     return DesignResult(
         domains=structure,
         scheme=cfg.scheme,
@@ -450,6 +453,7 @@ def _design_structure(
         purity=pur,
         theta_deg=gp.theta_deg,
         coherence_length_m=lc,
+        delta_omega_rad_s=dw,
     )
 
 
@@ -482,7 +486,10 @@ def cmd_design(cfg: RunConfig) -> int:
     header = _header(cfg)
 
     pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, result.pump_bandwidth_nm)
-    dw = measure_delta_omega(model, case, result.domains, pump, result.theta_deg)
+    # a bandwidth search has measured dw at this bandwidth already
+    dw = result.delta_omega_rad_s
+    if dw is None:
+        dw = measure_delta_omega(model, case, result.domains, pump, result.theta_deg)
     grid = make_grid(result.theta_deg, dw, case.omega_s0, case.omega_i0, r_mult=cfg.r_mult)
     jsa = build_jsa(model, case, result.domains, pump, grid, mask_invalid=True)
     schmidt = schmidt_decompose(jsa)

@@ -955,6 +955,7 @@ def measure_delta_omega(
     pump: PumpSpec,
     theta_deg: float,
     max_iter: int = 12,
+    step_divisor: int | None = None,
 ) -> float:
     """Self-consistent average peak bandwidth dw on the standard R = 10 grid.
 
@@ -963,11 +964,12 @@ def measure_delta_omega(
     whenever the peak or a half crossing leaves the grid.  Each measurement
     climbs to the peak and evaluates only the two cuts through it
     (`_climbed_cuts`); when the climb reaches the grid edge it builds the
-    full JSA and reads the cuts from that instead.
+    full JSA and reads the cuts from that instead.  `step_divisor` is
+    `make_grid`'s for the probe grids; None keeps its theta rule.
     """
     dw = _initial_bandwidth_guess(model, cfg, pump)
     for _ in range(max_iter):
-        grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
+        grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0, step_divisor=step_divisor)
         try:
             climbed = _climbed_cuts(model, cfg, structure, pump, grid)
             if climbed is None:
@@ -996,17 +998,21 @@ def standard_jsa(
     r_mult: float = 10.0,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
+    step_divisor: int | None = None,
 ) -> JointSpectrum:
     """Masked JSA on the standard grid of range R = r_mult * dw.
 
     dw is measured with `measure_delta_omega` unless `delta_omega` is given;
     grid points outside the transparency window are zeroed.  `out` and
     `work` are `build_jsa`'s buffers; the grid's side, and so their shape,
-    does not depend on dw (`_grid_side`).
+    does not depend on dw (`_grid_side`).  `step_divisor` is `make_grid`'s,
+    for the dw measurement and the grid alike; None keeps its theta rule.
     """
     if delta_omega is None:
-        delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
-    grid = make_grid(theta_deg, delta_omega, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult)
+        delta_omega = measure_delta_omega(
+            model, cfg, structure, pump, theta_deg, step_divisor=step_divisor)
+    grid = make_grid(theta_deg, delta_omega, cfg.omega_s0, cfg.omega_i0, r_mult=r_mult,
+                     step_divisor=step_divisor)
     return build_jsa(model, cfg, structure, pump, grid, mask_invalid=True, out=out, work=work)
 
 

@@ -506,6 +506,30 @@ class TestOptimizePumpBandwidth:
         want = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg))
         assert np.float64(p).view(np.int64) == np.float64(want).view(np.int64)
 
+    @pytest.mark.parametrize("step_divisor, side", [(None, 200), (10, 100)])
+    def test_search_grid_and_its_dw(self, model, monkeypatch, step_divisor, side):
+        # every candidate, dw measurement included, is on the given grid;
+        # the optimum carries the dw of the last candidate, at its bandwidth
+        sides = []
+        real = analysis.standard_jsa
+
+        def counted(*args, **kwargs):
+            jsa = real(*args, **kwargs)
+            sides.append(jsa.amplitude.shape)
+            return jsa
+
+        monkeypatch.setattr(analysis, "standard_jsa", counted)
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        optimum = optimize_pump_bandwidth(model, cfg, arr, gp.theta_deg, step_divisor=step_divisor)
+        assert set(sides) == {(side, side)}
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, optimum[0])
+        assert optimum.delta_omega == measure_delta_omega(
+            model, cfg, arr, pump, gp.theta_deg, step_divisor=step_divisor)
+        if step_divisor is None:
+            assert optimum.delta_omega == measure_delta_omega(model, cfg, arr, pump, gp.theta_deg)
+
     @pytest.mark.parametrize("peak, seed", [(0, 6), (20, 14), (0, 0), (20, 20)])
     def test_peak_at_a_bound_raises(self, model, monkeypatch, peak, seed):
         _lattice_curve(monkeypatch, _peaks((peak, 0.9)), seed=seed)

@@ -233,6 +233,39 @@ class TestDesignCommand:
         data = json.loads((out / "design_result.json").read_text())
         assert data["pp_purity"] is not None
 
+    @pytest.mark.parametrize("scheme, fixed", [
+        ("cl-scl", False), ("pp", False), ("pp", True), ("dc", False)])
+    def test_artifact_measures_dw_only_where_no_search_ran(self, tmp_path, monkeypatch,
+                                                          scheme, fixed):
+        # a search's last candidate is at the design's bandwidth, so its dw
+        # is the artifact's; a fixed bandwidth or a swarm design measures it
+        from purepole import KTP_KATO_2002, Axis, PhaseMatchConfig, PumpSpec, cli
+        from purepole.spectrum import measure_delta_omega
+
+        measured = []
+
+        def counted(*args, **kwargs):
+            measured.append(measure_delta_omega(*args, **kwargs))
+            return measured[-1]
+
+        monkeypatch.setattr(cli, "measure_delta_omega", counted)
+        out = tmp_path / scheme
+        extra = {"cl-scl": ["--beta-ladder", "1"], "pp": [],
+                 "dc": ["--pso-particles", "2", "--pso-iterations", "1"]}[scheme]
+        code = run(["design", "--preset", "o-band-i", "--scheme", scheme, "--length-mm", "1.5",
+                    "--out-dir", str(out), *extra, *(["--pump-bw-nm", "3.0"] if fixed else [])])
+        assert code in (EXIT_OK, EXIT_BELOW_THRESHOLD)
+        data = json.loads((out / "design_result.json").read_text())
+        if scheme == "dc" or fixed:
+            assert measured == [data["delta_omega_rad_s"]]
+            return
+        assert measured == []
+        case = PhaseMatchConfig.from_pump_signal(0.710, 1.310, Axis.Z, length_m=1.5e-3)
+        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, data["pump_bandwidth_nm"])
+        structure = cli._structure_from_dict(data["structure"])
+        assert data["delta_omega_rad_s"] == measure_delta_omega(
+            KTP_KATO_2002, case, structure, pump, data["theta_deg"])
+
     def test_dc_scheme_small_budget(self, tmp_path):
         out = tmp_path / "dc"
         code = run([

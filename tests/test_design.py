@@ -1,8 +1,24 @@
-"""Full design loop: ladder behavior and determinism."""
+"""Full design loop: ladder behavior, the rung screen and determinism."""
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from purepole.design import DEFAULT_BETA_LADDER, DesignOptions, design_cl_scl
+from purepole import Axis, PhaseMatchConfig, TargetProfile, greedy_track, phase_mismatch_and_lc
+from purepole import design
+from purepole.analysis import BandwidthOptimum, NoInteriorMaximum, optimize_pump_bandwidth
+from purepole.cli import PRESETS
+from purepole.design import (
+    ALPHA_VALUES,
+    DEFAULT_BETA_LADDER,
+    SCREEN_MARGIN,
+    SCREEN_STEP_DIVISOR,
+    DesignOptions,
+    design_cl_scl,
+)
+from purepole.poling import MIN_DOMAIN_WIDTH_M, DesignResult, tracking_cost
 
 from conftest import case_config
 
@@ -59,3 +75,254 @@ class TestDesignLoop:
         grid = make_grid(result.theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
         jsa = build_jsa(model, cfg, result.domains, pump, grid, mask_invalid=True)
         assert purity(schmidt_decompose(jsa)) == pytest.approx(result.purity, abs=1e-6)
+
+
+def _scripted(monkeypatch, coarse, standard):
+    """Route the design loop's searches to scripted purities: `coarse[beta]`
+    for the screen, `standard[beta]` for the standard grid; an exception
+    instance is raised instead.  The tracker is stubbed out, so a rung's
+    array is its beta.  Returns the (beta, kind) of every search, in order."""
+    searches = []
+    monkeypatch.setattr(design, "greedy_track", lambda profile, beta, lc, length: beta)
+    monkeypatch.setattr(design, "tracking_cost", lambda array, profile: 0.0)
+
+    def search(model, cfg, beta, theta_deg, step_divisor=None):
+        assert step_divisor in (None, SCREEN_STEP_DIVISOR)
+        kind = "standard" if step_divisor is None else "coarse"
+        searches.append((beta, kind))
+        value = (standard if step_divisor is None else coarse)[beta]
+        if isinstance(value, Exception):
+            raise value
+        spectrum = SimpleNamespace(grid=SimpleNamespace(delta_omega=1e12 * beta))
+        return BandwidthOptimum(beta, value, spectrum)
+
+    monkeypatch.setattr(design, "optimize_pump_bandwidth", search)
+    return searches
+
+
+def _ladder(model, ladder, threshold):
+    return design_cl_scl(model, case_config("i"),
+                         DesignOptions(beta_ladder=ladder, purity_threshold=threshold))
+
+
+class TestRungScreen:
+    def test_rung_below_threshold_minus_margin_gets_no_standard_search(self, model, monkeypatch):
+        searches = _scripted(
+            monkeypatch,
+            coarse={1.0: 0.995 - SCREEN_MARGIN - 1e-9, 2.0: 0.995 - SCREEN_MARGIN, 3.0: 0.996},
+            standard={2.0: 0.9938, 3.0: 0.9962})
+        result = _ladder(model, (1.0, 2.0, 3.0, 4.0), 0.995)
+        assert searches == [(1.0, "coarse"), (2.0, "coarse"), (2.0, "standard"),
+                            (3.0, "coarse"), (3.0, "standard")]
+        assert (result.beta, result.purity, result.pump_bandwidth_nm) == (3.0, 0.9962, 3.0)
+        assert result.delta_omega_rad_s == 3e12
+        assert not result.below_threshold
+
+    def test_exit_3_searches_the_rungs_within_twice_the_margin(self, model, monkeypatch):
+        # every rung is screened out at 0.999; the best coarse purity is
+        # beta 3's, and beta 4 lies between one and two margins below it
+        best = 0.996
+        searches = _scripted(
+            monkeypatch,
+            coarse={1.0: best - 2 * SCREEN_MARGIN - 1e-6, 2.0: best - 1e-3, 3.0: best,
+                    4.0: best - 1.75 * SCREEN_MARGIN},
+            standard={2.0: 0.9950, 3.0: 0.9948, 4.0: 0.9951})
+        result = _ladder(model, (1.0, 2.0, 3.0, 4.0), 0.999)
+        assert searches[:4] == [(b, "coarse") for b in (1.0, 2.0, 3.0, 4.0)]
+        assert searches[4:] == [(b, "standard") for b in (2.0, 3.0, 4.0)]
+        assert (result.beta, result.purity, result.below_threshold) == (4.0, 0.9951, True)
+
+    @pytest.mark.parametrize("coarse", [{1.0: 0.9965, 2.0: 0.9975}, {1.0: 0.9975, 2.0: 0.9965}])
+    def test_ties_keep_the_lower_rung(self, model, monkeypatch, coarse):
+        # one rung is searched in the climb, the other only after it
+        searches = _scripted(monkeypatch, coarse=coarse, standard={1.0: 0.996, 2.0: 0.996})
+        result = _ladder(model, (1.0, 2.0), 0.999)
+        assert sorted(searches) == [(1.0, "coarse"), (1.0, "standard"),
+                                    (2.0, "coarse"), (2.0, "standard")]
+        assert (result.beta, result.below_threshold) == (1.0, True)
+
+    def test_coarse_search_without_interior_maximum_screens_nothing(self, model, monkeypatch):
+        searches = _scripted(monkeypatch, coarse={1.0: NoInteriorMaximum("bound"), 2.0: 0.9},
+                             standard={1.0: 0.996})
+        result = _ladder(model, (1.0, 2.0), 0.995)
+        assert searches == [(1.0, "coarse"), (1.0, "standard")]
+        assert result.beta == 1.0
+        # a standard search that has none either still stops the design
+        _scripted(monkeypatch, coarse={1.0: NoInteriorMaximum("bound")},
+                  standard={1.0: NoInteriorMaximum("bound")})
+        with pytest.raises(NoInteriorMaximum):
+            _ladder(model, (1.0, 2.0), 0.995)
+
+    def test_single_rung_ladder_gets_its_standard_search(self, model, monkeypatch):
+        searches = _scripted(monkeypatch, coarse={1.0: 0.5}, standard={1.0: 0.6})
+        result = _ladder(model, (1.0,), 0.995)
+        assert searches == [(1.0, "coarse"), (1.0, "standard")]
+        assert (result.beta, result.purity, result.below_threshold) == (1.0, 0.6, True)
+
+
+def _unscreened(model, cfg, options):
+    """The design loop without the screen: every rung's bandwidth searched
+    on the standard grid, the first passing rung returned, else the best."""
+    gp = phase_mismatch_and_lc(model, cfg)
+    lc = gp.coherence_length_m
+    best = None
+    for beta in options.beta_ladder:
+        if lc / beta < MIN_DOMAIN_WIDTH_M:
+            break
+        results = []
+        for alpha in ALPHA_VALUES:
+            profile = TargetProfile.from_alpha(alpha, cfg.length_m, math.pi / lc)
+            array = greedy_track(profile, beta, lc, cfg.length_m)
+            results.append((array, tracking_cost(array, profile)))
+        pick = int(np.argmin([c for _, c in results]))
+        optimum = optimize_pump_bandwidth(model, cfg, results[pick][0], gp.theta_deg)
+        candidate = DesignResult(
+            domains=results[pick][0], scheme="cl" if beta == 1.0 else "scl", config=cfg,
+            alpha=ALPHA_VALUES[pick], beta=beta, pump_bandwidth_nm=optimum[0],
+            purity=optimum[1], theta_deg=gp.theta_deg, coherence_length_m=lc,
+            delta_omega_rad_s=optimum.delta_omega)
+        if candidate.purity >= options.purity_threshold:
+            return candidate
+        if best is None or candidate.purity > best.purity:
+            best = candidate
+    best.below_threshold = True
+    return best
+
+
+def _bits(result):
+    """Every field of a design, arrays and floats as their bytes."""
+    return tuple(
+        (value.width_m, value.signs.tobytes()) if name == "domains"
+        else np.float64(value).tobytes() if isinstance(value, float) else value
+        for name, value in vars(result).items())
+
+
+def _preset_config(preset, length_mm=5.0):
+    pump_nm, signal_nm, axis = PRESETS[preset]
+    return PhaseMatchConfig.from_pump_signal(pump_nm * 1e-3, signal_nm * 1e-3, Axis(axis),
+                                             length_m=length_mm * 1e-3)
+
+
+@pytest.mark.parametrize("threshold, below", [(0.995, False), (0.9999, True)])
+def test_screened_ladder_equals_the_unscreened_loop(model, monkeypatch, threshold, below):
+    # c-band-x in 3 mm: beta 1 and 2 are far below 0.995, beta 3 passes it
+    cfg = _preset_config("c-band-x", 3.0)
+    options = DesignOptions(beta_ladder=(1.0, 2.0, 3.0), purity_threshold=threshold)
+    want = _unscreened(model, cfg, options)
+    standard = []
+    search = design.optimize_pump_bandwidth
+
+    def counted(*args, **kwargs):
+        standard.append(kwargs.get("step_divisor") is None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(design, "optimize_pump_bandwidth", counted)
+    got = design_cl_scl(model, cfg, options)
+    assert (got.beta, got.below_threshold) == (3.0, below)
+    assert _bits(got) == _bits(want)
+    assert standard == [False, False, False, True]
+
+
+# Every rung the 14 presets' default 5 mm ladders visit at threshold 0.995:
+# (preset, beta, alpha, purity on the standard grid at the optimum), taken
+# from the unscreened loop with one BLAS thread.
+LADDER_RUNGS = (
+    ("c-band-ix", 1.0, 4.4, 0.8582076287048117),
+    ("c-band-ix", 2.0, 4.4, 0.8529989699930033),
+    ("c-band-ix", 3.0, 5.2, 0.8968595826555359),
+    ("c-band-ix", 4.0, 4.3, 0.9711610255514549),
+    ("c-band-ix", 5.0, 4.8, 0.9761605502656334),
+    ("c-band-ix", 5.5, 5.4, 0.9550308904798528),
+    ("c-band-ix", 6.0, 4.0, 0.9752121256765409),
+    ("c-band-ix", 8.0, 4.9, 0.9842077733684678),
+    ("c-band-ix", 10.0, 5.6, 0.9877450086419866),
+    ("c-band-ix", 12.0, 4.7, 0.9934973727288007),
+    ("c-band-ix", 15.0, 5.4, 0.9891443431262029),
+    ("c-band-ix", 18.0, 4.0, 0.9934872425471485),
+    ("c-band-ix", 25.0, 5.7, 0.9940207803768719),
+    ("c-band-ix", 35.0, 4.0, 0.9956231202540998),
+    ("c-band-x", 1.0, 4.9, 0.9895681281584049),
+    ("c-band-x", 2.0, 4.9, 0.9930452420394658),
+    ("c-band-x", 3.0, 4.4, 0.9962979051484534),
+    ("c-band-xi", 1.0, 5.4, 0.9965688429408235),
+    ("c-band-xii", 1.0, 5.5, 0.9839511622722747),
+    ("c-band-xii", 2.0, 5.5, 0.9823078593899542),
+    ("c-band-xii", 3.0, 5.5, 0.989547754298966),
+    ("c-band-xii", 4.0, 4.1, 0.9926942709041312),
+    ("c-band-xii", 5.0, 4.5, 0.993401872167968),
+    ("c-band-xii", 5.5, 4.2, 0.9927894661349002),
+    ("c-band-xii", 6.0, 6.0, 0.9906596165813341),
+    ("c-band-xii", 8.0, 5.9, 0.9910090091299903),
+    ("c-band-xii", 10.0, 5.4, 0.9923911129592095),
+    ("c-band-xii", 12.0, 4.1, 0.9931755324104492),
+    ("c-band-xii", 15.0, 4.3, 0.9934264520669541),
+    ("c-band-xiii", 1.0, 5.4, 0.9909648492936877),
+    ("c-band-xiii", 2.0, 4.8, 0.9914656750626227),
+    ("c-band-xiii", 3.0, 5.3, 0.9966821812376746),
+    ("c-band-xiv", 1.0, 5.5, 0.9962008277604306),
+    ("o-band-i", 1.0, 5.1, 0.9986625840458012),
+    ("o-band-ii", 1.0, 4.4, 0.9545644937994363),
+    ("o-band-ii", 2.0, 5.8, 0.9120455092563755),
+    ("o-band-ii", 3.0, 4.1, 0.9766321783984758),
+    ("o-band-ii", 4.0, 5.2, 0.9665963511635116),
+    ("o-band-ii", 5.0, 5.1, 0.9884507250128993),
+    ("o-band-ii", 5.5, 4.4, 0.9925646012011066),
+    ("o-band-ii", 6.0, 5.3, 0.9914768179298278),
+    ("o-band-ii", 8.0, 6.0, 0.9909848641953933),
+    ("o-band-ii", 10.0, 4.2, 0.9955885425676279),
+    ("o-band-iii", 1.0, 5.7, 0.981457720419812),
+    ("o-band-iii", 2.0, 4.6, 0.9823677311482397),
+    ("o-band-iii", 3.0, 4.7, 0.9960656904911549),
+    ("o-band-iv", 1.0, 6.0, 0.9970016772052783),
+    ("o-band-v", 1.0, 5.2, 0.9882017552606547),
+    ("o-band-v", 2.0, 5.2, 0.989804914293902),
+    ("o-band-v", 3.0, 6.0, 0.9910914874548938),
+    ("o-band-v", 4.0, 4.6, 0.9947483724318507),
+    ("o-band-v", 5.0, 5.7, 0.993184247390569),
+    ("o-band-v", 5.5, 4.8, 0.994604826454549),
+    ("o-band-v", 6.0, 5.3, 0.9942049518937346),
+    ("o-band-v", 8.0, 4.0, 0.9931864930367806),
+    ("o-band-v", 10.0, 5.2, 0.994340625609741),
+    ("o-band-v", 12.0, 6.0, 0.9925259212224274),
+    ("o-band-vi", 1.0, 5.6, 0.986458929098722),
+    ("o-band-vi", 2.0, 5.6, 0.9845259694347389),
+    ("o-band-vi", 3.0, 5.2, 0.9951514440971484),
+    ("o-band-vii", 1.0, 4.5, 0.9666911840864879),
+    ("o-band-vii", 2.0, 4.5, 0.9646347606523642),
+    ("o-band-vii", 3.0, 5.3, 0.9755223468193824),
+    ("o-band-vii", 4.0, 4.3, 0.9937055301441343),
+    ("o-band-vii", 5.0, 4.5, 0.9958240098266611),
+    ("o-band-viii", 1.0, 5.7, 0.9645018194862505),
+    ("o-band-viii", 2.0, 4.7, 0.9702114006929325),
+    ("o-band-viii", 3.0, 5.9, 0.9800993328586451),
+    ("o-band-viii", 4.0, 4.7, 0.9966810002059993),
+)
+# rows recomputed here from the full alpha sweep and standard search,
+# including the largest gap (c-band-ix beta 3) and the largest above 0.98
+# (o-band-vi beta 2)
+RECOMPUTED = {("c-band-ix", 3.0), ("c-band-x", 1.0), ("o-band-i", 1.0), ("o-band-vi", 2.0)}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_coarse_purity_lies_within_the_margin_on_every_default_rung(model, preset):
+    cfg = _preset_config(preset)
+    gp = phase_mismatch_and_lc(model, cfg)
+    lc = gp.coherence_length_m
+    rows = [row for row in LADDER_RUNGS if row[0] == preset]
+    assert [beta for _, beta, _, _ in rows] == list(DEFAULT_BETA_LADDER[:len(rows)])
+    for _, beta, alpha, standard in rows:
+        if (preset, beta) in RECOMPUTED:
+            costs = [tracking_cost(greedy_track(p, beta, lc, cfg.length_m), p)
+                     for p in (TargetProfile.from_alpha(a, cfg.length_m, math.pi / lc)
+                               for a in ALPHA_VALUES)]
+            assert ALPHA_VALUES[int(np.argmin(costs))] == alpha
+        profile = TargetProfile.from_alpha(alpha, cfg.length_m, math.pi / lc)
+        array = greedy_track(profile, beta, lc, cfg.length_m)
+        if (preset, beta) in RECOMPUTED:
+            # the table was taken with one BLAS thread; other thread counts
+            # sum the Gram in another order
+            assert optimize_pump_bandwidth(model, cfg, array, gp.theta_deg)[1] == pytest.approx(
+                standard, rel=0.0, abs=1e-12)
+        _, coarse = optimize_pump_bandwidth(
+            model, cfg, array, gp.theta_deg, step_divisor=SCREEN_STEP_DIVISOR)
+        assert abs(coarse - standard) < SCREEN_MARGIN, (preset, beta)
