@@ -9,8 +9,13 @@ PRL 84, 5304 (2000)), which needs no singular values: `jsa_purity`, used
 wherever only the purity is needed, computes it from a blocked Gram matrix of
 a unit-norm copy of F whose parts below sqrt(tiny) ~ 1.5e-154 are flushed to
 zero, so that no product is subnormal (the flush drops at most 2 N^2 tiny ~
-1e-302 of the weight).  It agrees with the SVD purity of `schmidt_decompose`,
-which still gives the Schmidt coefficients themselves, to 1e-12.
+1e-302 of the weight).  A column block of the Gram whose first or last row
+the flush left all zero is summed over the rows from its first to its last
+nonzero row only, which drops nothing but zeros; where neither edge row is
+zero, as on every standard grid of the default designs, its products are the
+untrimmed ones bit for bit.  It agrees with the SVD purity of
+`schmidt_decompose`, which still gives the Schmidt coefficients themselves,
+to 1e-12.
 """
 
 from __future__ import annotations
@@ -134,10 +139,12 @@ def purity(spectrum: SchmidtSpectrum | np.ndarray) -> float:
 
 
 def _unit_working_copy(amp: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """A copy of `amp` scaled to unit Frobenius norm by way of its largest
-    part, with every real or imaginary part below `_FLUSH_FLOOR` set to zero;
-    with `overwrite`, `amp` itself when it is a writable C-contiguous
-    float64 or complex128 array.
+    """A C-ordered copy of `amp` scaled to unit Frobenius norm by way of its
+    largest part, with every real or imaginary part below `_FLUSH_FLOOR` set
+    to zero; with `overwrite`, `amp` itself when it is a writable
+    C-contiguous float64 or complex128 array.  The copy is C-ordered, so that
+    its parts are scaled and flushed through one flat view, whatever the
+    order of `amp`.
 
     Raises ValueError for non-finite entries and ZeroSpectrum for an
     all-zero amplitude.
@@ -145,7 +152,7 @@ def _unit_working_copy(amp: np.ndarray, overwrite: bool = False) -> np.ndarray:
     dtype = np.result_type(amp.dtype, float)
     in_place = (overwrite and amp.dtype == dtype and amp.flags.c_contiguous
                 and amp.flags.writeable)
-    work = amp if in_place else np.array(amp, dtype=dtype)
+    work = amp if in_place else np.array(amp, dtype=dtype, order="C")
     parts = work.view(float).reshape(-1)  # real and imaginary parts, in place
     high, low = float(parts.max()), float(parts.min())
     if not (math.isfinite(high) and math.isfinite(low)):
@@ -174,6 +181,15 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> floa
     block's squared norm is accumulated, off-diagonal blocks twice.  Agrees
     with `purity(schmidt_decompose(jsa))` to 1e-12.
 
+    A row that is zero in a column block adds nothing to that block's Gram.
+    So when the block's first or last row is all zero after the flush (the
+    underflowed tails of a wide R = 50 grid, or masked edge rows), both
+    operands are cut to the rows from its first to its last nonzero row, and
+    a block with no nonzero row is skipped; this is exact in real arithmetic,
+    though BLAS may sum in another order.  Zero interior rows are kept.  When
+    both edge rows are nonzero, the products are the untrimmed ones, bit for
+    bit.
+
     With `overwrite` the amplitude may serve as the working copy (it does
     when it is a writable C-contiguous float64 or complex128 array) and is
     left scaled and flushed; the purity is the same bit for bit.
@@ -189,7 +205,14 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> floa
     gram_sq = 0.0
     for c0 in range(0, work.shape[1], _GRAM_BLOCK):
         c1 = min(c0 + _GRAM_BLOCK, work.shape[1])
-        block = (work[:, :c1].T @ work[:, c0:c1].conj()).reshape(-1)
+        rows = work
+        if not (work[0, c0:c1].any() and work[-1, c0:c1].any()):
+            # rows that are zero in this column block add nothing to its Gram
+            nonzero = np.flatnonzero(work[:, c0:c1].any(axis=1))
+            if nonzero.size == 0:
+                continue
+            rows = work[nonzero[0] : nonzero[-1] + 1]
+        block = (rows[:, :c1].T @ rows[:, c0:c1].conj()).reshape(-1)
         split = c0 * (c1 - c0)  # rows above c0 are off the diagonal block
         gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
         gram_sq += float(np.vdot(block[split:], block[split:]).real)
@@ -412,18 +435,35 @@ def purity_vs_range(
     dw is measured once at the R = 10 baseline and frozen for the whole sweep
     so the R axis keeps a single unit; grid points that leave the transparency
     window are masked to zero and the masked fraction reported per point.
-    `tag` labels the curve (poling scheme name) in exports.
+    `tag` labels the curve (poling scheme name) in exports.  `r_values` must
+    be strictly ascending and at least `MIN_RANGE_DW` (ValueError before
+    anything is built otherwise).
+
+    Every R is built and scored in two buffers that live as long as the
+    sweep, one complex and one float array sized for the largest R's grid:
+    each R's JSA and phase mismatch are written into C-contiguous prefixes of
+    them, reshaped to that R's side (`standard_jsa`'s `out` and `work`), and
+    the purity scales and flushes the amplitude in place (`jsa_purity`'s
+    `overwrite`).  Each purity and masked fraction equals that of
+    `standard_jsa` and `jsa_purity` without them, bit for bit.
     """
     r_values = np.asarray(r_values, dtype=float)
     if np.any(r_values < MIN_RANGE_DW):
         raise ValueError(f"spectral range must be at least {MIN_RANGE_DW:g} dw")
+    if np.any(np.diff(r_values) <= 0):
+        raise ValueError("R values must be ascending")
     if delta_omega is None:
         delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
+    sides = [_grid_side(theta_deg, float(r))[1] for r in r_values]
+    size = max(sides, default=0) ** 2
+    amplitude, work = np.empty(size, dtype=complex), np.empty(size)
     purities = np.empty(r_values.size)
     masked = np.empty(r_values.size)
-    for n, r in enumerate(r_values):
-        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega, float(r))
-        purities[n] = jsa_purity(jsa)
+    for n, (r, side) in enumerate(zip(r_values, sides)):
+        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega, float(r),
+                           out=amplitude[: side * side].reshape(side, side),
+                           work=work[: side * side].reshape(side, side))
+        purities[n] = jsa_purity(jsa, overwrite=True)
         masked[n] = jsa.masked_fraction
     return RangeSweepCurve(
         r_values=r_values,
@@ -463,7 +503,8 @@ class PsoSettings:
 def _swarm_purities(evaluator: _JsaEvaluator, period_m: float, fractions: np.ndarray) -> np.ndarray:
     """Gram purity of each duty-cycle profile (rows of `fractions`) on the
     evaluator's grid, all profiles assembled in one batch."""
-    return np.array([jsa_purity(f) for f in evaluator.duty_cycle_amplitudes(period_m, fractions)])
+    stack = evaluator.duty_cycle_amplitudes(period_m, fractions)
+    return np.array([jsa_purity(f, overwrite=True) for f in stack])
 
 
 def pso_optimize_dc(
@@ -560,7 +601,8 @@ def pso_optimize_dc(
             break
 
     structure = dc_domains(cfg.length_m, lc, g_x)
-    final_purity = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg))
+    final_purity = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg),
+                              overwrite=True)
     result = DesignResult(
         domains=structure,
         scheme="dc",

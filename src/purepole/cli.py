@@ -438,7 +438,7 @@ def _design_structure(
     if cfg.pump_bandwidth_nm is not None:
         bw_nm = cfg.pump_bandwidth_nm
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw_nm)
-        pur = jsa_purity(standard_jsa(model, case, structure, pump, gp.theta_deg))
+        pur = jsa_purity(standard_jsa(model, case, structure, pump, gp.theta_deg), overwrite=True)
     else:
         optimum = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
         bw_nm, pur = optimum
@@ -617,6 +617,8 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
         raise ConfigError("schemes: sweep-range requires at least one scheme")
     if not cfg.r_list:
         raise ConfigError("r_list: sweep-range requires a list of spectral ranges")
+    if any(b <= a for a, b in zip(cfg.r_list, cfg.r_list[1:])):
+        raise ConfigError(f"r_list: must be strictly ascending, got {cfg.r_list!r}")
 
     optimized = [scheme for scheme in cfg.schemes if scheme != "pp"]
     if optimized and cfg.design_dir is None:

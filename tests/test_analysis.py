@@ -274,6 +274,144 @@ class TestGramPurity:
         assert 0 < res.purity < 1
 
 
+def _untrimmed_purity(f) -> float:
+    """`jsa_purity` as computed before zero edge rows were trimmed: every
+    column block's Gram summed over all rows."""
+    work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
+    parts = work.view(float).reshape(-1)
+    gram_sq = 0.0
+    for c0 in range(0, work.shape[1], _GRAM_BLOCK):
+        c1 = min(c0 + _GRAM_BLOCK, work.shape[1])
+        block = (work[:, :c1].T @ work[:, c0:c1].conj()).reshape(-1)
+        split = c0 * (c1 - c0)
+        gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
+        gram_sq += float(np.vdot(block[split:], block[split:]).real)
+    return gram_sq / float(np.dot(parts, parts)) ** 2
+
+
+def _trimmed_blocks(f) -> int:
+    """Column blocks of the flushed working copy of `f` whose first or last
+    row is all zero: the blocks whose Gram `jsa_purity` trims."""
+    work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
+    return sum(not (work[0, c0:c0 + _GRAM_BLOCK].any() and work[-1, c0:c0 + _GRAM_BLOCK].any())
+               for c0 in range(0, work.shape[1], _GRAM_BLOCK))
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _zero_rows(f: np.ndarray, pattern: str) -> np.ndarray:
+    """`f` with the rows of one zero pattern set to zero."""
+    f = f.copy()
+    rows, cols = f.shape
+    if pattern == "leading":
+        f[: rows // 3] = 0.0
+    elif pattern == "trailing":
+        f[rows - rows // 4 :] = 0.0
+    elif pattern == "both":
+        f[: rows // 5] = 0.0
+        f[rows - rows // 3 :] = 0.0
+    elif pattern == "ridge":
+        # each column block has zero edge rows of its own, as on a JSA ridge
+        for c0 in range(0, cols, _GRAM_BLOCK):
+            lo = min(rows - 1, c0 * rows // (2 * cols) + 1)
+            f[:lo, c0 : c0 + _GRAM_BLOCK] = 0.0
+            f[lo + rows // 2 :, c0 : c0 + _GRAM_BLOCK] = 0.0
+    elif pattern == "zero-block":
+        f[:, _GRAM_BLOCK : 2 * _GRAM_BLOCK] = 0.0
+    elif pattern == "single-row":
+        f[: rows // 2] = 0.0
+        f[rows // 2 + 1 :] = 0.0
+    elif pattern == "interior":
+        f[rows // 4 : rows // 2] = 0.0
+    return f
+
+
+class TestGramRowTrim:
+    """The Gram purity summed only over the rows between each column block's
+    first and last nonzero row, against the SVD purity and the untrimmed
+    Gram."""
+
+    @pytest.mark.parametrize("pattern", [
+        "leading", "trailing", "both", "ridge", "zero-block", "single-row", "interior"])
+    @pytest.mark.parametrize("shape", [(300, 300), (257, 131), (131, 400), (90, 385)])
+    def test_zero_rows(self, pattern, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        u = rng.standard_normal((shape[0], 3)) + 1j * rng.standard_normal((shape[0], 3))
+        v = rng.standard_normal((3, shape[1])) + 1j * rng.standard_normal((3, shape[1]))
+        f = _zero_rows(u @ v + 0.1 * rng.standard_normal(shape), pattern)
+        trimmed = _trimmed_blocks(f)
+        if pattern == "interior":
+            assert trimmed == 0
+            assert _bits(jsa_purity(f)) == _bits(_untrimmed_purity(f))
+        else:
+            assert trimmed > 0
+        got = jsa_purity(f)
+        assert abs(got - _svd_purity(f)) <= 1e-12
+        assert abs(got - _untrimmed_purity(f)) <= 1e-12
+        if pattern == "single-row":
+            assert got == pytest.approx(1.0, abs=1e-12)
+
+    def test_masked_points(self, model):
+        # part of the idler axis leaves the transparency window, which zeroes
+        # edge rows of some column blocks, in the JSA and in its transpose
+        cfg = PhaseMatchConfig.from_pump_signal(0.650, 0.780, Axis.Z)
+        pump = PumpSpec.from_bandwidth_nm(0.650, 2.0)
+        grid = make_grid(45.0, 0.05 * cfg.omega_i0, cfg.omega_s0, cfg.omega_i0)
+        jsa = build_jsa(model, cfg, periodic_domains(cfg.length_m, 20e-6), pump, grid,
+                        mask_invalid=True)
+        assert jsa.masked_points > 0
+        want = _svd_purity(jsa)
+        for amp in (jsa.amplitude, jsa.amplitude.T, np.ascontiguousarray(jsa.amplitude.T)):
+            assert abs(jsa_purity(amp) - want) <= 1e-12
+            assert abs(jsa_purity(amp) - _untrimmed_purity(amp)) <= 1e-12
+        assert _trimmed_blocks(jsa.amplitude) > 0 and _trimmed_blocks(jsa.amplitude.T) > 0
+
+    def test_wide_range_grid_is_trimmed(self, model):
+        # the R = 50 tails underflow to zero rows in every column block
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        jsa = standard_jsa(model, cfg, structures["pp"], pump, gp.theta_deg, dw, 50.0)
+        assert _trimmed_blocks(jsa) == 8
+        assert abs(jsa_purity(jsa) - _untrimmed_purity(jsa)) <= 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 300),
+        cols=st.integers(1, 300),
+        real=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_untrimmed_bit_for_bit_without_zero_edge_rows(self, seed, rows, cols, real):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((rows, cols))
+        if not real:
+            f = f + 1j * rng.standard_normal((rows, cols))
+        assert _trimmed_blocks(f) == 0
+        assert _bits(jsa_purity(f)) == _bits(_untrimmed_purity(f))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_standard_grids_are_not_trimmed(self, model, preset):
+        cfg, gp, structures = preset_structures(model, preset)
+        pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
+        for structure in structures.values():
+            jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw)
+            assert _trimmed_blocks(jsa) == 0
+            assert _bits(jsa_purity(jsa)) == _bits(_untrimmed_purity(jsa))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_transposed_input(self, real):
+        # a Fortran-ordered amplitude is scored as its C-ordered copy, at any scale
+        f = _complex_matrix(7, shape=(40, 30))
+        f = f.real if real else f
+        for scale in (1.0, 1e300, 1e-300):
+            g = scale * f
+            assert not g.T.flags.c_contiguous
+            assert _bits(jsa_purity(g.T)) == _bits(jsa_purity(np.ascontiguousarray(g.T)))
+            assert abs(jsa_purity(g.T) - _svd_purity(f)) <= 1e-12
+
+
 def test_runtime_loads_no_scipy():
     # the package runs on numpy and the standard library; scipy would add
     # about 0.1 s of import and 20 MB of resident memory to every run
@@ -606,6 +744,48 @@ class TestPurityVsRange:
                 purities=np.array([0.9, 0.8]),
                 scheme="pp",
             )
+
+    @pytest.mark.parametrize("r_values", [[10.0, 10.0], [50.0, 10.0], [2.0, 20.0, 10.0]])
+    def test_unordered_r_rejected_before_any_build(self, model, monkeypatch, r_values):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(analysis, "standard_jsa", no_build)
+        monkeypatch.setattr(analysis, "measure_delta_omega", no_build)
+        cfg = case_config("i")
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.7)
+        arr = periodic_domains(cfg.length_m, 18.85e-6)
+        with pytest.raises(ValueError, match="ascending"):
+            purity_vs_range(model, cfg, arr, pump, r_values, 27.0)
+
+    def test_empty_r_list(self, model):
+        cfg = case_config("i")
+        gp = phase_mismatch_and_lc(model, cfg)
+        arr = periodic_domains(cfg.length_m, gp.coherence_length_m)
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.7)
+        curve = purity_vs_range(model, cfg, arr, pump, [], gp.theta_deg)
+        assert curve.r_values.size == curve.purities.size == curve.masked_fractions.size == 0
+        assert curve.delta_omega == measure_delta_omega(model, cfg, arr, pump, gp.theta_deg)
+
+    @pytest.mark.parametrize("preset, r_values, sides", [
+        ("o-band-i", [2.0, 10.0, 50.0], (40, 200, 1000)),
+        ("o-band-ii", [2.0, 10.0, 25.0], (80, 400, 1000)),
+    ])
+    def test_buffered_sweep_is_the_unbuffered_chain(self, model, preset, r_values, sides):
+        # every R built into the sweep's buffers scores as a fresh standard
+        # grid does, bit for bit, from small sides to large
+        cfg, gp, structures = preset_structures(model, preset)
+        for label in ("pp", "scl-10"):
+            structure = structures[label]
+            pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
+            dw = measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
+            curve = purity_vs_range(model, cfg, structure, pump, r_values, gp.theta_deg, dw)
+            for r, side, got, got_masked in zip(r_values, sides, curve.purities,
+                                                curve.masked_fractions):
+                jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw, r)
+                assert jsa.amplitude.shape == (side, side)
+                assert _bits(got) == _bits(jsa_purity(jsa)), (label, r)
+                assert got_masked == jsa.masked_fraction
 
     def test_tight_filtering_raises_purity(self, model):
         cfg = case_config("i")

@@ -330,6 +330,22 @@ class TestSweepRangeCommand:
         ]) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("r_list", ["50,10", "10,10", "5,20,10"])
+    def test_unordered_r_list_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     r_list):
+        import purepole.analysis
+
+        def no_dw(*args, **kwargs):
+            raise AssertionError("dw measured")
+
+        monkeypatch.setattr(purepole.analysis, "measure_delta_omega", no_dw)
+        out = tmp_path / "sweep"
+        assert run(["sweep-range", "--preset", "o-band-i", "--schemes", "pp", "--pump-bw-nm",
+                    "3", "--r-list", r_list, "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: r_list: ")
+        assert not out.exists()
+
+
 class TestRunConfig:
     def test_digest_ignores_execution_fields(self):
         a = RunConfig(command="design", preset="o-band-i", out_dir="/a")
