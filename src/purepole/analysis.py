@@ -7,13 +7,14 @@ is invariant under global scaling/phase and under transposition of the matrix.
 P also equals Tr(rho_s^2) = ||F^H F||_F^2 / ||F||_F^4 (Law, Walmsley & Eberly,
 PRL 84, 5304 (2000)), which needs no singular values: `jsa_purity`, used
 wherever only the purity is needed, computes it from a blocked Gram matrix of
-a unit-norm copy of F whose parts below sqrt(tiny) ~ 1.5e-154 are flushed to
-zero, so that no product is subnormal (the flush drops at most 2 N^2 tiny ~
-1e-302 of the weight).  A column block of the Gram whose first or last row
+a unit-norm copy of F whose parts below eps / (16 sqrt(number of parts)) are
+flushed to zero: about 1e-20 on a 1000^2 grid, a floor that provably moves
+the purity by at most eps/2 and lies far above sqrt(tiny), so that no
+product is subnormal.  A column block of the Gram whose first or last row
 the flush left all zero is summed over the rows from its first to its last
-nonzero row only, which drops nothing but zeros; where neither edge row is
-zero, as on every standard grid of the default designs, its products are the
-untrimmed ones bit for bit.  It agrees with the SVD purity of
+nonzero row only, and over the columns whose nonzero rows reach those rows,
+which drops nothing but zeros; where neither edge row is zero, its products
+are the untrimmed ones bit for bit.  It agrees with the SVD purity of
 `schmidt_decompose`, which still gives the Schmidt coefficients themselves,
 to 1e-12.
 """
@@ -81,10 +82,9 @@ _SINC_GAMMA = 0.193
 # Constriction-style particle-swarm coefficients and duty-cycle bounds.
 _PSO_INERTIA, _PSO_COGNITIVE, _PSO_SOCIAL = 0.729, 1.49, 1.49
 _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
-# Gram purity: real and imaginary parts of the unit-norm amplitude below the
-# floor are zeroed, so that no product inside the Gram is subnormal; the Gram
-# is built in column blocks of this width.
-_FLUSH_FLOOR = math.sqrt(np.finfo(float).tiny)
+# Gram purity: real and imaginary parts of the unit-norm amplitude below
+# `_flush_floor` of its part count are zeroed, which provably moves the purity
+# by at most eps/2; the Gram is built in column blocks of this width.
 _GRAM_BLOCK = 128
 _FLUSH_BLOCK = 1 << 16  # parts per block of the flush to zero
 # Smallest spectral range R, in units of dw, that a purity grid may span.
@@ -138,13 +138,30 @@ def purity(spectrum: SchmidtSpectrum | np.ndarray) -> float:
     return float(np.sum(c**4))
 
 
+def _flush_floor(n_parts: int) -> float:
+    """The floor below which the real and imaginary parts of a unit-norm
+    amplitude F of `n_parts` parts are zeroed: eps / (16 sqrt(n_parts)),
+    eps = 2^-52, the largest floor for which the bound below holds the
+    purity's shift to eps/2.
+
+    Zeroing parts E of F moves ||F^H F||_F^2 by 4 Re<F F^H F, E> to first
+    order, at most 4 ||E||_F since ||F F^H F||_F <= ||F||_2^2 ||F||_F <= 1,
+    and ||F||_F^4 by 4 Re<F, E>, which moves P by at most 4 P ||E||_F <=
+    4 ||E||_F more; so |dP| <= 8 ||E||_F <= 8 sqrt(n_parts) floor = eps/2.
+    A complex N_s x N_i amplitude has 2 N_s N_i parts; at 1000^2 the floor
+    is about 1e-20, far above sqrt(tiny) ~ 1.5e-154, so no product inside
+    the Gram is subnormal.
+    """
+    return float(np.finfo(float).eps) / (16.0 * math.sqrt(n_parts))
+
+
 def _unit_working_copy(amp: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """A C-ordered copy of `amp` scaled to unit Frobenius norm by way of its
-    largest part, with every real or imaginary part below `_FLUSH_FLOOR` set
-    to zero; with `overwrite`, `amp` itself when it is a writable
-    C-contiguous float64 or complex128 array.  The copy is C-ordered, so that
-    its parts are scaled and flushed through one flat view, whatever the
-    order of `amp`.
+    largest part, with every real or imaginary part below `_flush_floor` of
+    its part count set to zero; with `overwrite`, `amp` itself when it is a
+    writable C-contiguous float64 or complex128 array.  The copy is
+    C-ordered, so that its parts are scaled and flushed through one flat
+    view, whatever the order of `amp`.
 
     Raises ValueError for non-finite entries and ZeroSpectrum for an
     all-zero amplitude.
@@ -162,10 +179,22 @@ def _unit_working_copy(amp: np.ndarray, overwrite: bool = False) -> np.ndarray:
         raise ZeroSpectrum("the JSA amplitude vanishes")
     parts /= peak
     parts /= math.sqrt(float(np.dot(parts, parts)))
+    floor = _flush_floor(parts.size)
     for start in range(0, parts.size, _FLUSH_BLOCK):
         chunk = parts[start : start + _FLUSH_BLOCK]
-        chunk[np.abs(chunk) < _FLUSH_FLOOR] = 0.0
+        chunk[np.abs(chunk) < floor] = 0.0
     return work
+
+
+def _column_spans(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last) nonzero row of each column of `work`, from one N^2 array
+    of bools; an all-zero column gets (rows, -1), a span that meets no row."""
+    nonzero = work.astype(bool)  # a part of either sign that is not zero
+    rows = work.shape[0]
+    filled = nonzero.any(axis=0)
+    first = np.where(filled, nonzero.argmax(axis=0), rows)
+    last = np.where(filled, rows - 1 - nonzero[::-1].argmax(axis=0), -1)
+    return first, last
 
 
 def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> float:
@@ -174,21 +203,24 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> floa
 
     A working copy of the amplitude F is scaled to unit Frobenius norm (by
     way of its largest part, so that no scale overflows or underflows), and
-    every real or imaginary part below `_FLUSH_FLOOR` = sqrt(tiny) is set to
-    zero, so that each product inside the Gram is a normal float; this drops
-    at most 2 N^2 tiny (about 1e-302) of the weight.  The Gram is built in
-    column blocks of `_GRAM_BLOCK`, only its upper block triangle, and each
-    block's squared norm is accumulated, off-diagonal blocks twice.  Agrees
-    with `purity(schmidt_decompose(jsa))` to 1e-12.
+    every real or imaginary part below `_flush_floor` is set to zero: about
+    1e-20 on a 1000^2 grid, a floor that provably moves the purity by at
+    most eps/2 and lies far above sqrt(tiny), so each product inside the
+    Gram is a normal float.  The Gram is built in column blocks of
+    `_GRAM_BLOCK`, only its upper block triangle, and each block's squared
+    norm is accumulated, off-diagonal blocks twice.  Agrees with
+    `purity(schmidt_decompose(jsa))` to 1e-12.
 
-    A row that is zero in a column block adds nothing to that block's Gram.
-    So when the block's first or last row is all zero after the flush (the
-    underflowed tails of a wide R = 50 grid, or masked edge rows), both
-    operands are cut to the rows from its first to its last nonzero row, and
-    a block with no nonzero row is skipped; this is exact in real arithmetic,
-    though BLAS may sum in another order.  Zero interior rows are kept.  When
-    both edge rows are nonzero, the products are the untrimmed ones, bit for
-    bit.
+    A row that is zero in a column block adds nothing to that block's Gram,
+    nor does a column that is zero in those rows.  So when the block's first
+    or last row is all zero after the flush (the flushed tails of a wide
+    R = 50 grid, or masked edge rows), both operands are cut to the rows
+    from its first to its last nonzero row, and the left operand to the
+    columns from the first whose first-to-last nonzero-row span meets those
+    rows; a block with no nonzero row is skipped.  The spans of all columns
+    are found once, at the first such block.  This is exact in real
+    arithmetic, though BLAS may sum in another order.  When both edge rows
+    are nonzero, the products are the untrimmed ones, bit for bit.
 
     With `overwrite` the amplitude may serve as the working copy (it does
     when it is a writable C-contiguous float64 or complex128 array) and is
@@ -202,18 +234,25 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> floa
         raise ValueError("JSA amplitude must be a 2-D array")
     work = _unit_working_copy(amp, overwrite)
     parts = work.view(float).reshape(-1)
+    spans = None  # (first, last) nonzero row per column, once a block trims
     gram_sq = 0.0
     for c0 in range(0, work.shape[1], _GRAM_BLOCK):
         c1 = min(c0 + _GRAM_BLOCK, work.shape[1])
-        rows = work
+        lo, rows = 0, work
         if not (work[0, c0:c1].any() and work[-1, c0:c1].any()):
-            # rows that are zero in this column block add nothing to its Gram
-            nonzero = np.flatnonzero(work[:, c0:c1].any(axis=1))
-            if nonzero.size == 0:
+            # rows zero in this column block, and columns zero in its other
+            # rows, add nothing to its Gram
+            if spans is None:
+                spans = _column_spans(work)
+            first, last = spans
+            r0, r1 = int(first[c0:c1].min()), int(last[c0:c1].max()) + 1
+            if r0 >= r1:
                 continue
-            rows = work[nonzero[0] : nonzero[-1] + 1]
-        block = (rows[:, :c1].T @ rows[:, c0:c1].conj()).reshape(-1)
-        split = c0 * (c1 - c0)  # rows above c0 are off the diagonal block
+            meets = (first[:c0] < r1) & (last[:c0] >= r0)
+            lo = int(np.argmax(meets)) if meets.any() else c0
+            rows = work[r0:r1]
+        block = (rows[:, lo:c1].T @ rows[:, c0:c1].conj()).reshape(-1)
+        split = (c0 - lo) * (c1 - c0)  # rows above c0 are off the diagonal block
         gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
         gram_sq += float(np.vdot(block[split:], block[split:]).real)
     return gram_sq / float(np.dot(parts, parts)) ** 2
@@ -436,8 +475,9 @@ def purity_vs_range(
     so the R axis keeps a single unit; grid points that leave the transparency
     window are masked to zero and the masked fraction reported per point.
     `tag` labels the curve (poling scheme name) in exports.  `r_values` must
-    be strictly ascending and at least `MIN_RANGE_DW` (ValueError before
-    anything is built otherwise).
+    be strictly ascending and at least `MIN_RANGE_DW`, and each must give a
+    grid numpy can index (`make_grid`'s size rule); otherwise ValueError
+    before dw is measured or anything is built.
 
     Every R is built and scored in two buffers that live as long as the
     sweep, one complex and one float array sized for the largest R's grid:
@@ -452,9 +492,9 @@ def purity_vs_range(
         raise ValueError(f"spectral range must be at least {MIN_RANGE_DW:g} dw")
     if np.any(np.diff(r_values) <= 0):
         raise ValueError("R values must be ascending")
+    sides = [_grid_side(theta_deg, float(r))[1] for r in r_values]
     if delta_omega is None:
         delta_omega = measure_delta_omega(model, cfg, structure, pump, theta_deg)
-    sides = [_grid_side(theta_deg, float(r))[1] for r in r_values]
     size = max(sides, default=0) ** 2
     amplitude, work = np.empty(size, dtype=complex), np.empty(size)
     purities = np.empty(r_values.size)

@@ -62,6 +62,7 @@ from .poling import (
 )
 from .spectrum import (
     PumpSpec,
+    _grid_side,
     build_jsa,
     make_grid,
     measure_delta_omega,
@@ -461,9 +462,20 @@ def _fmt(value, spec=".4g", empty="-"):
     return empty if value is None else format(value, spec)
 
 
+def _check_grid_sizes(key: str, r_values, theta_deg: float) -> None:
+    """ConfigError naming `key` unless every spectral range in `r_values`
+    gives a standard grid numpy can index, decided before anything runs."""
+    for r in r_values:
+        try:
+            _grid_side(theta_deg, r)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: R = {r:g} dw is too wide ({exc})") from None
+
+
 def cmd_design(cfg: RunConfig) -> int:
     model = _resolve_model(cfg)
     case, gp = _resolve_phase_match(cfg, model)
+    _check_grid_sizes("r_mult", [cfg.r_mult], gp.theta_deg)
     result = _design_structure(cfg, model, case, gp)
 
     # periodic baseline purity for the summary row
@@ -619,6 +631,7 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
         raise ConfigError("r_list: sweep-range requires a list of spectral ranges")
     if any(b <= a for a, b in zip(cfg.r_list, cfg.r_list[1:])):
         raise ConfigError(f"r_list: must be strictly ascending, got {cfg.r_list!r}")
+    _check_grid_sizes("r_list", cfg.r_list, gp.theta_deg)
 
     optimized = [scheme for scheme in cfg.schemes if scheme != "pp"]
     if optimized and cfg.design_dir is None:

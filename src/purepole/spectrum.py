@@ -532,6 +532,9 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure, out=None
 # Points of a grid axis may sit this far, in units of the step, from the
 # uniform lattice the grid plan assumes.
 _GRID_TOLERANCE = 1e-6
+# The most bytes numpy can index in one array: a grid whose complex128
+# amplitude, 16 bytes a point, would hold more is refused by arithmetic.
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 def _pump_sums(grid: SpectralGrid) -> np.ndarray:
@@ -624,12 +627,20 @@ def delta_k_grid(
 
 def _grid_side(theta_deg: float, r_mult: float = 10.0, step_divisor: int | None = None):
     """(step divisor, points per axis) of `make_grid`'s rule, which does not
-    depend on dw."""
+    depend on dw.  Raises ValueError for fewer than 2 points per axis, and
+    for a grid whose complex amplitude holds more bytes than numpy can index
+    (N^2 x 16 > intp max), decided by arithmetic before anything is
+    allocated."""
     if step_divisor is None:
         step_divisor = 20 if 10.0 <= theta_deg <= 80.0 else 40
     if not step_divisor >= 1:
         raise ValueError(f"step_divisor must be at least 1, got {step_divisor!r}")
-    n = int(round(r_mult * step_divisor))
+    points = r_mult * step_divisor
+    if not (math.isfinite(points) and round(points) ** 2 * 16 <= _MAX_ARRAY_BYTES):
+        raise ValueError(
+            f"r_mult = {r_mult!r} with step_divisor = {step_divisor!r} gives {points:g} "
+            "points per axis; numpy cannot index a complex grid of that side")
+    n = int(round(points))
     if n < 2:
         raise ValueError(
             f"r_mult = {r_mult!r} with step_divisor = {step_divisor!r} gives {n} points "
@@ -648,7 +659,8 @@ def make_grid(
     """Standard purity grid: D = dw/20 for 10 <= theta <= 80 deg, dw/40
     otherwise; N = R/D cell-centered points per axis, R = r_mult * dw.
     Both axes share the offsets, so they step by the same D.  Raises
-    ValueError for step_divisor < 1 and for fewer than 2 points per axis."""
+    ValueError for step_divisor < 1, for fewer than 2 points per axis and
+    for more than numpy can index (`_grid_side`)."""
     if delta_omega <= 0:
         raise ValueError("delta_omega must be positive")
     step_divisor, n = _grid_side(theta_deg, r_mult, step_divisor)

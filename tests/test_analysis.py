@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import purepole
 from purepole import analysis, spectrum
@@ -41,8 +42,8 @@ from purepole import (
     standard_jsa,
 )
 from purepole.analysis import (
-    _FLUSH_FLOOR,
     _GRAM_BLOCK,
+    _flush_floor,
     _unit_working_copy,
     write_curve_csv,
     write_schmidt_csv,
@@ -131,6 +132,22 @@ def _standard_pump_and_dw(model, cfg, gp, pp):
     return pump, measure_delta_omega(model, cfg, pp, pump, gp.theta_deg)
 
 
+# the flush floor of the Gram purity before it was derived from the part count
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+def _old_working_copy(amp, floor=None):
+    """The working copy as formed before it lost its N^2 temporaries: the
+    peak from np.abs and the flush through one N^2 mask, at `floor`
+    (default: `_flush_floor` of the part count)."""
+    work = np.array(amp, dtype=np.result_type(amp.dtype, float), order="C")
+    parts = work.view(float).reshape(-1)
+    parts /= float(np.max(np.abs(parts)))
+    parts /= math.sqrt(float(np.dot(parts, parts)))
+    parts[np.abs(parts) < (_flush_floor(parts.size) if floor is None else floor)] = 0.0
+    return work
+
+
 class TestGramPurity:
     """`jsa_purity` (Gram matrix) against the SVD purity it replaces."""
 
@@ -161,19 +178,12 @@ class TestGramPurity:
         raw = np.abs(jsa.amplitude.view(float))
         assert np.any((raw < tiny) & (raw != 0))
         work = np.abs(_unit_working_copy(jsa.amplitude).view(float))
-        assert not np.any((work < _FLUSH_FLOOR) & (work != 0))
+        floor = _flush_floor(work.size)
+        assert 1e-21 < floor < 1e-20 and floor > 1e100 * math.sqrt(tiny)
+        assert not np.any((work < floor) & (work != 0))
         assert not np.any((work < tiny) & (work != 0))
-
-    @staticmethod
-    def _old_working_copy(amp):
-        """The working copy as formed before it lost its N^2 temporaries:
-        the peak from np.abs and the flush through one N^2 mask."""
-        work = np.array(amp, dtype=np.result_type(amp.dtype, float))
-        parts = work.view(float).reshape(-1)
-        parts /= float(np.max(np.abs(parts)))
-        parts /= math.sqrt(float(np.dot(parts, parts)))
-        parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
-        return work
+        # every product inside the Gram of the parts kept is a normal float
+        assert float(work[work != 0].min()) ** 2 > tiny
 
     @pytest.mark.parametrize("shape", [(40, 40), (257, 131), (1000, 1000)])
     def test_working_copy_equals_the_old_formulas(self, shape):
@@ -188,7 +198,7 @@ class TestGramPurity:
         parts[(pick >= 0.1) & (pick < 0.15)] *= 1e-310
         f[: shape[0] // 4] = 0.0
         for amp in (f, -f, f * 1e300, f.real.copy()):
-            want = self._old_working_copy(amp)
+            want = _old_working_copy(amp)
             got = _unit_working_copy(amp)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -196,7 +206,7 @@ class TestGramPurity:
     def test_working_copy_peak_from_a_negative_part(self):
         f = np.array([[1.0, -4.0], [2.0, 0.5]])
         got = _unit_working_copy(f)
-        assert np.array_equal(got, self._old_working_copy(f))
+        assert np.array_equal(got, _old_working_copy(f))
         for bad in (np.nan, np.inf, -np.inf):
             g = f.copy()
             g[1, 1] = bad
@@ -274,10 +284,16 @@ class TestGramPurity:
         assert 0 < res.purity < 1
 
 
-def _untrimmed_purity(f) -> float:
-    """`jsa_purity` as computed before zero edge rows were trimmed: every
-    column block's Gram summed over all rows."""
-    work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
+_EPS = float(np.finfo(float).eps)
+
+
+def _untrimmed_purity(f, floor=None) -> float:
+    """`jsa_purity` as computed before zero edge rows and columns were
+    trimmed: every column block's Gram summed over all rows and all columns
+    to its left, the working copy flushed at `floor` (default: the
+    `_flush_floor` of `jsa_purity`)."""
+    work = _old_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f),
+                             floor)
     parts = work.view(float).reshape(-1)
     gram_sq = 0.0
     for c0 in range(0, work.shape[1], _GRAM_BLOCK):
@@ -295,6 +311,28 @@ def _trimmed_blocks(f) -> int:
     work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
     return sum(not (work[0, c0:c0 + _GRAM_BLOCK].any() and work[-1, c0:c0 + _GRAM_BLOCK].any())
                for c0 in range(0, work.shape[1], _GRAM_BLOCK))
+
+
+def _column_trimmed_blocks(f) -> int:
+    """Trimmed column blocks (`_trimmed_blocks`) whose left Gram operand
+    starts right of column 0: the first column whose first-to-last nonzero
+    row span meets the block's nonzero rows lies right of column 0, found
+    column by column."""
+    work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
+    spans = []
+    for j in range(work.shape[1]):
+        nonzero = np.flatnonzero(work[:, j])
+        spans.append((nonzero[0], nonzero[-1]) if nonzero.size else (work.shape[0], -1))
+    count = 0
+    for c0 in range(_GRAM_BLOCK, work.shape[1], _GRAM_BLOCK):
+        block = work[:, c0:c0 + _GRAM_BLOCK]
+        rows = np.flatnonzero(block.any(axis=1))
+        if rows.size == 0 or (block[0].any() and block[-1].any()):
+            continue
+        lo = next((j for j in range(c0) if spans[j][0] <= rows[-1] and spans[j][1] >= rows[0]),
+                  c0)
+        count += lo > 0
+    return count
 
 
 def _bits(x: float) -> int:
@@ -330,8 +368,8 @@ def _zero_rows(f: np.ndarray, pattern: str) -> np.ndarray:
 
 class TestGramRowTrim:
     """The Gram purity summed only over the rows between each column block's
-    first and last nonzero row, against the SVD purity and the untrimmed
-    Gram."""
+    first and last nonzero row, and over the columns whose nonzero rows reach
+    them, against the SVD purity and the untrimmed Gram."""
 
     @pytest.mark.parametrize("pattern", [
         "leading", "trailing", "both", "ridge", "zero-block", "single-row", "interior"])
@@ -392,13 +430,68 @@ class TestGramRowTrim:
         assert _bits(jsa_purity(f)) == _bits(_untrimmed_purity(f))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_standard_grids_are_not_trimmed(self, model, preset):
+    def test_standard_grids_within_4_eps_of_the_sqrt_tiny_floor(self, model, preset):
+        # PP, CL (beta 1) and the SCL arrays on each preset's standard grid:
+        # the derived floor and the trim leave the purity within 4 eps of the
+        # untrimmed Gram flushed at sqrt(tiny), as it was computed before
         cfg, gp, structures = preset_structures(model, preset)
         pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
-        for structure in structures.values():
+        lc = gp.coherence_length_m
+        profile = TargetProfile.from_alpha(5.0, cfg.length_m, math.pi / lc)
+        structures = {**structures, "cl": greedy_track(profile, 1.0, lc, cfg.length_m)}
+        for label, structure in structures.items():
+            if label == "dc":
+                continue
             jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw)
-            assert _trimmed_blocks(jsa) == 0
-            assert _bits(jsa_purity(jsa)) == _bits(_untrimmed_purity(jsa))
+            got = jsa_purity(jsa)
+            assert abs(got - _svd_purity(jsa)) <= 1e-12, label
+            assert abs(got - _untrimmed_purity(jsa, _SQRT_TINY)) <= 4 * _EPS, label
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 300),
+        cols=st.integers(2, 420).filter(lambda n: n % _GRAM_BLOCK),
+        anti=st.booleans(),
+        width=st.floats(0.02, 0.4),
+        zero_run=st.integers(0, 200),
+        bracket=st.booleans(),
+    )
+    @example(seed=1, rows=300, cols=385, anti=True, width=0.1, zero_run=60, bracket=True)
+    @example(seed=2, rows=131, cols=300, anti=False, width=0.05, zero_run=0, bracket=True)
+    @settings(deadline=None, max_examples=40)
+    def test_column_trim(self, seed, rows, cols, anti, width, zero_run, bracket):
+        # a diagonal or anti-diagonal band, a run of all-zero columns with
+        # nonzeros left of it, scattered all-zero columns and a column whose
+        # nonzero span brackets rows it is zero in
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        r = np.arange(rows)[:, None] / rows
+        c = np.arange(cols)[None, :] / cols
+        f[np.abs(r + c - 1.0 if anti else r - c) > width] = 0.0
+        start = int(rng.integers(cols))
+        f[:, start : start + zero_run] = 0.0
+        f[:, rng.random(cols) < 0.1] = 0.0
+        if bracket:
+            j = int(rng.integers(cols))
+            f[:, j] = 0.0
+            f[int(rng.integers(rows // 3 + 1)), j] = 1.0
+            f[rows - 1 - int(rng.integers(rows // 3 + 1)), j] = 1.0j
+        assume(np.any(f))
+        got = jsa_purity(f)
+        assert abs(got - _svd_purity(f)) <= 1e-12
+        assert abs(got - _untrimmed_purity(f)) <= 1e-12
+
+    def test_anti_diagonal_band_trims_columns(self):
+        # the three blocks right of the first (the last one column wide) see
+        # only rows of the band above those the columns at the left reach
+        rows, cols = 300, 385
+        f = _complex_matrix(8, (rows, cols))
+        r = np.arange(rows)[:, None] / rows
+        c = np.arange(cols)[None, :] / cols
+        f[np.abs(r + c - 1.0) > 0.1] = 0.0
+        assert _column_trimmed_blocks(f) == 3
+        assert abs(jsa_purity(f) - _svd_purity(f)) <= 1e-12
+        assert abs(jsa_purity(f) - _untrimmed_purity(f)) <= 1e-12
 
     @pytest.mark.parametrize("real", [False, True])
     def test_transposed_input(self, real):
@@ -410,6 +503,49 @@ class TestGramRowTrim:
             assert not g.T.flags.c_contiguous
             assert _bits(jsa_purity(g.T)) == _bits(jsa_purity(np.ascontiguousarray(g.T)))
             assert abs(jsa_purity(g.T) - _svd_purity(f)) <= 1e-12
+
+
+def _exact_purity(f) -> Fraction:
+    """||F^H F||_F^2 / ||F||_F^4 of the float entries of `f`, in exact
+    rational arithmetic."""
+    re = [[Fraction(float(x)) for x in row] for row in f.real]
+    im = [[Fraction(float(x)) for x in row] for row in f.imag]
+    rows, cols = f.shape
+    gram_sq = Fraction(0)
+    for j in range(cols):
+        for k in range(cols):
+            g_re = sum(re[r][j] * re[r][k] + im[r][j] * im[r][k] for r in range(rows))
+            g_im = sum(re[r][j] * im[r][k] - im[r][j] * re[r][k] for r in range(rows))
+            gram_sq += g_re * g_re + g_im * g_im
+    norm_sq = sum(x * x for row in re + im for x in row)
+    return gram_sq / norm_sq**2
+
+
+class TestFlushFloor:
+    """The flush floor eps / (16 sqrt(parts)) moves the purity by at most eps."""
+
+    @pytest.mark.parametrize("seed, shape", [(1, (9, 7)), (2, (6, 11)), (3, (12, 12))])
+    def test_parts_just_below_the_floor_move_purity_at_most_eps(self, seed, shape):
+        # a unit-norm amplitude with 40 % of its cells zero, then every part
+        # of those cells raised to 0.99 of the floor in the direction that
+        # raises or lowers the purity most, FG - PF with G = F^H F: the
+        # flush zeroes them again, and the exact purity moves by at most eps
+        rng = np.random.default_rng(seed)
+        f = _complex_matrix(seed, shape)
+        small = rng.random(shape) < 0.4
+        f[small] = 0.0
+        f = _unit_working_copy(f)
+        floor = _flush_floor(2 * f.size)
+        p = _svd_purity(f)
+        for direction in (1.0, -1.0):
+            grad = direction * (f @ (f.conj().T @ f) - p * f)
+            raised = f + np.where(small, 0.99 * floor * (np.sign(grad.real)
+                                                         + 1j * np.sign(grad.imag)), 0.0)
+            assert np.count_nonzero(raised.view(float)) > np.count_nonzero(f.view(float))
+            assert not np.any(_unit_working_copy(raised)[small])
+            assert _bits(jsa_purity(raised)) == _bits(jsa_purity(f))
+            shift = abs(_exact_purity(raised) - _exact_purity(f))
+            assert 0 < shift <= _EPS
 
 
 def test_runtime_loads_no_scipy():
@@ -757,6 +893,23 @@ class TestPurityVsRange:
         arr = periodic_domains(cfg.length_m, 18.85e-6)
         with pytest.raises(ValueError, match="ascending"):
             purity_vs_range(model, cfg, arr, pump, r_values, 27.0)
+
+    @pytest.mark.parametrize("r_values", [[10.0, 1e9], [1e9]])
+    def test_oversized_r_rejected_before_any_build(self, model, monkeypatch, r_values):
+        # a side of 2e10 points: N^2 x 16 bytes exceeds what numpy can index,
+        # which is decided by arithmetic, never by trying the allocation
+        def no_build(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(analysis, "standard_jsa", no_build)
+        monkeypatch.setattr(analysis, "measure_delta_omega", no_build)
+        cfg = case_config("i")
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.7)
+        arr = periodic_domains(cfg.length_m, 18.85e-6)
+        with pytest.raises(ValueError, match="cannot index"):
+            purity_vs_range(model, cfg, arr, pump, r_values, 27.0)
+        with pytest.raises(ValueError, match="cannot index"):
+            make_grid(27.0, 1e12, cfg.omega_s0, cfg.omega_i0, r_mult=1e9)
 
     def test_empty_r_list(self, model):
         cfg = case_config("i")

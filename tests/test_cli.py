@@ -414,6 +414,37 @@ def test_nonpositive_value_exit_2_names_key(tmp_path, capsys, argv, key):
 @pytest.mark.parametrize(
     "argv, key",
     [
+        (["sweep-range", "--schemes", "pp", "--pump-bw-nm", "3", "--r-list", "10,1e9"],
+         "r_list"),
+        (["design", "--scheme", "mqpm", "--pump-bw-nm", "3", "--r-mult", "1e9"], "r_mult"),
+    ],
+)
+def test_oversized_grid_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, key):
+    # a grid side of 2e10 points is refused by arithmetic, before any design,
+    # bandwidth search, dw measurement or output directory
+    import purepole.analysis
+    import purepole.cli
+    import purepole.spectrum
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [(purepole.cli, "_design_structure"),
+                         (purepole.cli, "optimize_pump_bandwidth"),
+                         (purepole.cli, "measure_delta_omega"),
+                         (purepole.analysis, "measure_delta_omega"),
+                         (purepole.spectrum, "measure_delta_omega")]:
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "out"
+    assert run([*argv, "--preset", "o-band-i", "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: R = 1e+09 dw is too wide")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
         (["--preset", "o-band-i", "--length-mm", "1.5", "--scheme", "cl-scl",
           "--pump-bw-nm", "3"], "pump_bandwidth_nm"),
         (["--preset", "o-band-i", "--scheme", "pp", "--alpha", "5"], "alpha"),
