@@ -305,10 +305,12 @@ def _untrimmed_purity(f, floor=None) -> float:
     return gram_sq / float(np.dot(parts, parts)) ** 2
 
 
-def _trimmed_blocks(f) -> int:
-    """Column blocks of the flushed working copy of `f` whose first or last
-    row is all zero: the blocks whose Gram `jsa_purity` trims."""
-    work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
+def _trimmed_blocks(f, floor=None) -> int:
+    """Column blocks of the working copy of `f` flushed at `floor` (default:
+    the `_flush_floor` of `jsa_purity`) whose first or last row is all zero:
+    at the default floor, the blocks whose Gram `jsa_purity` trims."""
+    work = _old_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f),
+                             floor)
     return sum(not (work[0, c0:c0 + _GRAM_BLOCK].any() and work[-1, c0:c0 + _GRAM_BLOCK].any())
                for c0 in range(0, work.shape[1], _GRAM_BLOCK))
 
@@ -430,20 +432,23 @@ class TestGramRowTrim:
         assert _bits(jsa_purity(f)) == _bits(_untrimmed_purity(f))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_standard_grids_within_4_eps_of_the_sqrt_tiny_floor(self, model, preset):
-        # PP, CL (beta 1) and the SCL arrays on each preset's standard grid:
-        # the derived floor and the trim leave the purity within 4 eps of the
-        # untrimmed Gram flushed at sqrt(tiny), as it was computed before
+    def test_standard_grids_are_not_trimmed(self, model, preset):
+        # PP, DC, CL (beta 1) and the SCL arrays on each preset's standard
+        # grid. Flushed at sqrt(tiny), the floor before it was derived from
+        # the part count, no column block has a zero edge row. The derived
+        # floor zeroes edge rows of some blocks (six presets), yet the purity
+        # stays bit for bit the untrimmed Gram, within 1e-12 of the SVD and
+        # within 4 eps of the untrimmed Gram flushed at sqrt(tiny).
         cfg, gp, structures = preset_structures(model, preset)
         pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
         lc = gp.coherence_length_m
         profile = TargetProfile.from_alpha(5.0, cfg.length_m, math.pi / lc)
         structures = {**structures, "cl": greedy_track(profile, 1.0, lc, cfg.length_m)}
         for label, structure in structures.items():
-            if label == "dc":
-                continue
             jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw)
             got = jsa_purity(jsa)
+            assert _trimmed_blocks(jsa, _SQRT_TINY) == 0, label
+            assert _bits(got) == _bits(_untrimmed_purity(jsa)), label
             assert abs(got - _svd_purity(jsa)) <= 1e-12, label
             assert abs(got - _untrimmed_purity(jsa, _SQRT_TINY)) <= 4 * _EPS, label
 
