@@ -328,19 +328,13 @@ def _seed_index(model: DispersionModel, cfg: PhaseMatchConfig, logs: np.ndarray)
 
 class BandwidthOptimum(tuple):
     """The (bandwidth_nm, purity) pair of a pump-bandwidth search.  It also
-    keeps the spectrum the search scored last, the one at that bandwidth, so
-    that `delta_omega`, the dw its grid was built from, needs no second
-    measurement.  That spectrum's amplitude is the search's buffer, left
-    scaled and flushed by the purity."""
+    holds `delta_omega`, the dw of the grid that purity was scored on, so
+    that the design's artifact needs no second measurement."""
 
-    def __new__(cls, bandwidth_nm: float, purity: float, spectrum: JointSpectrum):
+    def __new__(cls, bandwidth_nm: float, purity: float, delta_omega: float):
         optimum = super().__new__(cls, (bandwidth_nm, purity))
-        optimum._spectrum = spectrum
+        optimum.delta_omega = delta_omega
         return optimum
-
-    @property
-    def delta_omega(self) -> float:
-        return self._spectrum.grid.delta_omega
 
 
 def optimize_pump_bandwidth(
@@ -389,14 +383,15 @@ def optimize_pump_bandwidth(
         raise ValueError(f"bounds_nm: must be finite with 0 < lo < hi, got {bounds_nm!r}")
     side = _grid_side(theta_deg, step_divisor=step_divisor)[1]
     amplitude, work = np.empty((side, side), dtype=complex), np.empty((side, side))
-    last = None  # the spectrum scored last
+    dw = math.nan  # of the candidate scored last
 
     def purity_at(log_bw: float) -> float:
-        nonlocal last
+        nonlocal dw
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
-        last = standard_jsa(model, cfg, structure, pump, theta_deg, out=amplitude, work=work,
-                            step_divisor=step_divisor)
-        return jsa_purity(last, overwrite=True)
+        jsa = standard_jsa(model, cfg, structure, pump, theta_deg, out=amplitude, work=work,
+                           step_divisor=step_divisor)
+        dw = jsa.grid.delta_omega
+        return jsa_purity(jsa, overwrite=True)
 
     logs = np.log(np.geomspace(lo, hi, _N_COARSE))
     seed = _seed_index(model, cfg, logs)
@@ -433,7 +428,8 @@ def optimize_pump_bandwidth(
             x1 = b - _GOLDEN * (b - a)
             f1 = purity_at(x1)
     x_best = 0.5 * (a + b)
-    return BandwidthOptimum(math.exp(x_best), purity_at(x_best), last)
+    pur = purity_at(x_best)
+    return BandwidthOptimum(math.exp(x_best), pur, dw)
 
 
 @dataclass
@@ -565,8 +561,10 @@ def pso_optimize_dc(
     it, and the initial swarm and each iteration are scored as one batch
     (`_JsaEvaluator.duty_cycle_amplitudes`, then the Gram purity of each
     particle), within 1e-12 of `jsa_purity(build_jsa(...))` per particle.
-    The best profile is re-scored on the standard grid.  Fully deterministic
-    for a fixed seed.
+    The best profile is re-scored on the standard grid, whose dw the result
+    carries.  Its `pump_bandwidth_nm` is `pump.bandwidth_nm`, which may
+    differ in the last bit from the bandwidth `pump` was built from.  Fully
+    deterministic for a fixed seed.
     """
     gp = phase_mismatch_and_lc(model, cfg)
     lc = gp.coherence_length_m
@@ -641,8 +639,7 @@ def pso_optimize_dc(
             break
 
     structure = dc_domains(cfg.length_m, lc, g_x)
-    final_purity = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg),
-                              overwrite=True)
+    final = standard_jsa(model, cfg, structure, pump, gp.theta_deg)
     result = DesignResult(
         domains=structure,
         scheme="dc",
@@ -650,9 +647,10 @@ def pso_optimize_dc(
         alpha=None,
         beta=None,
         pump_bandwidth_nm=pump.bandwidth_nm,
-        purity=final_purity,
+        purity=jsa_purity(final, overwrite=True),
         theta_deg=gp.theta_deg,
         coherence_length_m=lc,
+        delta_omega_rad_s=final.grid.delta_omega,
         below_threshold=exhausted and settings.target_purity is not None,
     )
     return g_x, result

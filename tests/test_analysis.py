@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -655,17 +656,24 @@ def _full_scan_bandwidth(model, cfg, structure, theta_deg, bounds_nm=(0.05, 50.0
     return math.exp(x_best), purity_at(x_best)
 
 
+def _unbuilt(model, cfg, structure, pump, theta_deg, *args, **kwargs):
+    """Stand-in for `standard_jsa` that builds nothing: the pump, for a
+    stubbed purity to score, on a grid of unknown dw."""
+    return SimpleNamespace(pump=pump, grid=SimpleNamespace(delta_omega=math.nan))
+
+
 def _memoized_purity(monkeypatch, model, cfg, structure, theta_deg):
     """Route the searches' purity evaluations through one cache keyed by the
     pump, so that a point scored by both is built once."""
     cache = {}
 
-    def purity_of(pump, overwrite=False):
+    def purity_of(spectrum, overwrite=False):
+        pump = spectrum.pump
         if pump not in cache:
             cache[pump] = jsa_purity(standard_jsa(model, cfg, structure, pump, theta_deg))
         return cache[pump]
 
-    monkeypatch.setattr(analysis, "standard_jsa", lambda *args, **kwargs: args[3])
+    monkeypatch.setattr(analysis, "standard_jsa", _unbuilt)
     monkeypatch.setattr(analysis, "jsa_purity", purity_of)
 
 
@@ -679,15 +687,15 @@ def _lattice_curve(monkeypatch, lattice_values, seed=None):
     scored, in order."""
     scored = []
 
-    def purity_of(pump, overwrite=False):
-        x = math.log(pump.bandwidth_nm)
+    def purity_of(spectrum, overwrite=False):
+        x = math.log(spectrum.pump.bandwidth_nm)
         on = np.flatnonzero(np.abs(_LOGS - x) < 1e-9)
         if on.size:
             scored.append(int(on[0]))
             return float(lattice_values[on[0]])
         return float(np.interp(x, _LOGS, lattice_values))
 
-    monkeypatch.setattr(analysis, "standard_jsa", lambda *args, **kwargs: args[3])
+    monkeypatch.setattr(analysis, "standard_jsa", _unbuilt)
     monkeypatch.setattr(analysis, "jsa_purity", purity_of)
     if seed is not None:
         monkeypatch.setattr(analysis, "_seed_index", lambda *args: seed)
@@ -808,6 +816,9 @@ class TestOptimizePumpBandwidth:
             model, cfg, arr, pump, gp.theta_deg, step_divisor=step_divisor)
         if step_divisor is None:
             assert optimum.delta_omega == measure_delta_omega(model, cfg, arr, pump, gp.theta_deg)
+        # dw alone outlives the search, not its last spectrum and buffers
+        assert list(vars(optimum)) == ["delta_omega"]
+        assert isinstance(optimum.delta_omega, float)
 
     @pytest.mark.parametrize("peak, seed", [(0, 6), (20, 14), (0, 0), (20, 20)])
     def test_peak_at_a_bound_raises(self, model, monkeypatch, peak, seed):
@@ -990,6 +1001,13 @@ class TestPsoDutyCycle:
         )
         _, res = pso_optimize_dc(model, cfg, pump, settings_, seed=0)
         assert res.below_threshold
+
+    def test_result_carries_the_dw_it_was_scored_at(self, model):
+        cfg = case_config("i", length_m=1.0e-3)
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
+        _, res = pso_optimize_dc(model, cfg, pump, PsoSettings(n_particles=2, n_iterations=1))
+        assert res.delta_omega_rad_s == measure_delta_omega(
+            model, cfg, res.domains, pump, res.theta_deg)
 
     def test_initial_profile_size_checked(self, model):
         cfg = case_config("i", length_m=1.0e-3)

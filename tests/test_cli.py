@@ -233,38 +233,67 @@ class TestDesignCommand:
         data = json.loads((out / "design_result.json").read_text())
         assert data["pp_purity"] is not None
 
-    @pytest.mark.parametrize("scheme, fixed", [
-        ("cl-scl", False), ("pp", False), ("pp", True), ("dc", False)])
-    def test_artifact_measures_dw_only_where_no_search_ran(self, tmp_path, monkeypatch,
-                                                          scheme, fixed):
-        # a search's last candidate is at the design's bandwidth, so its dw
-        # is the artifact's; a fixed bandwidth or a swarm design measures it
+    @pytest.mark.parametrize("scheme, extra", [
+        pytest.param("cl-scl", ["--beta-ladder", "1"], id="cl-scl-False"),
+        pytest.param("pp", [], id="pp-False"),
+        pytest.param("pp", ["--pump-bw-nm", "3.0"], id="pp-True"),
+        pytest.param("mqpm", ["--pump-bw-nm", "3.0"], id="mqpm-True"),
+        pytest.param("dc", ["--pso-particles", "2", "--pso-iterations", "1"], id="dc-False"),
+        pytest.param("pp", ["--pump-bw-nm", "3", "--r-mult", "20"], id="pp-True-r20"),
+    ])
+    def test_artifact_is_built_at_the_designs_dw(self, tmp_path, monkeypatch, scheme, extra):
+        # every design carries the dw its purity was scored at, and the
+        # artifact is the standard JSA at that dw and the run's range
+        from purepole import KTP_KATO_2002, Axis, PhaseMatchConfig, PumpSpec, cli
+        from purepole.spectrum import measure_delta_omega, read_jsa_binary, standard_jsa
+
+        calls = []
+
+        def recorded(model, cfg, structure, pump, theta_deg, delta_omega=None, r_mult=10.0,
+                     **kwargs):
+            calls.append((delta_omega, r_mult))
+            return standard_jsa(model, cfg, structure, pump, theta_deg, delta_omega, r_mult,
+                                **kwargs)
+
+        monkeypatch.setattr(cli, "standard_jsa", recorded)
+        out = tmp_path / scheme
+        code = run(["design", "--preset", "o-band-i", "--scheme", scheme, "--length-mm", "1.5",
+                    "--out-dir", str(out), *extra])
+        assert code in (EXIT_OK, EXIT_BELOW_THRESHOLD)
+        data = json.loads((out / "design_result.json").read_text())
+        dw, r_mult = data["delta_omega_rad_s"], 20.0 if "--r-mult" in extra else 10.0
+        assert dw is not None and calls[-1] == (dw, r_mult)
+        case = PhaseMatchConfig.from_pump_signal(0.710, 1.310, Axis.Z, length_m=1.5e-3)
+        pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, data["pump_bandwidth_nm"])
+        structure = cli._structure_from_dict(data["structure"])
+        assert dw == measure_delta_omega(KTP_KATO_2002, case, structure, pump, data["theta_deg"])
+        want = standard_jsa(KTP_KATO_2002, case, structure, pump, data["theta_deg"],
+                            delta_omega=dw, r_mult=r_mult)
+        assert read_jsa_binary(out / "jsa.bin")[0].tobytes() == want.amplitude.tobytes()
+
+    def test_dc_records_the_bandwidth_its_swarm_ran_at(self, tmp_path):
         from purepole import KTP_KATO_2002, Axis, PhaseMatchConfig, PumpSpec, cli
         from purepole.spectrum import measure_delta_omega
 
-        measured = []
-
-        def counted(*args, **kwargs):
-            measured.append(measure_delta_omega(*args, **kwargs))
-            return measured[-1]
-
-        monkeypatch.setattr(cli, "measure_delta_omega", counted)
-        out = tmp_path / scheme
-        extra = {"cl-scl": ["--beta-ladder", "1"], "pp": [],
-                 "dc": ["--pso-particles", "2", "--pso-iterations", "1"]}[scheme]
-        code = run(["design", "--preset", "o-band-i", "--scheme", scheme, "--length-mm", "1.5",
-                    "--out-dir", str(out), *extra, *(["--pump-bw-nm", "3.0"] if fixed else [])])
+        budget = ["--pso-particles", "2", "--pso-iterations", "1"]
+        out = tmp_path / "default"
+        code = run(["design", "--preset", "o-band-i", "--scheme", "dc", *budget,
+                    "--out-dir", str(out)])
         assert code in (EXIT_OK, EXIT_BELOW_THRESHOLD)
         data = json.loads((out / "design_result.json").read_text())
-        if scheme == "dc" or fixed:
-            assert measured == [data["delta_omega_rad_s"]]
-            return
-        assert measured == []
-        case = PhaseMatchConfig.from_pump_signal(0.710, 1.310, Axis.Z, length_m=1.5e-3)
+        # the periodic optimum, not its round trip through PumpSpec
+        assert data["pump_bandwidth_nm"] == data["pp_pump_bandwidth_nm"]
+        case = PhaseMatchConfig.from_pump_signal(0.710, 1.310, Axis.Z)
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, data["pump_bandwidth_nm"])
         structure = cli._structure_from_dict(data["structure"])
         assert data["delta_omega_rad_s"] == measure_delta_omega(
             KTP_KATO_2002, case, structure, pump, data["theta_deg"])
+
+        out = tmp_path / "fixed"
+        code = run(["design", "--preset", "o-band-i", "--scheme", "dc", "--length-mm", "1.5",
+                    "--pump-bw-nm", "3", *budget, "--out-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_BELOW_THRESHOLD)
+        assert json.loads((out / "design_result.json").read_text())["pump_bandwidth_nm"] == 3.0
 
     def test_dc_scheme_small_budget(self, tmp_path):
         out = tmp_path / "dc"

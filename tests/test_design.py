@@ -1,7 +1,6 @@
 """Full design loop: ladder behavior, the rung screen and determinism."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,8 +92,7 @@ def _scripted(monkeypatch, coarse, standard):
         value = (standard if step_divisor is None else coarse)[beta]
         if isinstance(value, Exception):
             raise value
-        spectrum = SimpleNamespace(grid=SimpleNamespace(delta_omega=1e12 * beta))
-        return BandwidthOptimum(beta, value, spectrum)
+        return BandwidthOptimum(beta, value, 1e12 * beta)
 
     monkeypatch.setattr(design, "optimize_pump_bandwidth", search)
     return searches
