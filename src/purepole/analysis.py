@@ -69,12 +69,12 @@ __all__ = [
     "write_curve_csv",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # Pump-bandwidth search: a log-spaced lattice of _N_COARSE points over the
 # bounds, scored outward from a seed until the best point has _SCAN_MARGIN
-# scored neighbours on each side, then golden-section refinement down to this
-# width in log bandwidth.
+# scored neighbours on each side, then Brent's bounded refinement (parabolic
+# steps with a golden-section fallback; Brent, Algorithms for Minimization
+# without Derivatives, 1973, ch. 5) to this absolute tolerance in log
+# bandwidth.
 _N_COARSE, _SCAN_MARGIN, _LOG_BW_TOL = 21, 2, 1e-3
 # Gaussian fit of the sinc phase-matching function, sinc(x) ~ exp(-gamma x^2)
 # (Branczyk et al., Opt. Express 19, 55 (2011)).
@@ -326,6 +326,77 @@ def _seed_index(model: DispersionModel, cfg: PhaseMatchConfig, logs: np.ndarray)
     return int(np.argmin(np.abs(logs - math.log(bw_nm))))
 
 
+def _brent_maximize(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Maximize `f` over [a, b] by Brent's bounded method (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5): parabolic steps
+    through the three best points so far, a golden-section step where the
+    parabola's step is not acceptable, until the best point is known to
+    within about `xatol`.  Returns the best point scored and its value; the
+    ends are never scored.
+
+    A port of the bounded method behind `fminbound` that minimizes -f:
+    every point and value equal `fminbound(lambda x: -f(x), a, b,
+    xtol=xatol)`'s bit for bit, with the same evaluations, as long as that
+    stays within its default of 500.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point, nfc the second best, fulc the third (or older);
+    # e is the step before last, rat the last
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = -f(xf)
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            # acceptable: inside (a, b) and shorter than half the step before last
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = -f(x)
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, -fx
+
+
 class BandwidthOptimum(tuple):
     """The (bandwidth_nm, purity) pair of a pump-bandwidth search.  It also
     holds `delta_omega`, the dw of the grid that purity was scored on, so
@@ -346,7 +417,7 @@ def optimize_pump_bandwidth(
     step_divisor: int | None = None,
 ) -> BandwidthOptimum:
     """Maximize purity over the pump bandwidth; returns (bandwidth_nm, purity)
-    as a `BandwidthOptimum`, which also carries the dw of that last candidate.
+    as a `BandwidthOptimum`, which also carries the dw of that candidate.
 
     The search runs on a lattice of `_N_COARSE` log-spaced bandwidths over
     `bounds_nm`, which must be finite with 0 < lo < hi (ValueError naming
@@ -357,10 +428,15 @@ def optimize_pump_bandwidth(
     `_SCAN_MARGIN` points from the best point so far, until the best point
     has `_SCAN_MARGIN` scored neighbours on each side or the window reaches
     a bound.  Ties go to the lowest index.  A best point at either end of
-    the lattice raises NoInteriorMaximum.  Golden-section refinement in log
-    bandwidth between the best point's two neighbours, down to a width of
-    1e-3, follows; the spectral grid is rebuilt (dw re-measured) for every
-    candidate.
+    the lattice raises NoInteriorMaximum.  Brent's bounded method
+    (`_brent_maximize`, parabolic steps with a golden-section fallback) then
+    refines the optimum in log bandwidth between the best point's two
+    neighbours, to an absolute tolerance of 1e-3, and the best candidate it
+    scored is the result, with the purity and dw it was scored at.  The
+    spectral grid is rebuilt (dw re-measured) for every candidate.  A search
+    scores about 13 candidates (23 with the golden-section refinement of
+    earlier releases, whose bandwidths differ by about 1e-4 relative and
+    purities by about 1e-8).
 
     Contract: the walk finds the best point of a window, which is the whole
     lattice's maximum whenever purity has no higher maximum beyond a dip
@@ -383,14 +459,13 @@ def optimize_pump_bandwidth(
         raise ValueError(f"bounds_nm: must be finite with 0 < lo < hi, got {bounds_nm!r}")
     side = _grid_side(theta_deg, step_divisor=step_divisor)[1]
     amplitude, work = np.empty((side, side), dtype=complex), np.empty((side, side))
-    dw = math.nan  # of the candidate scored last
+    dws = {}  # each scored log bandwidth's dw
 
     def purity_at(log_bw: float) -> float:
-        nonlocal dw
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
         jsa = standard_jsa(model, cfg, structure, pump, theta_deg, out=amplitude, work=work,
                            step_divisor=step_divisor)
-        dw = jsa.grid.delta_omega
+        dws[log_bw] = jsa.grid.delta_omega
         return jsa_purity(jsa, overwrite=True)
 
     logs = np.log(np.geomspace(lo, hi, _N_COARSE))
@@ -414,22 +489,9 @@ def optimize_pump_bandwidth(
             f"purity maximal at search bound {math.exp(logs[best]):.3g} nm"
         )
 
-    a, b = logs[best - 1], logs[best + 1]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = purity_at(x1), purity_at(x2)
-    while (b - a) > _LOG_BW_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = purity_at(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = purity_at(x1)
-    x_best = 0.5 * (a + b)
-    pur = purity_at(x_best)
-    return BandwidthOptimum(math.exp(x_best), pur, dw)
+    x_best, pur = _brent_maximize(purity_at, float(logs[best - 1]), float(logs[best + 1]),
+                                  _LOG_BW_TOL)
+    return BandwidthOptimum(math.exp(x_best), pur, dws[x_best])
 
 
 @dataclass
@@ -562,8 +624,7 @@ def pso_optimize_dc(
     (`_JsaEvaluator.duty_cycle_amplitudes`, then the Gram purity of each
     particle), within 1e-12 of `jsa_purity(build_jsa(...))` per particle.
     The best profile is re-scored on the standard grid, whose dw the result
-    carries.  Its `pump_bandwidth_nm` is `pump.bandwidth_nm`, which may
-    differ in the last bit from the bandwidth `pump` was built from.  Fully
+    carries, and its `pump_bandwidth_nm` is `pump.bandwidth_nm`.  Fully
     deterministic for a fixed seed.
     """
     gp = phase_mismatch_and_lc(model, cfg)

@@ -423,9 +423,6 @@ def _design_structure(
             target_purity=cfg.purity_threshold,
         )
         _, result = pso_optimize_dc(model, case, pump, settings, seed=cfg.seed)
-        # the bandwidth the swarm's pump was built from; pump.bandwidth_nm
-        # need not round-trip it to the last bit
-        result.pump_bandwidth_nm = bw_nm
         result.pp_pump_bandwidth_nm, result.pp_purity = pp_bw, pp_purity
         return result
 

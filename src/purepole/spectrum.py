@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -99,10 +99,14 @@ class PeakOnBoundary(RuntimeError):
 @dataclass(frozen=True)
 class PumpSpec:
     """Gaussian pump envelope: central frequency omega_p0 and width sigma_p
-    of exp(-((w_s + w_i - w_p0)/sigma_p)^2), both in rad/s."""
+    of exp(-((w_s + w_i - w_p0)/sigma_p)^2), both in rad/s.
+
+    A pump built by `from_bandwidth_nm` also keeps the bandwidth it was built
+    from, which takes no part in comparison, hashing or repr."""
 
     omega_p0: float
     sigma_p: float
+    _bandwidth_nm: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sigma_p <= 0 or self.omega_p0 <= 0:
@@ -114,11 +118,17 @@ class PumpSpec:
         lam = lambda_p_um * 1e-6
         omega_p0 = 2.0 * math.pi * C_LIGHT / lam
         dw_fwhm = 2.0 * math.pi * C_LIGHT / lam**2 * (bandwidth_nm * 1e-9)
-        return cls(omega_p0=omega_p0, sigma_p=dw_fwhm / _FWHM_FACTOR)
+        pump = cls(omega_p0=omega_p0, sigma_p=dw_fwhm / _FWHM_FACTOR)
+        object.__setattr__(pump, "_bandwidth_nm", float(bandwidth_nm))
+        return pump
 
     @property
     def bandwidth_nm(self) -> float:
-        """Intensity-FWHM bandwidth in nm (inverse of `from_bandwidth_nm`)."""
+        """Intensity-FWHM bandwidth in nm: the one `from_bandwidth_nm` was
+        given, else computed from sigma_p, which need not round-trip a
+        bandwidth to the last bit."""
+        if self._bandwidth_nm is not None:
+            return self._bandwidth_nm
         lam = 2.0 * math.pi * C_LIGHT / self.omega_p0
         return self.sigma_p * _FWHM_FACTOR * lam**2 / (2.0 * math.pi * C_LIGHT) * 1e9
 

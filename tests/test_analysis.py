@@ -618,15 +618,38 @@ class TestHeraldingEfficiency:
             heralding_efficiency(jsa, (ws[0] - 1e12, ws[-1]), (ws[0], ws[-1]))
 
 
-# The full coarse scan that the bandwidth walk replaced, kept as its reference
-# path: every lattice point is scored, then the same golden section.  Purity
-# goes through the `analysis` module so that a test can route both searches
-# through one cache or one synthetic curve.
+# The golden-section refinement that Brent's bounded method replaced, kept as
+# its reference: the bracket narrowed by the golden ratio down to `xatol`,
+# then its midpoint scored.
 _REF_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, a, b, xatol):
+    x1 = b - _REF_GOLDEN * (b - a)
+    x2 = a + _REF_GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while (b - a) > xatol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _REF_GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _REF_GOLDEN * (b - a)
+            f1 = f(x1)
+    x_best = 0.5 * (a + b)
+    return x_best, f(x_best)
+
+
+# The full coarse scan that the bandwidth walk replaced, kept as its reference
+# path: every lattice point is scored, then the bracket around the best one is
+# refined, by the package's Brent refinement unless `refine` says otherwise.
+# Purity goes through the `analysis` module so that a test can route both
+# searches through one cache or one synthetic curve.
 _REF_N_COARSE, _REF_LOG_BW_TOL = 21, 1e-3
 
 
-def _full_scan_bandwidth(model, cfg, structure, theta_deg, bounds_nm=(0.05, 50.0)):
+def _full_scan_bandwidth(model, cfg, structure, theta_deg, bounds_nm=(0.05, 50.0), refine=None):
     def purity_at(log_bw: float) -> float:
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, math.exp(log_bw))
         return analysis.jsa_purity(analysis.standard_jsa(model, cfg, structure, pump, theta_deg))
@@ -638,22 +661,9 @@ def _full_scan_bandwidth(model, cfg, structure, theta_deg, bounds_nm=(0.05, 50.0
         raise NoInteriorMaximum(
             f"purity maximal at search bound {math.exp(logs[best]):.3g} nm"
         )
-
-    a, b = logs[best - 1], logs[best + 1]
-    x1 = b - _REF_GOLDEN * (b - a)
-    x2 = a + _REF_GOLDEN * (b - a)
-    f1, f2 = purity_at(x1), purity_at(x2)
-    while (b - a) > _REF_LOG_BW_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _REF_GOLDEN * (b - a)
-            f2 = purity_at(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _REF_GOLDEN * (b - a)
-            f1 = purity_at(x1)
-    x_best = 0.5 * (a + b)
-    return math.exp(x_best), purity_at(x_best)
+    refine = refine or analysis._brent_maximize
+    x_best, p = refine(purity_at, float(logs[best - 1]), float(logs[best + 1]), _REF_LOG_BW_TOL)
+    return math.exp(x_best), p
 
 
 def _unbuilt(model, cfg, structure, pump, theta_deg, *args, **kwargs):
@@ -662,10 +672,17 @@ def _unbuilt(model, cfg, structure, pump, theta_deg, *args, **kwargs):
     return SimpleNamespace(pump=pump, grid=SimpleNamespace(delta_omega=math.nan))
 
 
-def _memoized_purity(monkeypatch, model, cfg, structure, theta_deg):
+@pytest.fixture(scope="module")
+def preset_purities():
+    """Purity caches of the preset searches, by (preset, structure label),
+    shared by the tests that score the same lattice points."""
+    return {}
+
+
+def _memoized_purity(monkeypatch, model, cfg, structure, theta_deg, cache=None):
     """Route the searches' purity evaluations through one cache keyed by the
     pump, so that a point scored by both is built once."""
-    cache = {}
+    cache = {} if cache is None else cache
 
     def purity_of(spectrum, overwrite=False):
         pump = spectrum.pump
@@ -708,6 +725,52 @@ def _peaks(*peaks):
     return np.max([h - 0.05 * np.abs(idx - i) for i, h in peaks], axis=0)
 
 
+def _skewed_gaussian(x):
+    # a skewed peak with a small ripple, so that parabolic steps miss
+    return (math.exp(-((x - 0.2) ** 2) / 0.1) * (1.0 + 0.3 * math.erf(3.0 * (x - 0.2)))
+            + 1e-3 * math.sin(40.0 * x))
+
+
+def _lattice_interp(values):
+    return lambda x: float(np.interp(x, _LOGS, values))
+
+
+class TestBrentRefinement:
+    @pytest.mark.parametrize("curve, a, b", [
+        (lambda x: 1.0 - (x - 0.3) ** 2, 0.0, 0.7),
+        (lambda x: 0.99 - 0.1 * (x + 1.0) ** 2, -1.7, -0.1),
+        (_skewed_gaussian, -0.3, 0.5),
+        (_skewed_gaussian, -1.0, 1.0),
+        (_lattice_interp(_peaks((8, 0.9), (10, 0.9))), _LOGS[7], _LOGS[9]),
+        (_lattice_interp(_peaks((14, 0.9))), _LOGS[13], _LOGS[15]),
+        (_lattice_interp(_peaks((5, 0.8), (12, 0.9))), _LOGS[4], _LOGS[6]),
+        (lambda x: 0.5, 0.0, 1.0),
+    ], ids=["parabola", "parabola-off-centre", "skewed", "skewed-wide", "peaks-tie",
+            "peak", "peaks-two", "flat"])
+    def test_equals_fminbound(self, curve, a, b):
+        # the package's refinement is the bounded Brent method of
+        # fminbound, applied to -f, bit for bit and point for point
+        from scipy.optimize import fminbound
+
+        ours, theirs = [], []
+
+        def scored(x):
+            ours.append(x)
+            return curve(x)
+
+        def negated(x):
+            theirs.append(float(x))
+            return -curve(x)
+
+        x, p = analysis._brent_maximize(scored, float(a), float(b), 1e-3)
+        want_x, want_f, status, evaluations = fminbound(negated, a, b, xtol=1e-3, full_output=True)
+        assert status == 0
+        assert (x, p) == (want_x, -want_f)
+        assert ours == theirs
+        assert len(ours) == evaluations
+        assert a < x < b and p == curve(x)
+
+
 class TestOptimizePumpBandwidth:
     def test_case_i_pp_optimum_is_interior_maximum(self, model):
         cfg = case_config("i")
@@ -742,16 +805,54 @@ class TestOptimizePumpBandwidth:
             optimize_pump_bandwidth(model, cfg, None, 26.0, bounds_nm=bounds)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_walk_equals_full_scan(self, model, preset, monkeypatch):
+    def test_walk_equals_full_scan(self, model, preset, monkeypatch, preset_purities):
         # the reference gate: bit for bit on PP and on the beta = 10 SCL array
         cfg, gp, structures = preset_structures(model, preset)
         for label in ("pp", "scl-10"):
             if label not in structures:
                 continue
-            _memoized_purity(monkeypatch, model, cfg, structures[label], gp.theta_deg)
+            _memoized_purity(monkeypatch, model, cfg, structures[label], gp.theta_deg,
+                             preset_purities.setdefault((preset, label), {}))
             want = _full_scan_bandwidth(model, cfg, structures[label], gp.theta_deg)
             assert optimize_pump_bandwidth(
                 model, cfg, structures[label], gp.theta_deg) == want, label
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_brent_against_golden_section(self, model, preset, monkeypatch, preset_purities):
+        # the refinement Brent's method replaced, on the same bracket: the
+        # same optimum to the tolerance, no lower purity, fewer candidates
+        cfg, gp, structures = preset_structures(model, preset)
+        for label in ("pp", "scl-10"):
+            if label not in structures:
+                continue
+            _memoized_purity(monkeypatch, model, cfg, structures[label], gp.theta_deg,
+                             preset_purities.setdefault((preset, label), {}))
+            counts = []
+
+            def counted(refine):
+                def run(f, a, b, xatol):
+                    scored = []
+                    x, p = refine(lambda x: scored.append(x) or f(x), a, b, xatol)
+                    counts.append(len(scored))
+                    return x, p
+                return run
+
+            bw, p = _full_scan_bandwidth(model, cfg, structures[label], gp.theta_deg,
+                                         refine=counted(analysis._brent_maximize))
+            golden_bw, golden_p = _full_scan_bandwidth(model, cfg, structures[label],
+                                                       gp.theta_deg, refine=counted(_golden_section))
+            assert abs(math.log(bw) - math.log(golden_bw)) <= 1e-3, label
+            assert p >= golden_p - 1e-7, label
+            assert counts[0] < counts[1], label
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_periodic_optimum_round_trips(self, model, preset, monkeypatch, preset_purities):
+        # the pump built from the optimum reports that bandwidth exactly
+        cfg, gp, structures = preset_structures(model, preset)
+        _memoized_purity(monkeypatch, model, cfg, structures["pp"], gp.theta_deg,
+                         preset_purities.setdefault((preset, "pp"), {}))
+        bw, _ = optimize_pump_bandwidth(model, cfg, structures["pp"], gp.theta_deg)
+        assert PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw).bandwidth_nm == bw
 
     def test_walk_evaluation_counts(self, model, monkeypatch):
         bandwidths = []
@@ -766,7 +867,7 @@ class TestOptimizePumpBandwidth:
         gp = phase_mismatch_and_lc(model, cfg)
         optimize_pump_bandwidth(
             model, cfg, periodic_domains(cfg.length_m, gp.coherence_length_m), gp.theta_deg)
-        assert len(bandwidths) <= 25  # the full scan made 38
+        assert len(bandwidths) <= 15  # 13; golden-section refinement made 23, the full scan 38
         bandwidths.clear()
         cfg, gp, structures = preset_structures(model, "o-band-ii")
         optimize_pump_bandwidth(model, cfg, structures["pp"], gp.theta_deg)
@@ -788,15 +889,21 @@ class TestOptimizePumpBandwidth:
         else:  # the design-ladder workload's accepted rung
             profile = TargetProfile.from_alpha(4.6, cfg.length_m, math.pi / lc)
             structure = greedy_track(profile, beta, lc, cfg.length_m)
-        bw, p = optimize_pump_bandwidth(model, cfg, structure, gp.theta_deg)
-        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw)
-        want = jsa_purity(standard_jsa(model, cfg, structure, pump, gp.theta_deg))
-        assert np.float64(p).view(np.int64) == np.float64(want).view(np.int64)
+        optimum = optimize_pump_bandwidth(model, cfg, structure, gp.theta_deg)
+        # the optimum is a candidate the search scored, not a point scored
+        # after it: its purity and dw are those of a fresh build at the
+        # bandwidth it reports, bit for bit
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, optimum[0])
+        fresh = standard_jsa(model, cfg, structure, pump, gp.theta_deg)
+        got = np.array([optimum[1], optimum.delta_omega]).view(np.int64)
+        want = np.array([jsa_purity(fresh), fresh.grid.delta_omega]).view(np.int64)
+        assert got.tolist() == want.tolist()
+        assert optimum.delta_omega == measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
 
     @pytest.mark.parametrize("step_divisor, side", [(None, 200), (10, 100)])
     def test_search_grid_and_its_dw(self, model, monkeypatch, step_divisor, side):
         # every candidate, dw measurement included, is on the given grid;
-        # the optimum carries the dw of the last candidate, at its bandwidth
+        # the optimum carries the dw of its own candidate, at its bandwidth
         sides = []
         real = analysis.standard_jsa
 
@@ -832,7 +939,9 @@ class TestOptimizePumpBandwidth:
         scored = _lattice_curve(monkeypatch, _peaks((peak, 0.9)), seed=seed)
         cfg = case_config("i")
         got = optimize_pump_bandwidth(model, cfg, None, 26.0)
-        assert sorted(scored)[:len(window)] == list(window)
+        # the walk scores the window first; a refinement step may land on
+        # the kink at its best point, but on no other lattice point
+        assert sorted(scored[:len(window)]) == list(window)
         assert len(set(scored)) == len(window)
         assert got == _full_scan_bandwidth(model, cfg, None, 26.0)
 

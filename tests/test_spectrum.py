@@ -56,6 +56,24 @@ class TestPumpSpec:
         pump = PumpSpec.from_bandwidth_nm(0.710, 3.07)
         assert pump.bandwidth_nm == pytest.approx(3.07, rel=1e-12)
 
+    @pytest.mark.parametrize("bandwidth", [3.0, 3, 1.7133511972345823, 0.05, 50.0])
+    def test_keeps_the_bandwidth_it_was_built_from(self, bandwidth):
+        # sigma_p alone brings 3 nm back as 3.0000000000000004
+        pump = PumpSpec.from_bandwidth_nm(0.710, bandwidth)
+        assert type(pump.bandwidth_nm) is float and pump.bandwidth_nm == bandwidth
+        bare = PumpSpec(omega_p0=pump.omega_p0, sigma_p=pump.sigma_p)
+        assert bare.bandwidth_nm == pytest.approx(bandwidth, rel=1e-15)
+        if bandwidth == 3.0:
+            assert bare.bandwidth_nm != 3.0
+
+    def test_kept_bandwidth_takes_no_part_in_comparison(self):
+        pump = PumpSpec.from_bandwidth_nm(0.710, 3.0)
+        bare = PumpSpec(omega_p0=pump.omega_p0, sigma_p=pump.sigma_p)
+        assert pump == bare and hash(pump) == hash(bare) and repr(pump) == repr(bare)
+        # a pump made from another one keeps only the fields it was given
+        wider = dataclasses.replace(pump, sigma_p=2.0 * pump.sigma_p)
+        assert wider.bandwidth_nm == pytest.approx(6.0, rel=1e-15)
+
     def test_documented_conversion(self):
         # sigma_p = (2 pi c / lambda^2) * dl / sqrt(2 ln 2)
         from scipy.constants import c
