@@ -41,11 +41,11 @@ from .analysis import (
 from .design import DesignOptions, design_cl_scl
 from .dispersion import Axis, DispersionModel, KTP_KATO_2002
 from .gvm import (
-    EmptyRange,
     GvmPoint,
     PhaseMatchConfig,
     gvm_map,
     phase_mismatch_and_lc,
+    scan_points,
     write_gvm_map_csv,
 )
 from .poling import (
@@ -349,22 +349,46 @@ def _structure_from_dict(data: dict) -> DomainArray | DutyCycleStructure:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _given(values: tuple[float, ...]) -> str:
+    """A range as LO:HI:STEP, each number as its shortest repr ('720', not
+    '720.0')."""
+    return ":".join(repr(v).removesuffix(".0") for v in values)
+
+
 def cmd_gvm_map(cfg: RunConfig) -> int:
     model = _resolve_model(cfg)
     if cfg.pump_range_nm is None or cfg.signal_range_nm is None:
         raise ConfigError("pump_range_nm: gvm-map requires pump and signal ranges")
     axis = Axis(cfg.signal_axis)
+    ranges = {"pump_range_nm": cfg.pump_range_nm, "signal_range_nm": cfg.signal_range_nm}
+    ranges_um = {key: tuple(v * 1e-3 for v in r) for key, r in ranges.items()}
+    # each axis is counted by the arithmetic gvm_map uses, before anything
+    # is allocated; numpy cannot index float64 arrays of more than
+    # intp's maximum in bytes
+    max_points = np.iinfo(np.intp).max // 8
+    counts = {}
+    for key, r in ranges_um.items():
+        try:
+            counts[key] = scan_points(*r)
+        except ValueError:  # a step that vanishes in um, or no finite count
+            counts[key] = max_points + 1
+        if counts[key] > max_points:
+            raise ConfigError(f"{key}: {_given(ranges[key])} nm has too many points")
+        if counts[key] == 0:
+            raise ConfigError(f"{key}: {_given(ranges[key])} nm has no points")
+    n_pump, n_signal = counts.values()
+    too_large = ConfigError(
+        f"pump_range_nm/signal_range_nm: the map of {_given(ranges['pump_range_nm'])} nm by "
+        f"{_given(ranges['signal_range_nm'])} nm, {n_pump} x {n_signal} = "
+        f"{n_pump * n_signal} cells, does not fit in memory")
+    if n_pump * n_signal > max_points:
+        raise too_large
+    (p_lo, p_hi, p_step), (s_lo, s_hi, s_step) = ranges_um.values()
     try:
-        gmap = gvm_map(
-            model,
-            (cfg.pump_range_nm[0] * 1e-3, cfg.pump_range_nm[1] * 1e-3),
-            (cfg.signal_range_nm[0] * 1e-3, cfg.signal_range_nm[1] * 1e-3),
-            axis,
-            pump_step_um=cfg.pump_range_nm[2] * 1e-3,
-            signal_step_um=cfg.signal_range_nm[2] * 1e-3,
-        )
-    except EmptyRange as exc:
-        raise ConfigError(f"pump_range_nm/signal_range_nm: {exc}") from exc
+        gmap = gvm_map(model, (p_lo, p_hi), (s_lo, s_hi), axis,
+                       pump_step_um=p_step, signal_step_um=s_step)
+    except MemoryError:
+        raise too_large from None
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -39,6 +39,7 @@ __all__ = [
     "gvm_angle",
     "phase_mismatch_and_lc",
     "gvm_map",
+    "scan_points",
     "write_gvm_map_csv",
 ]
 
@@ -202,14 +203,24 @@ class GvmMap:
     coherence_length_um: np.ndarray = field(repr=False)
 
 
-def _scan_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    if step <= 0:
+def scan_points(lo: float, hi: float, step: float) -> int:
+    """Number of scan points lo + i step (i = 0, 1, ...) up to hi, with a
+    1e-9 step of slack; 0 when hi < lo.  Counted by arithmetic, so a caller
+    can refuse a scan before anything is allocated.  ValueError unless the
+    step is positive and the count finite."""
+    if not step > 0:
         raise ValueError("scan step must be positive")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    values = lo + step * np.arange(max(n, 0))
-    if values.size == 0:
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError(f"range [{lo}, {hi}] with step {step} has no finite point count")
+    return max(int(math.floor(span)) + 1, 0)
+
+
+def _scan_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    n = scan_points(lo, hi, step)
+    if n == 0:
         raise EmptyRange(f"range [{lo}, {hi}] with step {step} has no points")
-    return values
+    return lo + step * np.arange(n)
 
 
 def gvm_map(
@@ -248,32 +259,30 @@ def gvm_map(
     )
 
 
-def _formatted(values: np.ndarray, spec: str) -> list[str]:
-    """Each value printf-formatted with `spec`, by one % operation per array
-    (the same text as format() with the spec, nan and inf included)."""
-    return (f"%{spec}\x00" * values.size % tuple(values.tolist())).split("\x00")[:-1]
-
-
 def _write_maps(gmap: GvmMap, theta_file, lc_file=None) -> None:
-    """Write the cell rows of the theta file and of the l_c file (open text
-    files, the l_c one or None) in one pass over pump rows: every
+    """Write the cell rows of the theta file and of the l_c file (open binary
+    files, the l_c one or None) in one pass over blocks of cells: every
     wavelength, theta and l_c is formatted once and shared by the files that
-    print it."""
-    signal = [f"{ls}," for ls in _formatted(gmap.lambda_s_um * 1e3, ".4f")]
-    for i, lp in enumerate(_formatted(gmap.lambda_p_um * 1e3, ".4f")):
-        cells = [f"{lp},{ls}{li}," for ls, li in zip(signal, _formatted(gmap.lambda_i_um[i] * 1e3, ".4f"))]
-        lc = _formatted(gmap.coherence_length_um[i], ".6f")
-        theta = _formatted(gmap.theta_deg[i], ".6f")
-        theta_file.writelines(f"{c}{t},{x}\n" for c, t, x in zip(cells, theta, lc))
+    print it (wavelengths as format(v, ".4f"), theta and l_c as ".6f")."""
+    from . import textfmt  # at the first write, so that importing purepole does not load it
+
+    pump = textfmt.render(gmap.lambda_p_um * 1e3, ".4f")
+    signal = textfmt.render(gmap.lambda_s_um * 1e3, ".4f")
+    idler, theta, lc = (a.ravel() for a in (gmap.lambda_i_um, gmap.theta_deg, gmap.coherence_length_um))
+    for cells in textfmt.row_blocks(idler.size, 5):  # five numbers per theta line
+        i, j = np.divmod(np.arange(cells.start, cells.stop), signal.shape[0])
+        wavelengths = [pump[i], signal[j], textfmt.render(idler[cells] * 1e3, ".4f")]
+        lc_text = textfmt.render(lc[cells], ".6f")
+        textfmt.write_lines(theta_file, [*wavelengths, textfmt.render(theta[cells], ".6f"), lc_text])
         if lc_file is not None:
-            lc_file.writelines(f"{c}{x}\n" for c, x in zip(cells, lc))
+            textfmt.write_lines(lc_file, [*wavelengths, lc_text])
 
 
 def _write_header(fh, comments: list[str], columns: list[str]) -> None:
     """`comments` as '# ' lines, then a header of lambda_p_nm, lambda_s_nm,
     lambda_i_nm and `columns`."""
     header = ",".join(["lambda_p_nm", "lambda_s_nm", "lambda_i_nm", *columns])
-    fh.write("".join(f"{line}\n" for line in [*(f"# {c}" for c in comments), header]))
+    fh.write("".join(f"{line}\n" for line in [*(f"# {c}" for c in comments), header]).encode())
 
 
 def write_gvm_map_csv(
@@ -289,12 +298,12 @@ def write_gvm_map_csv(
     lambda_s_nm, lambda_i_nm and l_c_um (nan = invalid cell), with the same
     header lines, in the same pass over the map's cells."""
     header_lines = header_lines or []
-    with open(path, "w") as theta_file:
+    with open(path, "wb") as theta_file:
         _write_header(theta_file, [*header_lines, f"signal_axis: {gmap.signal_axis.value}"],
                       ["theta_deg", "l_c_um"])
         if lc_path is None:
             _write_maps(gmap, theta_file)
             return
-        with open(lc_path, "w") as lc_file:
+        with open(lc_path, "wb") as lc_file:
             _write_header(lc_file, header_lines, ["l_c_um"])
             _write_maps(gmap, theta_file, lc_file)

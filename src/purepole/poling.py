@@ -451,11 +451,16 @@ def write_poling_file(
 ) -> None:
     """Write one line per domain: start (um, 4 decimals), width (um, 4
     decimals), sign.  Header records scheme and design metadata."""
-    lines = []
-    for key, value in (header or {}).items():
-        lines.append(f"# {key}: {value}")
+    from . import textfmt  # at the first write, so that importing purepole does not load it
+
+    lines = [f"# {key}: {value}" for key, value in (header or {}).items()]
     lines.append("# columns: start_um width_um sign")
     z_start, z_end, sign = structure.segments()
-    for zs, ze, a in zip(z_start, z_end, sign):
-        lines.append(f"{zs * 1e6:.4f} {(ze - zs) * 1e6:.4f} {int(a):+d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # both structures hold signs of exactly +1 or -1
+    signs = textfmt.strings([f"{int(a):+d}" for a in (-1.0, 1.0)])[(sign > 0).astype(np.intp)]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode())
+        for rows in textfmt.row_blocks(z_start.size, 2):
+            zs, ze = z_start[rows], z_end[rows]
+            textfmt.write_lines(fh, [textfmt.render(zs * 1e6, ".4f"),
+                                     textfmt.render((ze - zs) * 1e6, ".4f"), signs[rows]], sep=b" ")

@@ -1042,17 +1042,19 @@ _JSA_MAGIC = b"PPJSA\x00\x01"
 
 
 def write_jsa_csv(path: str | Path, jsa: JointSpectrum, header_lines: list[str] | None = None) -> None:
-    """|f| matrix as CSV with signal/idler wavelength (nm) header row/column."""
+    """|f| matrix as CSV with signal/idler wavelength (nm) header row/column:
+    wavelengths as format(v, ".6f"), magnitudes as format(v, ".8e")."""
+    from . import textfmt  # at the first write, so that importing purepole does not load it
+
     lam_s_nm = wavelength_um_from_omega(jsa.grid.omega_s) * 1e3
     lam_i_nm = wavelength_um_from_omega(jsa.grid.omega_i) * 1e3
-    lines = [f"# {h}" for h in (header_lines or [])]
-    lines.append("signal_nm\\idler_nm," + ",".join(f"{v:.6f}" for v in lam_i_nm))
-    mag = np.abs(jsa.amplitude)
-    # one %-format per row: the same text as a format(v, ".8e") per cell
-    row = ",".join(["%.8e"] * mag.shape[1])
-    for lam, values in zip(lam_s_nm.tolist(), mag.tolist()):
-        lines.append(f"{lam:.6f}," + row % tuple(values))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {h}\n" for h in header_lines or []).encode())
+        fh.write(b"signal_nm\\idler_nm,")
+        textfmt.write_lines(fh, [textfmt.render(lam_i_nm[None, :], ".6f")])
+        for rows in textfmt.row_blocks(*jsa.amplitude.shape):
+            textfmt.write_lines(fh, [textfmt.render(lam_s_nm[rows], ".6f"),
+                                     textfmt.render(np.abs(jsa.amplitude[rows]), ".8e")])
 
 
 def write_jsa_binary(

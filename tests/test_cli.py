@@ -80,6 +80,53 @@ class TestGvmMapCommand:
         assert code == EXIT_CONFIG
         assert "pump_range_nm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pump, signal, key, given", [
+        ("720:700:10", "1300:1320:10", "pump_range_nm", "720:700:10"),
+        ("700:720:10", "1320.5:1300:10", "signal_range_nm", "1320.5:1300:10"),
+        # too many points on one axis, by arithmetic: nothing is allocated
+        ("700:720:1e-300", "1300:1320:10", "pump_range_nm", "700:720:1e-300"),
+        ("700:720:10", "1300:1320:1e-322", "signal_range_nm", "1300:1320:1e-322"),
+    ])
+    def test_bad_range_names_only_its_key_in_nm(self, tmp_path, capsys, pump, signal, key, given):
+        out = tmp_path / "x"
+        code = run(["gvm-map", "--pump-range-nm", pump, "--signal-range-nm", signal,
+                    "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: {given} nm has ")
+        other = ({"pump_range_nm", "signal_range_nm"} - {key}).pop()
+        assert other not in err
+        assert not out.exists()
+
+    def test_map_too_large_for_numpy_is_refused_by_arithmetic(self, tmp_path, capsys, monkeypatch):
+        from purepole import gvm
+
+        def no_scan(*args):
+            raise AssertionError("the map was allocated")
+
+        monkeypatch.setattr(gvm, "_scan_axis", no_scan)
+        code = run(["gvm-map", "--pump-range-nm", "700:720:1e-15",
+                    "--signal-range-nm", "1300:1320:1e-14", "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "pump_range_nm/signal_range_nm: the map of 700:720:1e-15 nm by 1300:1320:1e-14 nm" in err
+        assert "does not fit in memory" in err
+
+    def test_map_that_fails_to_allocate_is_config_error(self, tmp_path, capsys, monkeypatch):
+        from purepole import gvm
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(gvm, "_scan_axis", no_memory)
+        code = run(["gvm-map", "--pump-range-nm", "700:720:1e-9",
+                    "--signal-range-nm", "1300:1320:10", "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: pump_range_nm/signal_range_nm: the map of 700:720:1e-09 nm by "
+            "1300:1320:10 nm, 20000000000 x 3 = 60000000000 cells, does not fit in memory\n")
+        assert not (tmp_path / "x").exists()
+
     def test_missing_ranges_is_config_error(self, tmp_path, capsys):
         assert run(["gvm-map", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 

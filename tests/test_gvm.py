@@ -18,6 +18,7 @@ from purepole import (
     idler_wavelength,
     phase_mismatch_and_lc,
 )
+from purepole import gvm, textfmt
 from purepole.gvm import write_gvm_map_csv
 
 from conftest import CASES, case_config
@@ -184,6 +185,19 @@ class TestGvmMap:
         assert np.isnan(gmap.theta_deg[0, 0])
         assert np.isfinite(gmap.coherence_length_um[0, 0])
 
+    @pytest.mark.parametrize("lo, hi, step, points", [
+        (0.7, 0.72, 0.01, 3), (0.7, 0.7, 1.0, 1), (0.72, 0.7, 0.01, 0),
+        (0.55, 1.0, 0.0005, 901), (1.27, 1.59, 0.02, 17)])
+    def test_scan_points_counts_the_axis(self, model, lo, hi, step, points):
+        assert gvm.scan_points(lo, hi, step) == points
+        if points:
+            assert gvm._scan_axis(lo, hi, step).size == points
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, 5e-324])
+    def test_scan_points_needs_a_positive_step_and_a_finite_count(self, step):
+        with pytest.raises(ValueError):
+            gvm.scan_points(0.7, 1e300, step)
+
     def test_empty_range(self, model):
         with pytest.raises(EmptyRange):
             gvm_map(model, (0.72, 0.70), (1.30, 1.32), Axis.Z)
@@ -226,6 +240,26 @@ class TestGvmMap:
             ["h"], gmap, {"l_c_um": gmap.coherence_length_um})
         assert any("nan" in row for row in expected_lc)
         assert any("nan" not in row for row in expected_lc)
+
+    def test_maps_larger_than_a_block_equal_the_per_row_formatter(self, model, tmp_path):
+        # 341 x 17 cells, several blocks that end inside pump rows; masked
+        # and invalid cells, and negative, infinite and tied values in the
+        # first and the last block
+        gmap = gvm_map(model, (0.55, 0.72), (0.6, 1.4), Axis.Z,
+                       pump_step_um=0.0005, signal_step_um=0.05)
+        cells = gmap.theta_deg.size
+        assert cells > 3 * textfmt._POINT_BLOCK // 5 and cells % (textfmt._POINT_BLOCK // 5) != 0
+        theta, lc = gmap.theta_deg.copy(), gmap.coherence_length_um.copy()
+        theta[0, :4] = [-12.5, -0.0, -np.inf, 0.0000005]
+        theta[-1, -4:] = [97.25, np.inf, -1e-9, 1e300]
+        lc[-1, 0] = 2.0**52
+        gmap = dataclasses.replace(gmap, theta_deg=theta, coherence_length_um=lc)
+        write_gvm_map_csv(tmp_path / "theta.csv", gmap, header_lines=["h"],
+                          lc_path=tmp_path / "lc.csv")
+        assert (tmp_path / "theta.csv").read_bytes() == _per_row_formatter(
+            ["h", "signal_axis: Z"], gmap, {"theta_deg": theta, "l_c_um": lc}).encode()
+        assert (tmp_path / "lc.csv").read_bytes() == _per_row_formatter(
+            ["h"], gmap, {"l_c_um": lc}).encode()
 
     def test_both_files_in_one_pass_equal_the_per_row_formatter(self, model, tmp_path):
         # masked and invalid cells, and theta values outside [0, 90] (which

@@ -417,3 +417,18 @@ class TestPolingExport:
         assert float(start) == pytest.approx(60.0, abs=1e-4)
         assert float(width) == pytest.approx(20.0, abs=1e-4)
         assert sign == "-1"
+
+    @pytest.mark.parametrize("structure", [
+        periodic_domains(10 * 20e-6 + 1e-9, 20e-6),
+        DutyCycleStructure(period_m=37.72e-6, fractions=np.linspace(0.02, 0.98, 39)),
+        # more lines than one block, random signs, a width with float noise
+        DomainArray(width_m=1.3178e-6 / 10, signs=np.where(
+            np.random.default_rng(3792).random(9000) < 0.5, 1, -1).astype(np.int8)),
+    ], ids=["pp", "dc", "long"])
+    def test_lines_equal_one_format_per_number(self, tmp_path, structure):
+        dest = tmp_path / "poling.txt"
+        write_poling_file(dest, structure, header={"scheme": "x", "beta": 10.0})
+        lines = ["# scheme: x", "# beta: 10.0", "# columns: start_um width_um sign"]
+        lines += [f"{zs * 1e6:.4f} {(ze - zs) * 1e6:.4f} {int(a):+d}"
+                  for zs, ze, a in zip(*structure.segments())]
+        assert dest.read_bytes() == ("\n".join(lines) + "\n").encode()

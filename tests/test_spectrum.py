@@ -31,7 +31,7 @@ from purepole import (
     schmidt_decompose,
     standard_jsa,
 )
-from purepole import spectrum
+from purepole import spectrum, textfmt
 from purepole.cli import PRESETS
 from purepole.spectrum import (
     LATTICE_NODES_PER_PERIOD,
@@ -816,6 +816,32 @@ class TestExports:
         assert lines[2:] == expected
         assert expected[0].split(",")[1:5] == [
             "0.00000000e+00", "4.94065646e-324", "2.50000000e-310", "1.00000000e+300"]
+
+    def test_csv_rows_that_span_row_blocks_format_each_cell(self, tmp_path):
+        # rows that do not divide a block, with nan, inf, zero, subnormal and
+        # huge cells in the first, a middle and the last block
+        grid = make_grid(45.0, 1e12, 1.0e15, 1.2e15, r_mult=10.15, step_divisor=20)
+        n_s, n_i = grid.n_signal, grid.n_idler
+        rng = np.random.default_rng(203)
+        jsa = JointSpectrum(grid=grid, amplitude=rng.normal(size=(n_s, n_i)) * 10.0 ** rng.uniform(
+            -30, 2, (n_s, n_i)) + 1j * rng.normal(size=(n_s, n_i)))
+        per_block = textfmt._POINT_BLOCK // n_i
+        assert (n_s, n_i) == (203, 203) and n_s % per_block != 0
+        amp = jsa.amplitude.copy()
+        specials = [np.nan, np.inf, 0.0, -0.0, 5e-324, 1e300, -2.5e-310j, np.nan * 1j]
+        for row in (0, per_block - 1, per_block, n_s // 2, n_s - 1):
+            amp[row, : len(specials)] = specials
+            amp[row, -1] = 1e300
+        jsa = dataclasses.replace(jsa, amplitude=amp)
+        write_jsa_csv(tmp_path / "jsa.csv", jsa, header_lines=["h", "k"])
+        lam_s = (wavelength_um_from_omega(jsa.grid.omega_s) * 1e3).tolist()
+        lam_i = (wavelength_um_from_omega(jsa.grid.omega_i) * 1e3).tolist()
+        with np.errstate(invalid="ignore"):
+            mag = np.abs(amp).tolist()
+        lines = ["# h", "# k", "signal_nm\\idler_nm," + ",".join(format(v, ".6f") for v in lam_i)]
+        lines += [format(lam, ".6f") + "," + ",".join(format(v, ".8e") for v in row)
+                  for lam, row in zip(lam_s, mag)]
+        assert (tmp_path / "jsa.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_binary_round_trip(self, tmp_path):
         jsa = _separable_gaussian_jsa(1e12, 2e12, n=31)
