@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispersion import DispersionModel
+from .dispersion import C_LIGHT, DispersionModel
 from .gvm import PhaseMatchConfig, phase_mismatch_and_lc
 from .poling import (
     DesignResult,
@@ -37,8 +37,10 @@ from .poling import (
     erf_duty_profile,
 )
 from .spectrum import (
+    COARSE_STEP_DIVISOR,
     JointSpectrum,
     PumpSpec,
+    _FWHM_FACTOR,
     _JsaEvaluator,
     _grid_side,
     _ridge_slopes,
@@ -79,8 +81,10 @@ _N_COARSE, _SCAN_MARGIN, _LOG_BW_TOL = 21, 2, 1e-3
 # Gaussian fit of the sinc phase-matching function, sinc(x) ~ exp(-gamma x^2)
 # (Branczyk et al., Opt. Express 19, 55 (2011)).
 _SINC_GAMMA = 0.193
-# Constriction-style particle-swarm coefficients and duty-cycle bounds.
+# Constriction-style particle-swarm coefficients, the half-width of the
+# uniform spread of the initial swarm around its start, and duty-cycle bounds.
 _PSO_INERTIA, _PSO_COGNITIVE, _PSO_SOCIAL = 0.729, 1.49, 1.49
+_PSO_INIT_SPREAD = 0.05
 _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
 # Gram purity: real and imaginary parts of the unit-norm amplitude below
 # `_flush_floor` of its part count are zeroed, which provably moves the purity
@@ -322,7 +326,10 @@ def _seed_index(model: DispersionModel, cfg: PhaseMatchConfig, logs: np.ndarray)
         return logs.size - 1
     if not math.isfinite(inv_var):
         return 0
-    bw_nm = PumpSpec(omega_p0=cfg.omega_p0, sigma_p=1.0 / math.sqrt(inv_var)).bandwidth_nm
+    # the intensity-FWHM bandwidth of that width at the pump wavelength, in nm
+    sigma_p = 1.0 / math.sqrt(inv_var)
+    lam = 2.0 * math.pi * C_LIGHT / cfg.omega_p0
+    bw_nm = sigma_p * _FWHM_FACTOR * lam**2 / (2.0 * math.pi * C_LIGHT) * 1e9
     return int(np.argmin(np.abs(logs - math.log(bw_nm))))
 
 
@@ -574,24 +581,17 @@ def purity_vs_range(
 
 @dataclass(frozen=True)
 class PsoSettings:
-    """Particle-swarm budget, start spread, coarse grid size and stop target.
+    """Particle-swarm budget and stop target.
 
-    `coarse_points` is the side of the coarse R = 10 dw scoring grid, so it
-    must be a positive multiple of 10; `n_particles` must be at least 1 and
-    `n_iterations` at least 0.  Each violation raises ValueError naming the
-    field.
+    `n_particles` must be at least 1 and `n_iterations` at least 0.  Each
+    violation raises ValueError naming the field.
     """
 
     n_particles: int = 40
     n_iterations: int = 200
-    init_spread: float = 0.05
-    coarse_points: int = 100
     target_purity: float | None = None
 
     def __post_init__(self):
-        if not (self.coarse_points >= 10 and self.coarse_points % 10 == 0):
-            raise ValueError(
-                f"coarse_points must be a positive multiple of 10, got {self.coarse_points!r}")
         if not self.n_particles >= 1:
             raise ValueError(f"n_particles must be at least 1, got {self.n_particles!r}")
         if not self.n_iterations >= 0:
@@ -618,11 +618,12 @@ def pso_optimize_dc(
     The profile holds one duty cycle per period, floor(L / 2 l_c) of them.
     The swarm is initialized around the error-function profile (first
     particle exactly on it; `initial_profile` overrides it) and moves with
-    reflecting bounds.  Particles are scored on a coarse
-    `coarse_points`-squared R = 10 dw grid: one `_JsaEvaluator` is built on
-    it, and the initial swarm and each iteration are scored as one batch
-    (`_JsaEvaluator.duty_cycle_amplitudes`, then the Gram purity of each
-    particle), within 1e-12 of `jsa_purity(build_jsa(...))` per particle.
+    reflecting bounds.  Particles are scored on the coarse R = 10 dw grid
+    of step dw / `COARSE_STEP_DIVISOR` (100 x 100): one `_JsaEvaluator` is
+    built on it, and the initial swarm and each iteration are scored as one
+    batch (`_JsaEvaluator.duty_cycle_amplitudes`, then the Gram purity of
+    each particle), within 1e-12 of `jsa_purity(build_jsa(...))` per
+    particle.
     The best profile is re-scored on the standard grid, whose dw the result
     carries, and its `pump_bandwidth_nm` is `pump.bandwidth_nm`.  Fully
     deterministic for a fixed seed.
@@ -643,25 +644,15 @@ def pso_optimize_dc(
     dw = measure_delta_omega(
         model, cfg, dc_domains(cfg.length_m, lc, init), pump, gp.theta_deg
     )
-    coarse_grid = make_grid(
-        gp.theta_deg,
-        dw,
-        cfg.omega_s0,
-        cfg.omega_i0,
-        r_mult=10.0,
-        step_divisor=settings.coarse_points // 10,
-    )
+    coarse_grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0,
+                            step_divisor=COARSE_STEP_DIVISOR)
 
     evaluator = _JsaEvaluator(model, cfg, coarse_grid, pump)
     period = 2.0 * lc
 
     rng = np.random.default_rng(seed)
-    x = np.clip(
-        init[None, :]
-        + settings.init_spread * rng.uniform(-1.0, 1.0, (settings.n_particles, n_periods)),
-        lo,
-        hi,
-    )
+    spread = _PSO_INIT_SPREAD * rng.uniform(-1.0, 1.0, (settings.n_particles, n_periods))
+    x = np.clip(init[None, :] + spread, lo, hi)
     x[0] = init
     v = np.zeros_like(x)
     best_x = x.copy()

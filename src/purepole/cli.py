@@ -410,10 +410,21 @@ def cmd_gvm_map(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _periodic_baseline(model: DispersionModel, case: PhaseMatchConfig, gp: GvmPoint):
+    """(pump bandwidth nm, purity) of the periodically poled crystal at its
+    optimal pump bandwidth: the summary row's baseline, the duty-cycle
+    swarm's default bandwidth and sweep-range's `pp` bandwidth."""
+    structure = periodic_domains(case.length_m, gp.coherence_length_m)
+    return optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
+
+
 def _design_structure(
-    cfg: RunConfig, model: DispersionModel, case: PhaseMatchConfig, gp: GvmPoint
+    cfg: RunConfig, model: DispersionModel, case: PhaseMatchConfig, gp: GvmPoint,
+    baseline: tuple[float, float] | None,
 ) -> DesignResult:
-    """Run the scheme selected in the config and return its DesignResult."""
+    """Run the scheme selected in the config and return its DesignResult;
+    `baseline` is `_periodic_baseline`'s, which `dc` needs without
+    `pump_bandwidth_nm`."""
     lc = gp.coherence_length_m
 
     if cfg.scheme == "cl-scl":
@@ -432,23 +443,14 @@ def _design_structure(
         return design_cl_scl(model, case, options)
 
     if cfg.scheme == "dc":
-        pp_bw = pp_purity = None
-        if cfg.pump_bandwidth_nm is None:
-            # seed the duty-cycle optimization with the periodic optimum,
-            # which is also the summary row's periodic baseline
-            pp_bw, pp_purity = optimize_pump_bandwidth(
-                model, case, periodic_domains(case.length_m, lc), gp.theta_deg
-            )
-        bw_nm = cfg.pump_bandwidth_nm or pp_bw
+        bw_nm = cfg.pump_bandwidth_nm or baseline[0]
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw_nm)
         settings = PsoSettings(
             n_particles=cfg.pso_particles,
             n_iterations=cfg.pso_iterations,
             target_purity=cfg.purity_threshold,
         )
-        _, result = pso_optimize_dc(model, case, pump, settings, seed=cfg.seed)
-        result.pp_pump_bandwidth_nm, result.pp_purity = pp_bw, pp_purity
-        return result
+        return pso_optimize_dc(model, case, pump, settings, seed=cfg.seed)[1]
 
     if cfg.scheme == "pp":
         structure = periodic_domains(case.length_m, lc)
@@ -501,22 +503,22 @@ def cmd_design(cfg: RunConfig) -> int:
     model = _resolve_model(cfg)
     case, gp = _resolve_phase_match(cfg, model)
     _check_grid_sizes("r_mult", [cfg.r_mult], gp.theta_deg)
-    result = _design_structure(cfg, model, case, gp)
-
-    # periodic baseline purity for the summary row
+    # the periodic baseline of the summary row: without a fixed bandwidth the
+    # swarm runs at its optimum, so it comes first
+    baseline = None
+    if cfg.scheme == "dc" and cfg.pump_bandwidth_nm is None:
+        baseline = _periodic_baseline(model, case, gp)
+    result = _design_structure(cfg, model, case, gp, baseline)
     if cfg.scheme == "pp":
-        result.pp_purity = result.purity
-        result.pp_pump_bandwidth_nm = result.pump_bandwidth_nm
-    elif result.pp_purity is None:
-        pp = periodic_domains(case.length_m, result.coherence_length_m)
+        baseline = (result.pump_bandwidth_nm, result.purity)
+    elif baseline is None:
         try:
-            result.pp_pump_bandwidth_nm, result.pp_purity = optimize_pump_bandwidth(
-                model, case, pp, result.theta_deg
-            )
+            baseline = _periodic_baseline(model, case, gp)
         except NoInteriorMaximum as exc:
             # the design ran at a fixed bandwidth; only its baseline has no
             # optimum, so the baseline is left out rather than the run
             print(f"design: periodic baseline unavailable ({exc})", file=sys.stderr)
+    pp_bandwidth_nm, pp_purity = baseline or (None, None)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -559,8 +561,8 @@ def cmd_design(cfg: RunConfig) -> int:
         "beta": result.beta,
         "pump_bandwidth_nm": result.pump_bandwidth_nm,
         "purity": result.purity,
-        "pp_purity": result.pp_purity,
-        "pp_pump_bandwidth_nm": result.pp_pump_bandwidth_nm,
+        "pp_purity": pp_purity,
+        "pp_pump_bandwidth_nm": pp_bandwidth_nm,
         "below_threshold": result.below_threshold,
         "delta_omega_rad_s": result.delta_omega_rad_s,
         "structure": _structure_to_dict(result.domains),
@@ -575,7 +577,7 @@ def cmd_design(cfg: RunConfig) -> int:
         f"{case.lambda_i_um * 1e3:.1f} nm | theta {result.theta_deg:6.2f} deg | "
         f"l_c {result.coherence_length_m * 1e6:6.2f} um | alpha {_fmt(result.alpha, '.1f')} | "
         f"beta {_fmt(result.beta, 'g')} | pump bw {result.pump_bandwidth_nm:.3g} nm | "
-        f"P_PP {_fmt(result.pp_purity, '.2%')} | P_opt {100 * result.purity:.2f}%"
+        f"P_PP {_fmt(pp_purity, '.2%')} | P_opt {100 * result.purity:.2f}%"
     )
     summary_text = "\n".join([*(f"# {h}" for h in header), row]) + "\n"
     (out / "design_summary.txt").write_text(summary_text)
@@ -612,7 +614,7 @@ def _read_design_artifact(
         recorded = data["scheme"]
         structure = _structure_from_dict(data["structure"])
         bandwidth = data["pump_bandwidth_nm"]
-        PumpSpec.from_bandwidth_nm(case.lambda_p_um, bandwidth)
+        PumpSpec(case.lambda_p_um, bandwidth)  # not from_bandwidth_nm: its float() reads text
         unit = structure.width_m if isinstance(structure, DomainArray) else structure.period_m
         checks = []
         for band in ("p", "s", "i"):
@@ -665,10 +667,7 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
     for scheme in cfg.schemes:
         if scheme == "pp":
             structure = periodic_domains(case.length_m, gp.coherence_length_m)
-            if cfg.pump_bandwidth_nm is not None:
-                bw = cfg.pump_bandwidth_nm
-            else:
-                bw, _ = optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
+            bw = cfg.pump_bandwidth_nm or _periodic_baseline(model, case, gp)[0]
         else:
             structure, bw = design
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw)

@@ -39,6 +39,7 @@ from .poling import (
     tracking_cost,
 )
 from .analysis import NoInteriorMaximum, optimize_pump_bandwidth
+from .spectrum import COARSE_STEP_DIVISOR
 
 __all__ = ["DesignOptions", "design_cl_scl"]
 
@@ -49,11 +50,11 @@ DEFAULT_BETA_LADDER = (1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 8.0, 10.0, 12.0, 15.0,
 # Gaussian width factors swept on every rung: 4.0, 4.1, ..., 6.0.
 ALPHA_VALUES = tuple(round(4.0 + 0.1 * k, 10) for k in range(21))
 
-# Rung screen: the coarse grid's step divisor (100 x 100 at R = 10 dw) and
-# the margin delta on |coarse - standard| purity.  Over the 69 rungs that
-# the 14 presets' default 5 mm ladders visit, the largest difference is
-# 9.0e-4, and 3.5e-4 where the purity exceeds 0.98.
-SCREEN_STEP_DIVISOR = 10
+# Rung screen: the margin delta on |coarse - standard| purity, the coarse
+# grid being the duty-cycle swarm's (COARSE_STEP_DIVISOR, 100 x 100 at
+# R = 10 dw).  Over the 69 rungs that the 14 presets' default 5 mm ladders
+# visit, the largest difference is 9.0e-4, and 3.5e-4 where the purity
+# exceeds 0.98.
 SCREEN_MARGIN = 2e-3
 
 
@@ -111,7 +112,7 @@ def design_cl_scl(
         alpha, array = ALPHA_VALUES[pick], results[pick][0]
         try:
             _, coarse = optimize_pump_bandwidth(
-                model, cfg, array, gp.theta_deg, step_divisor=SCREEN_STEP_DIVISOR)
+                model, cfg, array, gp.theta_deg, step_divisor=COARSE_STEP_DIVISOR)
         except NoInteriorMaximum:
             coarse = None
         rungs.append((coarse, beta, alpha, array))

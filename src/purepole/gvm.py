@@ -1,10 +1,12 @@
 """Group-velocity-matching geometry: wavelength triples, GVM angle, coherence length.
 
-A collinear Type-II configuration is described by a `PhaseMatchConfig`: the
-pump is always Y-polarized, the heralded "signal" photon sits on the caller's
-chosen axis and its partner "idler" on the other one.  The GVM angle is the
-orientation of the phase-matching ridge in the (signal, idler) frequency
-plane,
+A collinear Type-II configuration is described by a `PhaseMatchConfig` of
+the pump and signal wavelengths, the signal's axis and the crystal length:
+the pump is always Y-polarized, the heralded "signal" photon sits on the
+caller's chosen axis, and its partner "idler" takes the other axis and the
+wavelength of energy conservation, both derived rather than stored.  The
+GVM angle is the orientation of the phase-matching ridge in the (signal,
+idler) frequency plane,
 
     theta = arctan(-(k'_p - k'_s) / (k'_p - k'_i)),
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,34 +72,23 @@ def _other_axis(axis: Axis) -> Axis:
 
 @dataclass(frozen=True)
 class PhaseMatchConfig:
-    """Central wavelengths, polarization assignment and crystal length.
+    """Pump and signal wavelengths, the signal's polarization axis and the
+    crystal length.  The idler's wavelength follows from energy conservation
+    and its axis is the other one (Type-II); the pump is Y-polarized.
 
-    Invariants: energy conservation holds to float precision, the signal and
-    idler axes differ (Type-II), and the pump is Y-polarized.
-    """
+    Raises ValueError for a nonpositive pump wavelength or length, and
+    NonPositiveIdler unless the signal is longer than the pump."""
 
     lambda_p_um: float
     lambda_s_um: float
-    lambda_i_um: float
     signal_axis: Axis
-    idler_axis: Axis
     length_m: float = DEFAULT_CRYSTAL_LENGTH_M
-    pump_axis: Axis = Axis.Y
+    pump_axis: ClassVar[Axis] = Axis.Y
 
     def __post_init__(self):
-        if self.lambda_p_um <= 0 or self.lambda_s_um <= 0 or self.lambda_i_um <= 0:
+        if self.lambda_p_um <= 0:
             raise ValueError("wavelengths must be positive")
-        lhs = 1.0 / self.lambda_p_um
-        rhs = 1.0 / self.lambda_s_um + 1.0 / self.lambda_i_um
-        if abs(lhs - rhs) > 1e-9 * lhs:
-            raise ValueError(
-                f"energy conservation violated: 1/{self.lambda_p_um} != "
-                f"1/{self.lambda_s_um} + 1/{self.lambda_i_um}"
-            )
-        if self.signal_axis is self.idler_axis:
-            raise ValueError("Type-II configuration requires signal_axis != idler_axis")
-        if self.pump_axis is not Axis.Y:
-            raise ValueError("pump is always Y-polarized")
+        idler_wavelength(self.lambda_p_um, self.lambda_s_um)  # NonPositiveIdler
         if self.length_m <= 0:
             raise ValueError("crystal length must be positive")
 
@@ -109,22 +101,21 @@ class PhaseMatchConfig:
         length_m: float = DEFAULT_CRYSTAL_LENGTH_M,
         model: DispersionModel | None = None,
     ) -> "PhaseMatchConfig":
-        """Build a config from pump/signal wavelengths; the idler follows from
-        energy conservation.  If `model` is given, all three wavelengths are
-        checked against its transparency window."""
-        li = idler_wavelength(lambda_p_um, lambda_s_um)
-        cfg = cls(
-            lambda_p_um=lambda_p_um,
-            lambda_s_um=lambda_s_um,
-            lambda_i_um=li,
-            signal_axis=signal_axis,
-            idler_axis=_other_axis(signal_axis),
-            length_m=length_m,
-        )
+        """Build a config from pump/signal wavelengths.  If `model` is given,
+        all three wavelengths are checked against its transparency window."""
+        cfg = cls(lambda_p_um, lambda_s_um, signal_axis, length_m)
         if model is not None:
-            for lam in (lambda_p_um, lambda_s_um, li):
+            for lam in (lambda_p_um, lambda_s_um, cfg.lambda_i_um):
                 model._check_window(lam)
         return cfg
+
+    @property
+    def lambda_i_um(self) -> float:
+        return idler_wavelength(self.lambda_p_um, self.lambda_s_um)
+
+    @property
+    def idler_axis(self) -> Axis:
+        return _other_axis(self.signal_axis)
 
     @property
     def omega_p0(self) -> float:

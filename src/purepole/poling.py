@@ -137,24 +137,26 @@ class DomainArray(_Structure):
 
 @dataclass(frozen=True)
 class TargetProfile:
-    """Gaussian tracking target: alpha = L/sigma, phase mismatch dk0 = pi/l_c."""
+    """Gaussian tracking target: width factor alpha = L/sigma, crystal length
+    L and phase mismatch dk0 = pi/l_c; the width sigma = L/alpha is derived."""
 
     alpha: float
-    sigma_m: float
     length_m: float
     delta_k0: float
 
     def __post_init__(self):
-        if self.sigma_m <= 0 or self.length_m <= 0:
-            raise ValueError("sigma and length must be positive")
-        if abs(self.alpha * self.sigma_m - self.length_m) > 1e-9 * self.length_m:
-            raise ValueError("alpha must equal length/sigma")
+        if self.alpha <= 0 or self.length_m <= 0:
+            raise ValueError("alpha and length must be positive")
         if self.delta_k0 <= 0:
             raise ValueError("target profile uses the normalized (positive) dk0")
 
     @classmethod
     def from_alpha(cls, alpha: float, length_m: float, delta_k0: float) -> "TargetProfile":
-        return cls(alpha=alpha, sigma_m=length_m / alpha, length_m=length_m, delta_k0=delta_k0)
+        return cls(alpha=alpha, length_m=length_m, delta_k0=delta_k0)
+
+    @property
+    def sigma_m(self) -> float:
+        return self.length_m / self.alpha
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,6 @@ class DesignResult:
     coherence_length_m: float
     # dw of the standard grid on which `purity` was scored
     delta_omega_rad_s: float
-    pp_purity: float | None = None
-    pp_pump_bandwidth_nm: float | None = None
     below_threshold: bool = False
 
 

@@ -50,15 +50,15 @@ fit and the Horner pass over the grid's fixed sub-cells.
 
 dw is measured without building the grid: an 8-neighbour hill climb from the
 grid centre finds the |f|^2 peak, and only the row and the column through it
-are evaluated.  A climb that reaches the grid edge falls back to a full
-build, so that `PeakOnBoundary` keeps its meaning.
+are evaluated.  A climb that reaches the grid edge raises `PeakOnBoundary`,
+as a full build's peak there would, and the window is doubled.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -98,65 +98,65 @@ class PeakOnBoundary(RuntimeError):
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Gaussian pump envelope: central frequency omega_p0 and width sigma_p
-    of exp(-((w_s + w_i - w_p0)/sigma_p)^2), both in rad/s.
+    """Gaussian pump of central wavelength `lambda_p_um` and intensity-FWHM
+    bandwidth `bandwidth_nm`: the envelope exp(-((w_s + w_i - w_p0)/sigma_p)^2),
+    whose central frequency omega_p0 and width sigma_p (rad/s) are derived."""
 
-    A pump built by `from_bandwidth_nm` also keeps the bandwidth it was built
-    from, which takes no part in comparison, hashing or repr."""
-
-    omega_p0: float
-    sigma_p: float
-    _bandwidth_nm: float | None = field(default=None, init=False, compare=False, repr=False)
+    lambda_p_um: float
+    bandwidth_nm: float
 
     def __post_init__(self):
-        if self.sigma_p <= 0 or self.omega_p0 <= 0:
-            raise ValueError("pump frequency and bandwidth must be positive")
+        if not (0 < self.sigma_p < math.inf and 0 < self.omega_p0 < math.inf):
+            raise ValueError("pump frequency and bandwidth must be positive and finite")
 
     @classmethod
     def from_bandwidth_nm(cls, lambda_p_um: float, bandwidth_nm: float) -> "PumpSpec":
         """Build from the pump intensity-FWHM bandwidth in nm."""
-        lam = lambda_p_um * 1e-6
-        omega_p0 = 2.0 * math.pi * C_LIGHT / lam
-        dw_fwhm = 2.0 * math.pi * C_LIGHT / lam**2 * (bandwidth_nm * 1e-9)
-        pump = cls(omega_p0=omega_p0, sigma_p=dw_fwhm / _FWHM_FACTOR)
-        object.__setattr__(pump, "_bandwidth_nm", float(bandwidth_nm))
-        return pump
+        return cls(lambda_p_um, float(bandwidth_nm))
 
     @property
-    def bandwidth_nm(self) -> float:
-        """Intensity-FWHM bandwidth in nm: the one `from_bandwidth_nm` was
-        given, else computed from sigma_p, which need not round-trip a
-        bandwidth to the last bit."""
-        if self._bandwidth_nm is not None:
-            return self._bandwidth_nm
-        lam = 2.0 * math.pi * C_LIGHT / self.omega_p0
-        return self.sigma_p * _FWHM_FACTOR * lam**2 / (2.0 * math.pi * C_LIGHT) * 1e9
+    def omega_p0(self) -> float:
+        return 2.0 * math.pi * C_LIGHT / (self.lambda_p_um * 1e-6)
+
+    @property
+    def sigma_p(self) -> float:
+        lam = self.lambda_p_um * 1e-6
+        dw_fwhm = 2.0 * math.pi * C_LIGHT / lam**2 * (self.bandwidth_nm * 1e-9)
+        return dw_fwhm / _FWHM_FACTOR
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform signal/idler frequency grids centered on the nominal pair.
+    """Uniform signal/idler frequency grids: `n_signal` and `n_idler`
+    cell-centred points around omega_s0 and omega_i0, both stepping by
+    `step`, so that omega_s[j] + omega_i[k] depends only on j + k.
+    `delta_omega` is the dw the grid was sized from.  The axes are derived,
+    read-only arrays."""
 
-    Contract: `omega_s` and `omega_i` are nonempty 1-D arrays that both step
-    by `step` (each point within 1e-6 step of omega[0] + n step), as
-    `make_grid` builds them, so that omega_s[j] + omega_i[k] depends only on
-    j + k.  `delta_k_grid` and `build_jsa` rely on it and raise ValueError
-    for a grid that breaks it.
-    """
-
-    omega_s: np.ndarray
-    omega_i: np.ndarray
-    delta_omega: float
-    r_mult: float
+    omega_s0: float
+    omega_i0: float
+    n_signal: int
+    n_idler: int
     step: float
+    delta_omega: float
 
-    @property
-    def n_signal(self) -> int:
-        return int(self.omega_s.size)
+    def __post_init__(self):
+        if not (self.n_signal >= 1 and self.n_idler >= 1 and self.step > 0):
+            raise ValueError("a grid needs at least one point per axis and a positive step")
 
-    @property
-    def n_idler(self) -> int:
-        return int(self.omega_i.size)
+    @staticmethod
+    def _axis(centre: float, n: int, step: float) -> np.ndarray:
+        axis = centre + (np.arange(n) - (n - 1) / 2.0) * step
+        axis.setflags(write=False)
+        return axis
+
+    @cached_property
+    def omega_s(self) -> np.ndarray:
+        return self._axis(self.omega_s0, self.n_signal, self.step)
+
+    @cached_property
+    def omega_i(self) -> np.ndarray:
+        return self._axis(self.omega_i0, self.n_idler, self.step)
 
 
 @dataclass
@@ -539,26 +539,9 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure, out=None
     return complex(phi[0]) if dk.ndim == 0 else phi.reshape(dk.shape)
 
 
-# Points of a grid axis may sit this far, in units of the step, from the
-# uniform lattice the grid plan assumes.
-_GRID_TOLERANCE = 1e-6
 # The most bytes numpy can index in one array: a grid whose complex128
 # amplitude, 16 bytes a point, would hold more is refused by arithmetic.
 _MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
-
-
-def _pump_sums(grid: SpectralGrid) -> np.ndarray:
-    """The 2N - 1 distinct omega_s[j] + omega_i[k], indexed by j + k, after
-    checking the `SpectralGrid` contract."""
-    for name in ("omega_s", "omega_i"):
-        axis = np.asarray(getattr(grid, name), dtype=float)
-        if axis.ndim != 1 or axis.size == 0:
-            raise ValueError(f"SpectralGrid.{name} must be a nonempty 1-D array")
-        drift = np.max(np.abs(axis - (axis[0] + grid.step * np.arange(axis.size))))
-        if not (grid.step > 0 and drift <= _GRID_TOLERANCE * grid.step):
-            raise ValueError(f"SpectralGrid.{name} does not step uniformly by step = {grid.step!r}")
-    ws, wi = grid.omega_s, grid.omega_i
-    return np.concatenate([ws + wi[0], ws[-1] + wi[1:]])
 
 
 def _hankel(values: np.ndarray, columns: int) -> np.ndarray:
@@ -601,8 +584,10 @@ def _grid_plan(
 ) -> _GridPlan:
     """Wavenumbers and window flags of the signal, idler and pump sums of a
     grid: 3N - 1 Sellmeier evaluations.  See `delta_k_grid` for the modes."""
-    wp = _pump_sums(grid)
-    axes = ((wp, cfg.pump_axis), (grid.omega_s, cfg.signal_axis), (grid.omega_i, cfg.idler_axis))
+    # the N_s + N_i - 1 distinct omega_s[j] + omega_i[k], indexed by j + k
+    ws, wi = grid.omega_s, grid.omega_i
+    wp = np.concatenate([ws + wi[0], ws[-1] + wi[1:]])
+    axes = ((wp, cfg.pump_axis), (ws, cfg.signal_axis), (wi, cfg.idler_axis))
     lams = [wavelength_um_from_omega(w) for w, _ in axes]
     valid = [model.in_window(lam) for lam in lams]
     if not mask_invalid:
@@ -635,6 +620,12 @@ def delta_k_grid(
     that tests and perfbench's exact re-evaluation use.
     """
     return _grid_plan(model, cfg, grid, mask_invalid).full()
+
+
+# The step divisor of the coarse R = 10 dw grids (100 x 100) on which the
+# duty-cycle swarm scores its particles and `design_cl_scl` screens its rungs;
+# `_grid_side`'s standard rule is 20, or 40 outside 10..80 degrees.
+COARSE_STEP_DIVISOR = 10
 
 
 def _grid_side(theta_deg: float, r_mult: float = 10.0, step_divisor: int | None = None):
@@ -670,21 +661,13 @@ def make_grid(
 ) -> SpectralGrid:
     """Standard purity grid: D = dw/20 for 10 <= theta <= 80 deg, dw/40
     otherwise; N = R/D cell-centered points per axis, R = r_mult * dw.
-    Both axes share the offsets, so they step by the same D.  Raises
-    ValueError for step_divisor < 1, for fewer than 2 points per axis and
-    for more than numpy can index (`_grid_side`)."""
+    Both axes step by the same D.  Raises ValueError for step_divisor < 1,
+    for fewer than 2 points per axis and for more than numpy can index
+    (`_grid_side`)."""
     if delta_omega <= 0:
         raise ValueError("delta_omega must be positive")
     step_divisor, n = _grid_side(theta_deg, r_mult, step_divisor)
-    step = delta_omega / step_divisor
-    offsets = (np.arange(n) - (n - 1) / 2.0) * step
-    return SpectralGrid(
-        omega_s=omega_s0 + offsets,
-        omega_i=omega_i0 + offsets,
-        delta_omega=delta_omega,
-        r_mult=float(r_mult),
-        step=step,
-    )
+    return SpectralGrid(omega_s0, omega_i0, n, n, delta_omega / step_divisor, delta_omega)
 
 
 def _fwhm_linear(x: np.ndarray, y: np.ndarray) -> float:
@@ -877,8 +860,7 @@ def build_jsa(
 ) -> JointSpectrum:
     """Assemble the normalized JSA f = pump envelope x PMF on the grid, with
     the PMF of the poling structure from `pmf_piecewise`.  The phase
-    mismatch is sign-normalized so the central value is +pi/l_c.  The grid
-    must keep the `SpectralGrid` contract.
+    mismatch is sign-normalized so the central value is +pi/l_c.
 
     Buffers: `out`, a writable C-contiguous complex128 (N_s, N_i) array,
     receives the amplitude, and the result's `amplitude` is `out` itself;
@@ -937,10 +919,11 @@ def _climbed_cuts(
     structure: DomainArray | DutyCycleStructure,
     pump: PumpSpec,
     grid: SpectralGrid,
-) -> tuple[tuple[int, int], np.ndarray, np.ndarray] | None:
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     """((j0, k0), |f[:, k0]|^2, |f[j0, :]|^2) of the masked, unnormalized
-    JSA on the grid, without building it; None when the climb reaches an
-    edge row or column, or the peak has no weight.
+    JSA on the grid, without building it.  Raises PeakOnBoundary when the
+    climb reaches an edge row or column, and ValueError when the peak it
+    reaches has no weight.
 
     An 8-neighbour hill climb from the grid centre moves to the largest
     neighbour while it is strictly larger, then the two cuts through the
@@ -959,9 +942,9 @@ def _climbed_cuts(
             break
         j, k, here = j + _NEIGHBOURS_J[best], k + _NEIGHBOURS_K[best], around[best]
     else:
-        return None
+        raise PeakOnBoundary("the climb to the JSA maximum reached the grid edge")
     if here == 0.0:
-        return None
+        raise ValueError("JSA vanished around the grid centre (all points masked?)")
     rows, cols = np.arange(n_s), np.arange(n_i)
     cuts = evaluator.power(
         structure, np.concatenate([rows, np.full(n_i, j)]), np.concatenate([np.full(n_s, k), cols]))
@@ -981,24 +964,18 @@ def measure_delta_omega(
 
     Builds a probe grid from a physics-based seed, measures the FWHMs, and
     re-measures until dw changes by less than 2 %; the window is doubled
-    whenever the peak or a half crossing leaves the grid.  Each measurement
-    climbs to the peak and evaluates only the two cuts through it
-    (`_climbed_cuts`); when the climb reaches the grid edge it builds the
-    full JSA and reads the cuts from that instead.  `step_divisor` is
+    whenever the climb to the peak reaches the grid edge or a half crossing
+    leaves the grid.  Each measurement climbs to the peak and evaluates only
+    the two cuts through it (`_climbed_cuts`).  `step_divisor` is
     `make_grid`'s for the probe grids; None keeps its theta rule.
     """
     dw = _initial_bandwidth_guess(model, cfg, pump)
     for _ in range(max_iter):
         grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0, step_divisor=step_divisor)
         try:
-            climbed = _climbed_cuts(model, cfg, structure, pump, grid)
-            if climbed is None:
-                _, _, new = estimate_bandwidths(
-                    build_jsa(model, cfg, structure, pump, grid, mask_invalid=True))
-            else:
-                _, column, row = climbed
-                new = 0.5 * (float(_fwhm_linear(grid.omega_s, column))
-                             + float(_fwhm_linear(grid.omega_i, row)))
+            _, column, row = _climbed_cuts(model, cfg, structure, pump, grid)
+            new = 0.5 * (float(_fwhm_linear(grid.omega_s, column))
+                         + float(_fwhm_linear(grid.omega_i, row)))
         except PeakOnBoundary:
             dw *= 2.0
             continue

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.constants import c as C_LIGHT
 
 import purepole
 from purepole import analysis, spectrum
@@ -963,7 +964,11 @@ class TestOptimizePumpBandwidth:
         cfg = case_config("i")
         slope_s, slope_i = analysis._ridge_slopes(model, cfg)
         sigma = 1.0 / math.sqrt(0.25 * 0.193 * cfg.length_m**2 * abs(slope_s * slope_i))
-        bw = PumpSpec(omega_p0=cfg.omega_p0, sigma_p=sigma).bandwidth_nm
+        # the bandwidth of a pump of that width at lambda_p
+        lam = cfg.lambda_p_um * 1e-6
+        bw = sigma * math.sqrt(2 * math.log(2)) * lam**2 / (2 * math.pi * C_LIGHT) * 1e9
+        assert PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, bw).sigma_p == pytest.approx(
+            sigma, rel=1e-12)
         seed = analysis._seed_index(model, cfg, _LOGS)
         assert abs(_LOGS[seed] - math.log(bw)) <= 0.5 * (_LOGS[1] - _LOGS[0])
 
@@ -1077,10 +1082,7 @@ class TestPurityVsRange:
 
 
 class TestPsoDutyCycle:
-    @pytest.mark.parametrize("field, value", [
-        ("coarse_points", 0), ("coarse_points", 5), ("coarse_points", 105),
-        ("coarse_points", -10), ("n_particles", 0), ("n_iterations", -1),
-    ])
+    @pytest.mark.parametrize("field, value", [("n_particles", 0), ("n_iterations", -1)])
     def test_invalid_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             PsoSettings(**{field: value})
@@ -1088,7 +1090,7 @@ class TestPsoDutyCycle:
     def test_deterministic_bit_for_bit(self, model):
         cfg = case_config("i", length_m=1.0e-3)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
-        settings_ = PsoSettings(n_particles=4, n_iterations=3, coarse_points=60)
+        settings_ = PsoSettings(n_particles=4, n_iterations=3)
         prof_a, res_a = pso_optimize_dc(model, cfg, pump, settings_, seed=42)
         prof_b, res_b = pso_optimize_dc(model, cfg, pump, settings_, seed=42)
         assert np.array_equal(prof_a, prof_b)
@@ -1097,7 +1099,7 @@ class TestPsoDutyCycle:
     def test_seed_changes_search(self, model):
         cfg = case_config("i", length_m=1.0e-3)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
-        settings_ = PsoSettings(n_particles=4, n_iterations=2, coarse_points=60)
+        settings_ = PsoSettings(n_particles=4, n_iterations=2)
         prof_a, _ = pso_optimize_dc(model, cfg, pump, settings_, seed=1)
         prof_b, _ = pso_optimize_dc(model, cfg, pump, settings_, seed=2)
         assert not np.array_equal(prof_a, prof_b)
@@ -1105,9 +1107,7 @@ class TestPsoDutyCycle:
     def test_budget_exhausted_flag(self, model):
         cfg = case_config("i", length_m=1.0e-3)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
-        settings_ = PsoSettings(
-            n_particles=2, n_iterations=1, coarse_points=60, target_purity=0.999999
-        )
+        settings_ = PsoSettings(n_particles=2, n_iterations=1, target_purity=0.999999)
         _, res = pso_optimize_dc(model, cfg, pump, settings_, seed=0)
         assert res.below_threshold
 
@@ -1131,7 +1131,7 @@ class TestPsoDutyCycle:
         cfg = case_config("i")
         gp = phase_mismatch_and_lc(model, cfg)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.0)
-        settings_ = PsoSettings(n_particles=4, n_iterations=2, coarse_points=100)
+        settings_ = PsoSettings(n_particles=4, n_iterations=2)
         _, res = pso_optimize_dc(model, cfg, pump, settings_, seed=0)
         pp = periodic_domains(cfg.length_m, gp.coherence_length_m)
         _, p_pp = optimize_pump_bandwidth(model, cfg, pp, gp.theta_deg)
@@ -1144,7 +1144,7 @@ class TestPsoDutyCycle:
         cfg = case_config("i", length_m=266 * lc + 1e-12)
         n = int(cfg.length_m / (2 * lc))
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 3.07)
-        settings_ = PsoSettings(n_particles=1, n_iterations=0, init_spread=0.0)
+        settings_ = PsoSettings(n_particles=1, n_iterations=0)
         _, res = pso_optimize_dc(
             model, cfg, pump, settings_, seed=0,
             initial_profile=np.full(n, 0.5),

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -834,6 +835,29 @@ def test_unreadable_design_artifact_exit_2(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("config error: design_dir:") and str(path) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bandwidth, code", [
+    (3, EXIT_OK), ("3", EXIT_CONFIG), (math.nan, EXIT_CONFIG), (math.inf, EXIT_CONFIG)])
+def test_design_artifact_bandwidth_must_be_a_number(tmp_path, capsys, bandwidth, code):
+    # text that float() would read, NaN and infinity are refused like any
+    # other malformed entry
+    from purepole import Axis, PhaseMatchConfig
+
+    case = PhaseMatchConfig.from_pump_signal(0.710, 1.310, Axis.Z)
+    artifact = {"scheme": "cl", "pump_bandwidth_nm": bandwidth, "signal_axis": "Z",
+                "sellmeier": "ktp-kato-takaoka-2002",
+                **{f"lambda_{b}_nm": getattr(case, f"lambda_{b}_um") * 1e3 for b in "psi"},
+                "structure": {"kind": "uniform", "width_m": 1e-5, "signs": "+-" * 250}}
+    design = tmp_path / "design"
+    design.mkdir()
+    (design / "design_result.json").write_text(json.dumps(artifact))
+    argv = ["sweep-range", "--preset", "o-band-i", "--schemes", "cl-scl", "--r-list", "10",
+            "--design-dir", str(design), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == code
+    if code == EXIT_CONFIG:
+        assert capsys.readouterr().err.startswith("config error: design_dir:")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

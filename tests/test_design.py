@@ -13,11 +13,11 @@ from purepole.design import (
     ALPHA_VALUES,
     DEFAULT_BETA_LADDER,
     SCREEN_MARGIN,
-    SCREEN_STEP_DIVISOR,
     DesignOptions,
     design_cl_scl,
 )
 from purepole.poling import MIN_DOMAIN_WIDTH_M, DesignResult, tracking_cost
+from purepole.spectrum import COARSE_STEP_DIVISOR
 
 from conftest import case_config
 
@@ -86,7 +86,7 @@ def _scripted(monkeypatch, coarse, standard):
     monkeypatch.setattr(design, "tracking_cost", lambda array, profile: 0.0)
 
     def search(model, cfg, beta, theta_deg, step_divisor=None):
-        assert step_divisor in (None, SCREEN_STEP_DIVISOR)
+        assert step_divisor in (None, COARSE_STEP_DIVISOR)
         kind = "standard" if step_divisor is None else "coarse"
         searches.append((beta, kind))
         value = (standard if step_divisor is None else coarse)[beta]
@@ -322,5 +322,5 @@ def test_coarse_purity_lies_within_the_margin_on_every_default_rung(model, prese
             assert optimize_pump_bandwidth(model, cfg, array, gp.theta_deg)[1] == pytest.approx(
                 standard, rel=0.0, abs=1e-12)
         _, coarse = optimize_pump_bandwidth(
-            model, cfg, array, gp.theta_deg, step_divisor=SCREEN_STEP_DIVISOR)
+            model, cfg, array, gp.theta_deg, step_divisor=COARSE_STEP_DIVISOR)
         assert abs(coarse - standard) < SCREEN_MARGIN, (preset, beta)

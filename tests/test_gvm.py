@@ -98,24 +98,40 @@ class TestPhaseMismatch:
             assert gp.coherence_length_m * abs(gp.delta_k0) == pytest.approx(math.pi, rel=1e-12)
 
     def test_energy_conservation_enforced(self):
-        with pytest.raises(ValueError, match="energy conservation"):
-            PhaseMatchConfig(
-                lambda_p_um=0.710,
-                lambda_s_um=1.310,
-                lambda_i_um=1.500,
-                signal_axis=Axis.Z,
-                idler_axis=Axis.Y,
-            )
+        # the idler is derived, so no config can break energy conservation
+        cfg = PhaseMatchConfig(0.710, 1.310, Axis.Z)
+        assert cfg.lambda_i_um == idler_wavelength(0.710, 1.310)
+        assert 1 / cfg.lambda_p_um == pytest.approx(1 / cfg.lambda_s_um + 1 / cfg.lambda_i_um,
+                                                    rel=1e-15)
+        with pytest.raises(TypeError, match="lambda_i_um"):
+            PhaseMatchConfig(lambda_p_um=0.710, lambda_s_um=1.310, lambda_i_um=1.500,
+                             signal_axis=Axis.Z)
+        with pytest.raises(NonPositiveIdler):
+            PhaseMatchConfig(0.71, 0.70, Axis.Z)
 
     def test_type_ii_required(self):
-        with pytest.raises(ValueError, match="signal_axis"):
-            PhaseMatchConfig(
-                lambda_p_um=0.710,
-                lambda_s_um=1.310,
-                lambda_i_um=idler_wavelength(0.710, 1.310),
-                signal_axis=Axis.Z,
-                idler_axis=Axis.Z,
-            )
+        # the idler takes the other axis and the pump is Y, by construction
+        for signal, idler in ((Axis.Z, Axis.Y), (Axis.Y, Axis.Z)):
+            cfg = PhaseMatchConfig(0.710, 1.310, signal)
+            assert (cfg.signal_axis, cfg.idler_axis, cfg.pump_axis) == (signal, idler, Axis.Y)
+        assert [f.name for f in dataclasses.fields(PhaseMatchConfig)] == [
+            "lambda_p_um", "lambda_s_um", "signal_axis", "length_m"]
+        with pytest.raises(TypeError, match="idler_axis"):
+            PhaseMatchConfig(lambda_p_um=0.710, lambda_s_um=1.310, signal_axis=Axis.Z,
+                             idler_axis=Axis.Z)
+
+    @given(pump=st.floats(0.3, 2.0), ratio=st.floats(1.0001, 10.0))
+    @settings(deadline=None, max_examples=200)
+    def test_idler_keeps_its_bits(self, pump, ratio):
+        # the expression from_pump_signal stored before the idler was derived
+        signal = pump * ratio
+        cfg = PhaseMatchConfig.from_pump_signal(pump, signal, Axis.Z)
+        assert cfg.lambda_i_um == 1.0 / (1.0 / pump - 1.0 / signal)
+
+    @pytest.mark.parametrize("pump, length", [(0.0, 5e-3), (-0.71, 5e-3), (0.71, 0.0)])
+    def test_nonpositive_input_rejected(self, pump, length):
+        with pytest.raises(ValueError, match="positive"):
+            PhaseMatchConfig(pump, 1.310, Axis.Z, length)
 
 
 class TestGvmMap:

@@ -1,5 +1,6 @@
 """Poling structures: periodic, tracked, multi-order, duty-cycle."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -90,6 +91,23 @@ def test_structure_owns_a_read_only_copy_and_its_table(make, name, values):
     del structure
     gc.collect()
     assert gone() is None
+
+
+class TestTargetProfile:
+    @pytest.mark.parametrize("alpha", [4.0, 4.6, 5.1, 6.0, 0.01])
+    def test_width_is_derived(self, alpha):
+        # the expression from_alpha stored before sigma was derived
+        profile = TargetProfile.from_alpha(alpha, L5MM, math.pi / LC_I)
+        assert profile.sigma_m == L5MM / alpha
+        assert profile == TargetProfile(alpha=alpha, length_m=L5MM, delta_k0=math.pi / LC_I)
+        assert [f.name for f in dataclasses.fields(TargetProfile)] == [
+            "alpha", "length_m", "delta_k0"]
+
+    @pytest.mark.parametrize("alpha, length, dk0", [
+        (0.0, L5MM, 1e5), (-5.0, L5MM, 1e5), (5.0, 0.0, 1e5), (5.0, L5MM, 0.0)])
+    def test_nonpositive_input_rejected(self, alpha, length, dk0):
+        with pytest.raises(ValueError, match="positive"):
+            TargetProfile(alpha, length, dk0)
 
 
 class TestTargetPmf:

@@ -58,21 +58,39 @@ class TestPumpSpec:
 
     @pytest.mark.parametrize("bandwidth", [3.0, 3, 1.7133511972345823, 0.05, 50.0])
     def test_keeps_the_bandwidth_it_was_built_from(self, bandwidth):
-        # sigma_p alone brings 3 nm back as 3.0000000000000004
+        # the bandwidth is the record's input, not a value computed back from
+        # sigma_p (which brings 3 nm back as 3.0000000000000004)
         pump = PumpSpec.from_bandwidth_nm(0.710, bandwidth)
         assert type(pump.bandwidth_nm) is float and pump.bandwidth_nm == bandwidth
-        bare = PumpSpec(omega_p0=pump.omega_p0, sigma_p=pump.sigma_p)
-        assert bare.bandwidth_nm == pytest.approx(bandwidth, rel=1e-15)
-        if bandwidth == 3.0:
-            assert bare.bandwidth_nm != 3.0
+        for other in (bandwidth, 3.0, 0.3):
+            assert dataclasses.replace(pump, bandwidth_nm=other).bandwidth_nm == other
 
-    def test_kept_bandwidth_takes_no_part_in_comparison(self):
+    def test_pumps_compare_by_wavelength_and_bandwidth(self):
         pump = PumpSpec.from_bandwidth_nm(0.710, 3.0)
-        bare = PumpSpec(omega_p0=pump.omega_p0, sigma_p=pump.sigma_p)
-        assert pump == bare and hash(pump) == hash(bare) and repr(pump) == repr(bare)
-        # a pump made from another one keeps only the fields it was given
-        wider = dataclasses.replace(pump, sigma_p=2.0 * pump.sigma_p)
-        assert wider.bandwidth_nm == pytest.approx(6.0, rel=1e-15)
+        same = PumpSpec(lambda_p_um=0.710, bandwidth_nm=3.0)
+        assert pump == same and hash(pump) == hash(same) and repr(pump) == repr(same)
+        assert [f.name for f in dataclasses.fields(PumpSpec)] == ["lambda_p_um", "bandwidth_nm"]
+        # a pump made from another one derives its width from its own bandwidth
+        wider = dataclasses.replace(pump, bandwidth_nm=6.0)
+        assert wider != pump and wider.sigma_p == pytest.approx(2.0 * pump.sigma_p, rel=1e-15)
+        assert wider.omega_p0 == pump.omega_p0
+
+    @given(lambda_p=st.floats(0.3, 5.0), bandwidth=st.floats(1e-3, 100.0))
+    @settings(deadline=None, max_examples=200)
+    def test_derived_frequency_and_width_keep_their_bits(self, lambda_p, bandwidth):
+        # the expressions from_bandwidth_nm stored before they were derived
+        pump = PumpSpec.from_bandwidth_nm(lambda_p, bandwidth)
+        lam = lambda_p * 1e-6
+        c = spectrum.C_LIGHT
+        assert pump.omega_p0 == 2.0 * math.pi * c / lam
+        dw_fwhm = 2.0 * math.pi * c / lam**2 * (bandwidth * 1e-9)
+        assert pump.sigma_p == dw_fwhm / math.sqrt(2.0 * math.log(2.0))
+
+    @pytest.mark.parametrize("lambda_p, bandwidth", [
+        (0.710, 0.0), (0.710, -1.0), (-0.710, 3.0), (0.710, math.nan), (0.710, math.inf)])
+    def test_nonpositive_input_rejected(self, lambda_p, bandwidth):
+        with pytest.raises(ValueError, match="positive"):
+            PumpSpec(lambda_p, bandwidth)
 
     def test_documented_conversion(self):
         # sigma_p = (2 pi c / lambda^2) * dl / sqrt(2 ln 2)
@@ -443,20 +461,36 @@ class TestGridPlan:
 
     @pytest.mark.parametrize("bend", ["signal", "idler", "steps"])
     def test_non_uniform_grid_rejected(self, model, pump_i, bend):
+        # a grid holds its centres, point counts and step, and derives its
+        # axes from them: an axis cannot be bent in place or replaced, and a
+        # new step moves both axes with it
         cfg = case_config("i")
         grid = make_grid(26.0, 1e12, cfg.omega_s0, cfg.omega_i0)
-        if bend == "signal":
-            axes = {"omega_s": grid.omega_s + 1e-3 * grid.step * np.arange(grid.n_signal) ** 2}
-        elif bend == "idler":
-            axes = {"omega_i": np.append(grid.omega_i[:-1], grid.omega_i[-1] + grid.step)}
-        else:
-            axes = {"step": 1.01 * grid.step}
-        bent = dataclasses.replace(grid, **axes)
-        arr = periodic_domains(cfg.length_m, 18.86e-6)
+        if bend == "steps":
+            bent = dataclasses.replace(grid, step=1.01 * grid.step)
+            for axis in (bent.omega_s, bent.omega_i):
+                assert np.allclose(np.diff(axis), bent.step, rtol=1e-6, atol=0)
+            build_jsa(model, cfg, periodic_domains(cfg.length_m, 18.86e-6), pump_i, bent)
+            return
+        name = {"signal": "omega_s", "idler": "omega_i"}[bend]
+        axis = getattr(grid, name)
+        with pytest.raises(ValueError, match="read-only"):
+            axis[-1] += grid.step
+        with pytest.raises(TypeError, match=name):
+            dataclasses.replace(grid, **{name: axis + 1e-3 * grid.step * np.arange(axis.size) ** 2})
         with pytest.raises(ValueError, match="step"):
-            build_jsa(model, cfg, arr, pump_i, bent)
-        # the untouched grid builds
-        build_jsa(model, cfg, arr, pump_i, grid)
+            dataclasses.replace(grid, step=0.0)
+
+    @pytest.mark.parametrize("n_signal, n_idler", [(120, 200), (200, 70), (1, 5)])
+    def test_rectangular_grid_matches_n2(self, model, n_signal, n_idler):
+        # the plan needs only a common step, not a common point count
+        cfg, gp, structures = preset_structures(model, "o-band-ii")
+        square = _standard_grid(model, cfg, gp, structures["pp"], 10.0)
+        grid = dataclasses.replace(square, n_signal=n_signal, n_idler=n_idler)
+        dk, valid = delta_k_grid(model, cfg, grid, mask_invalid=True)
+        ref_dk, ref_valid = _n2_delta_k(model, cfg, grid, np.arange(n_signal))
+        assert dk.shape == (n_signal, n_idler) and np.array_equal(valid, ref_valid)
+        assert np.max(np.abs(dk - ref_dk)) * cfg.length_m <= 1e-9
 
 
 class TestMakeGrid:
@@ -485,6 +519,19 @@ class TestMakeGrid:
     def test_r_mult_scaling(self):
         grid = make_grid(26.0, 1e12, 1e15, 1.2e15, r_mult=70)
         assert grid.n_signal == 1400
+
+    @given(centre=st.floats(1e14, 5e15), dw=st.floats(1e10, 1e14),
+           theta=st.floats(0.0, 90.0), r_mult=st.floats(2.0, 30.0))
+    @settings(deadline=None, max_examples=200)
+    def test_axes_keep_their_bits(self, centre, dw, theta, r_mult):
+        # the expression make_grid filled the axes with before they were derived
+        grid = make_grid(theta, dw, centre, 1.2 * centre, r_mult=r_mult)
+        n = grid.n_signal
+        offsets = (np.arange(n) - (n - 1) / 2.0) * grid.step
+        assert grid.n_idler == n and grid.step == dw / (20 if 10.0 <= theta <= 80.0 else 40)
+        assert np.array_equal(grid.omega_s, centre + offsets)
+        assert np.array_equal(grid.omega_i, 1.2 * centre + offsets)
+        assert not (grid.omega_s.flags.writeable or grid.omega_i.flags.writeable)
 
     def test_cell_centered_and_centered_on_nominal(self):
         grid = make_grid(26.0, 1e12, 1e15, 1.2e15)
@@ -594,8 +641,7 @@ class TestBuildJsa:
             got = standard_jsa(model, cfg, arr, pump_i, gp.theta_deg)
         else:
             got = standard_jsa(model, cfg, arr, pump_i, gp.theta_deg, delta_omega, r_mult)
-        assert got.grid.delta_omega == want.grid.delta_omega
-        assert got.grid.r_mult == want.grid.r_mult
+        assert got.grid == want.grid
         assert np.array_equal(got.grid.omega_s, want.grid.omega_s)
         assert np.array_equal(got.grid.omega_i, want.grid.omega_i)
         assert np.array_equal(got.amplitude, want.amplitude)
@@ -716,21 +762,26 @@ class TestBuildBuffers:
 
 def _full_grid_delta_omega(model, cfg, structure, pump, theta_deg, max_iter=12):
     """measure_delta_omega with a full build on every grid, the reference
-    path; on each grid the climb must find the full-grid peak cell."""
+    path; on each grid the climb must find the full-grid peak cell, or reach
+    an edge only where the full grid's peak or half crossing lies on one."""
     dw = spectrum._initial_bandwidth_guess(model, cfg, pump)
     for _ in range(max_iter):
         grid = make_grid(theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
         jsa = build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
         power = np.abs(jsa.amplitude) ** 2
         peak = np.unravel_index(int(np.argmax(power)), power.shape)
-        climbed = spectrum._climbed_cuts(model, cfg, structure, pump, grid)
-        if climbed is not None:
+        try:
+            climbed = spectrum._climbed_cuts(model, cfg, structure, pump, grid)
+        except PeakOnBoundary:
+            climbed = None
+        else:
             assert climbed[0] == peak
         try:
             _, _, new = estimate_bandwidths(jsa)
         except PeakOnBoundary:
             dw *= 2.0
             continue
+        assert climbed is not None
         if abs(new - dw) <= 0.02 * dw:
             return new
         dw = new
@@ -762,6 +813,9 @@ class TestClimbedCuts:
         np.testing.assert_allclose(row * scale, power[j0, :], rtol=1e-13, atol=0)
 
     def test_builds_only_when_the_climb_reaches_an_edge(self, model, monkeypatch):
+        # and not even then: a climb that reaches an edge raises
+        # PeakOnBoundary, as the full build's peak there would, and the
+        # window doubles
         cfg = case_config("i")
         gp = phase_mismatch_and_lc(model, cfg)
         pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 0.3)
@@ -781,8 +835,11 @@ class TestClimbedCuts:
         off_design = periodic_domains(cfg.length_m, 1.005 * gp.coherence_length_m)
         seed = spectrum._initial_bandwidth_guess
         monkeypatch.setattr(spectrum, "_initial_bandwidth_guess", lambda *a: 0.1 * seed(*a))
+        grid = make_grid(gp.theta_deg, 0.1 * seed(model, cfg, pump), cfg.omega_s0, cfg.omega_i0)
+        with pytest.raises(PeakOnBoundary):
+            spectrum._climbed_cuts(model, cfg, off_design, pump, grid)
         got = measure_delta_omega(model, cfg, off_design, pump, gp.theta_deg)
-        assert len(builds) >= 1
+        assert builds == []
         monkeypatch.setattr(spectrum, "build_jsa", real_build)
         want = _full_grid_delta_omega(model, cfg, off_design, pump, gp.theta_deg)
         assert abs(got - want) <= 1e-10 * want
