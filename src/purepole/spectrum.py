@@ -40,13 +40,28 @@ exact sum at every point instead.
 One `_JsaEvaluator` per (grid, pump) holds the grid plan, the sign
 normalization and the envelope on the 2N - 1 pump sums, and assembles
 envelope x PMF for the dw climb (chosen points), for `build_jsa` (the whole
-grid) and for the duty-cycle swarm.  The swarm's profiles share one period
-Lambda = 2 l_c, so per period only the split point moves: period m adds
-(2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk b_m}) / (i dk) at a lattice node,
-and the node sums of a whole swarm come from one batch of exponentials and
-one stacked matmul, with no per-structure table (nodes with |dk| Lambda < 1
-take the per-segment sum instead); each profile then takes the same sub-cell
-fit and the Horner pass over the grid's fixed sub-cells.
+grid), for the range sweep (a band of the grid) and for the duty-cycle swarm.
+The swarm's profiles share one period Lambda = 2 l_c, so per period only the
+split point moves: period m adds (2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk
+b_m}) / (i dk) at a lattice node, and the node sums of a whole swarm come
+from one batch of exponentials and one stacked matmul, with no per-structure
+table (nodes with |dk| Lambda < 1 take the per-segment sum instead); each
+profile then takes the same sub-cell fit and the Horner pass over the grid's
+fixed sub-cells.
+
+The range sweep's purity flushes every part below tau = eps / (16 sqrt(2 N^2))
+after scaling the amplitude by its largest part and to unit norm, and on a
+wide grid (R = 50 dw) most of the grid lies far down the pump envelope, which
+depends only on m = j + k.  Since |G| <= L (the sum of the segment widths),
+a part on anti-diagonal m is at most e_m L, so it cannot survive the flush
+when e_m 2L < tau p, with p = max |f| / sqrt(2) on the anti-diagonal of
+largest envelope, a lower bound on the largest part; the factor 2 covers the
+lattice's 1e-10 relative error and the rounding of the scalings.  The sweep
+builds only row blocks of 64 rows, each over the columns that meet the kept
+anti-diagonals, and leaves the rest exactly 0: the flushed amplitude is the
+whole build's, so every purity is too, bit for bit.  A grid whose blocks
+would cover it all, or that the size rule might send to the exact sum, is
+built whole by `build_jsa`.
 
 dw is measured without building the grid: an 8-neighbour hill climb from the
 grid centre finds the |f|^2 peak, and only the row and the column through it
@@ -209,6 +224,7 @@ SUBCELLS = 8
 SUBCELL_DEGREE = 5
 _TABLE_BLOCK = 64
 _POINT_BLOCK = 8192  # points per interpolation block
+_BAND_ROWS = 64  # rows per rectangle of a band build (`_JsaEvaluator.band`)
 _SUM_BLOCK = 1 << 16  # point x segment terms per block of the exact sum
 
 
@@ -305,12 +321,18 @@ def _lattice(dk: np.ndarray, length_m: float) -> tuple[int, int] | None:
     spans [c step, (c + 1) step]; its stencil is the nodes c - 5 .. c + 6."""
     if dk.size < 2 * LATTICE_STENCIL:
         return None
+    return _lattice_cells(dk.size, float(dk.min()), float(dk.max()), length_m)
+
+
+def _lattice_cells(size: int, lo: float, hi: float, length_m: float) -> tuple[int, int] | None:
+    """`_lattice` of `size` points whose dk lies in [lo, hi].  Bounds wider
+    than the points' own extremes can only turn a lattice into None."""
     scale = 1.0 / _lattice_step(length_m)
-    lo, hi = float(dk.min()) * scale, float(dk.max()) * scale
+    lo, hi = lo * scale, hi * scale
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
     first, last = math.floor(lo), math.floor(hi)
-    if dk.size < 2 * (last - first + LATTICE_STENCIL):
+    if size < 2 * (last - first + LATTICE_STENCIL):
         return None
     return first, last
 
@@ -549,6 +571,12 @@ def _hankel(values: np.ndarray, columns: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(values, columns)
 
 
+def _hankel_block(values: np.ndarray, j0: int, j1: int, k0: int, k1: int) -> np.ndarray:
+    """Read-only view H[j - j0, k - k0] = values[j + k] on the rows j0 ..
+    j1 - 1 and the columns k0 .. k1 - 1."""
+    return _hankel(values[j0 + k0 : j1 + k1 - 1], k1 - k0)
+
+
 @dataclass(frozen=True)
 class _GridPlan:
     """The phase mismatch of a grid in 1-D pieces: dk[j, k] = k_pump[j + k]
@@ -569,14 +597,27 @@ class _GridPlan:
     def valid(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         return self.valid_pump[j + k] & self.valid_signal[j] & self.valid_idler[k]
 
+    def valid_block(self, j0: int, j1: int, k0: int, k1: int) -> np.ndarray:
+        """The valid flags of the rows j0 .. j1 - 1 and columns k0 .. k1 - 1."""
+        return (_hankel_block(self.valid_pump, j0, j1, k0, k1)
+                & self.valid_signal[j0:j1, None] & self.valid_idler[None, k0:k1])
+
+    def block(
+        self, j0: int, j1: int, k0: int, k1: int, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(dk, valid) on the rows j0 .. j1 - 1 and columns k0 .. k1 - 1, dk
+        written to `out` (a float array of that shape) when given, else a
+        new writable array.  Each dk is the same operations in the same
+        order whatever the block, so it is equal bit for bit to the whole
+        grid's."""
+        dk = np.subtract(_hankel_block(self.k_pump, j0, j1, k0, k1),
+                         self.k_signal[j0:j1, None], out=out)
+        dk -= self.k_idler[None, k0:k1]
+        return dk, self.valid_block(j0, j1, k0, k1)
+
     def full(self, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(dk, valid) at every grid point, dk written to `out` (a float
-        (N_s, N_i) array) when given, else a new writable array."""
-        n = self.k_idler.size
-        dk = np.subtract(_hankel(self.k_pump, n), self.k_signal[:, None], out=out)
-        dk -= self.k_idler[None, :]
-        valid = _hankel(self.valid_pump, n) & self.valid_signal[:, None] & self.valid_idler[None, :]
-        return dk, valid
+        """(dk, valid) at every grid point (`block` of the whole grid)."""
+        return self.block(0, self.k_signal.size, 0, self.k_idler.size, out)
 
 
 def _grid_plan(
@@ -720,10 +761,12 @@ class _JsaEvaluator:
 
     It holds the grid plan, the sign that normalizes the central mismatch to
     +pi/l_c and the pump envelope on the 2N - 1 pump sums, and evaluates the
-    unnormalized JSA three ways: `power` at chosen points (the dw climb),
-    `amplitude` on the whole grid for one structure (`build_jsa`), and
-    `duty_cycle_amplitudes` on the whole grid for many duty-cycle profiles of
-    one period at once (the duty-cycle swarm).
+    unnormalized JSA four ways: `power` at chosen points (the dw climb),
+    `amplitude` on the whole grid for one structure (`build_jsa`),
+    `band_amplitude` on the rectangles of `band` that can survive the
+    purity flush (the range sweep), and `duty_cycle_amplitudes` on the whole
+    grid for many duty-cycle profiles of one period at once (the duty-cycle
+    swarm).
     """
 
     def __init__(
@@ -776,6 +819,12 @@ class _JsaEvaluator:
         dk, valid = self.plan.full(work)
         dk *= self.sign
         masked = int(valid.size - np.count_nonzero(valid)) if self.mask_invalid else 0
+        if masked == valid.size:
+            # no valid point: the PMF at the placeholder mismatch would only
+            # grow the structure's lattice table
+            f = np.empty(valid.shape, dtype=complex) if out is None else out
+            f[...] = 0.0
+            return f, masked
         if masked:
             # zeroed below anyway; the first valid point's dk keeps the
             # placeholder mismatch out of the structure's lattice table
@@ -785,6 +834,82 @@ class _JsaEvaluator:
         if masked:
             f[~valid] = 0.0
         return f, masked
+
+    def band(
+        self, structure: DomainArray | DutyCycleStructure, floor: float
+    ) -> list[tuple[int, int, int, int]] | None:
+        """The rectangles (j0, j1, k0, k1) that hold every part of f that can
+        survive a purity flush at `floor` (the module docstring gives the
+        bound), or None where they would be the whole grid or the PMF size
+        rule might take the exact sum, judged on the grid's dk range bounded
+        from the plan's 1-D extremes.  A rectangle is a block of _BAND_ROWS
+        rows j0 .. j1 - 1 over the columns k0 .. k1 - 1 that meet a kept
+        anti-diagonal there.  With p = 0 the band is every anti-diagonal
+        whose envelope is not 0.
+        """
+        n_s, n_i = self.grid.n_signal, self.grid.n_idler
+        plan, envelope = self.plan, self.envelope
+        lo = plan.k_pump.min() - plan.k_signal.max() - plan.k_idler.max()
+        hi = plan.k_pump.max() - plan.k_signal.min() - plan.k_idler.min()
+        if self.sign < 0:
+            lo, hi = -hi, -lo
+        if _lattice_cells(n_s * n_i, float(lo), float(hi), structure.length_m) is None:
+            return None
+        centre = int(np.argmax(envelope))
+        j = np.arange(max(0, centre - n_i + 1), min(n_s, centre + 1))
+        p = math.sqrt(float(self.power(structure, j, centre - j).max()) / 2.0)
+        kept = np.flatnonzero((envelope > 0.0) & (envelope * (2.0 * structure.length_m) >= floor * p))
+        if kept.size == 0:
+            return None
+        rects = []
+        for j0 in range(0, n_s, _BAND_ROWS):
+            j1 = min(j0 + _BAND_ROWS, n_s)
+            # from the first column that meets m = kept[0] to the last that
+            # meets m = kept[-1], clipped to the grid
+            k0, k1 = max(0, int(kept[0]) - j1 + 1), min(n_i, int(kept[-1]) - j0 + 1)
+            if k0 < k1:
+                rects.append((j0, j1, k0, k1))
+        if sum((j1 - j0) * (k1 - k0) for j0, j1, k0, k1 in rects) == n_s * n_i:
+            return None
+        return rects
+
+    def band_amplitude(
+        self,
+        structure: DomainArray | DutyCycleStructure,
+        rects: list[tuple[int, int, int, int]],
+        out: np.ndarray,
+    ) -> int:
+        """Write f to `out`, a C-contiguous complex (N_s, N_i) array, on the
+        rectangles of `band` and exact zeros elsewhere; return the masked
+        points of the whole grid.  Inside the rectangles f is `amplitude`'s
+        bit for bit: the same dk operations, the lattice PMF, then the
+        envelope.  A rectangle with no valid point is left 0 without a PMF.
+        """
+        plan = self.plan
+        edge = 0  # the first row not yet written
+        for j0, j1, k0, k1 in rects:
+            out[edge:j0] = 0.0
+            out[j0:j1, :k0] = 0.0
+            out[j0:j1, k1:] = 0.0
+            edge = j1
+            target = out[j0:j1, k0:k1]
+            dk, valid = plan.block(j0, j1, k0, k1)
+            dk *= self.sign
+            masked = not valid.all()
+            if masked:
+                if not valid.any():
+                    target[...] = 0.0
+                    continue
+                dk[~valid] = dk.flat[int(np.argmax(valid))]
+            phi = _interpolate(dk.reshape(-1), structure).reshape(dk.shape)
+            np.multiply(_hankel_block(self.envelope, j0, j1, k0, k1), phi, out=target)
+            if masked:
+                target[~valid] = 0.0
+        out[edge:] = 0.0
+        if not self.mask_invalid:
+            return 0
+        valid = plan.valid_block(0, self.grid.n_signal, 0, self.grid.n_idler)
+        return int(valid.size - np.count_nonzero(valid))
 
     @cached_property
     def _valid_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -876,12 +1001,32 @@ def build_jsa(
     if work is not None:
         _check_buffer("work", work, shape, float)
     f, masked = _JsaEvaluator(model, cfg, grid, pump, mask_invalid).amplitude(structure, out, work)
+    _unit_norm(f, [f.reshape(-1).view(float)])
+    return JointSpectrum(grid=grid, amplitude=f, masked_points=masked)
+
+
+def _unit_norm(f: np.ndarray, blocks: list[np.ndarray]) -> None:
+    """Scale a C-contiguous complex f to unit Frobenius norm in place, bit
+    for bit as numpy's f /= norm does, by multiplying `blocks`, float views
+    that hold every nonzero part of f between them, by 1 / norm; the norm is
+    one `np.dot` over all parts.  Raises ValueError when f vanishes.
+
+    numpy divides a + bi by a real n as (a + b 0) (1/n) + (b - a 0) (1/n) i,
+    which is a (1/n) + b (1/n) i except for the sign of a zero part, so a
+    block that holds a zero part first takes the b 0 and a 0 terms (the
+    second with the first's new a, which gives the same result).
+    """
     parts = f.reshape(-1).view(float)
     norm = math.sqrt(float(np.dot(parts, parts)))
     if norm == 0.0:
         raise ValueError("JSA vanished on the grid (all points masked?)")
-    f /= norm
-    return JointSpectrum(grid=grid, amplitude=f, masked_points=masked)
+    scale = 1.0 / norm
+    for block in blocks:
+        if not block.all():
+            real, imag = block[..., 0::2], block[..., 1::2]
+            real += imag * 0.0
+            imag -= real * 0.0
+        block *= scale
 
 
 @lru_cache(maxsize=64)

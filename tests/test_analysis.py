@@ -1,5 +1,6 @@
 """Schmidt purity, heralding efficiency, optimizers."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -51,6 +52,7 @@ from purepole.analysis import (
     write_schmidt_csv,
 )
 from purepole.cli import PRESETS
+from purepole.spectrum import _JsaEvaluator, _grid_side
 
 from conftest import case_config, preset_structures
 
@@ -341,6 +343,11 @@ def _column_trimmed_blocks(f) -> int:
 
 def _bits(x: float) -> int:
     return int(np.float64(x).view(np.int64))
+
+
+def _bits_of(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float or complex array, so that signed zeros count."""
+    return a.view(np.int64)
 
 
 def _zero_rows(f: np.ndarray, pattern: str) -> np.ndarray:
@@ -1069,6 +1076,103 @@ class TestPurityVsRange:
                 assert jsa.amplitude.shape == (side, side)
                 assert _bits(got) == _bits(jsa_purity(jsa)), (label, r)
                 assert got_masked == jsa.masked_fraction
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_band_sweep_is_the_standard_chain(self, model, preset):
+        # the 1000^2 grid, R = 50 (R = 25 where the standard grid is 400^2),
+        # built only on its band, scores as the whole standard grid does
+        cfg, gp, structures = preset_structures(model, preset)
+        r = 50.0 if _grid_side(gp.theta_deg)[1] == 200 else 25.0
+        for label in ("pp", "dc"):
+            structure = structures[label]
+            pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
+            dw = measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
+            curve = purity_vs_range(model, cfg, structure, pump, [r], gp.theta_deg, dw)
+            jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw, r)
+            assert jsa.amplitude.shape == (1000, 1000)
+            assert _bits(curve.purities[0]) == _bits(jsa_purity(jsa)), label
+            assert curve.masked_fractions[0] == jsa.masked_fraction
+
+    @staticmethod
+    def _masked_wide_case():
+        # part of the idler axis leaves the transparency window; at R = 50
+        # about 45 % of the 1000^2 grid is masked
+        cfg = PhaseMatchConfig.from_pump_signal(0.650, 0.780, Axis.Z)
+        pump = PumpSpec.from_bandwidth_nm(0.650, 2.0)
+        return cfg, periodic_domains(cfg.length_m, 20e-6), pump, 45.0, 0.01 * cfg.omega_i0
+
+    def test_band_sweep_of_a_masked_wide_grid(self, model):
+        cfg, structure, pump, theta, dw = self._masked_wide_case()
+        curve = purity_vs_range(model, cfg, structure, pump, [10.0, 50.0], theta, dw)
+        for r, got, got_masked in zip((10.0, 50.0), curve.purities, curve.masked_fractions):
+            jsa = standard_jsa(model, cfg, structure, pump, theta, dw, r)
+            assert jsa.masked_points > 0
+            assert _bits(got) == _bits(jsa_purity(jsa)), r
+            assert got_masked == jsa.masked_fraction
+
+    @staticmethod
+    def _band(evaluator, structure):
+        """(band f, masked points, mask of the rectangles) on a grid that held NaN."""
+        shape = (evaluator.grid.n_signal, evaluator.grid.n_idler)
+        f = np.full(shape, np.nan + 1j * np.nan)
+        rects = evaluator.band(structure, _flush_floor(2 * f.size))
+        masked = evaluator.band_amplitude(structure, rects, f)
+        inside = np.zeros(shape, dtype=bool)
+        for j0, j1, k0, k1 in rects:
+            inside[j0:j1, k0:k1] = True
+        return f, masked, inside
+
+    @pytest.mark.parametrize("case", ["pp", "scl-10", "masked"])
+    def test_band_holds_every_part_the_flush_keeps(self, model, case):
+        if case == "masked":
+            cfg, structure, pump, theta, dw = self._masked_wide_case()
+        else:
+            cfg, gp, structures = preset_structures(model, "o-band-i")
+            structure, theta = structures[case], gp.theta_deg
+            pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.71)
+            dw = measure_delta_omega(model, cfg, structure, pump, theta)
+        grid = make_grid(theta, dw, cfg.omega_s0, cfg.omega_i0, r_mult=50.0)
+        evaluator = _JsaEvaluator(model, cfg, grid, pump)
+        f, masked, inside = self._band(evaluator, structure)
+        whole, whole_masked = evaluator.amplitude(structure)
+        assert 0.2 < inside.mean() < 0.6
+        assert masked == whole_masked and (masked > 0) == (case == "masked")
+        # the rectangles hold the whole build bit for bit, and zeros elsewhere
+        assert np.array_equal(_bits_of(f[inside]), _bits_of(whole[inside]))
+        assert not _bits_of(f[~inside]).any()
+        # every part the band leaves out lies below the flush floor once the
+        # whole build is scaled by its largest part and to unit norm
+        parts = whole.view(float)
+        scaled = parts / np.abs(parts).max()
+        scaled /= math.sqrt(float(np.dot(scaled.ravel(), scaled.ravel())))
+        outside = np.abs(scaled.reshape(*inside.shape, 2)[~inside])
+        assert outside.max() < _flush_floor(parts.size)
+
+    def test_masked_centre_keeps_every_nonzero_envelope(self, model):
+        # with the anti-diagonal of largest envelope masked, p = 0: the band
+        # is every anti-diagonal whose envelope has not underflowed to 0
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 1.71)
+        dw = measure_delta_omega(model, cfg, structures["pp"], pump, gp.theta_deg)
+        grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0, r_mult=50.0)
+        evaluator = _JsaEvaluator(model, cfg, grid, pump)
+        centre = int(np.argmax(evaluator.envelope))
+        valid_pump = evaluator.plan.valid_pump.copy()
+        valid_pump[centre] = False
+        evaluator.plan = dataclasses.replace(evaluator.plan, valid_pump=valid_pump)
+        f, masked, inside = self._band(evaluator, structures["pp"])
+        whole, whole_masked = evaluator.amplitude(structures["pp"])
+        kept = np.flatnonzero(evaluator.envelope > 0.0)
+        assert 0 < kept[0] and kept[-1] < evaluator.envelope.size - 1
+        block = spectrum._BAND_ROWS
+        rows = np.arange(grid.n_signal)[:, None] // block * block
+        lo = np.clip(kept[0] - np.minimum(rows + block, grid.n_signal) + 1, 0, grid.n_idler)
+        hi = np.clip(kept[-1] - rows + 1, 0, grid.n_idler)
+        cols = np.arange(grid.n_idler)[None, :]
+        assert np.array_equal(inside, (lo <= cols) & (cols < hi))
+        assert masked == whole_masked == min(centre + 1, 2 * grid.n_signal - 1 - centre)
+        assert np.array_equal(_bits_of(f[inside]), _bits_of(whole[inside]))
+        assert not _bits_of(f[~inside]).any() and not whole[~inside].any()
 
     def test_tight_filtering_raises_purity(self, model):
         cfg = case_config("i")

@@ -612,6 +612,57 @@ class TestBuildJsa:
         analytic = JointSpectrum(grid=grid, amplitude=f / np.linalg.norm(f))
         assert purity(schmidt_decompose(analytic)) == pytest.approx(p_exact, abs=1e-3)
 
+    @pytest.mark.parametrize("case", ["pp", "scl-10", "masked", "zero-signs"])
+    def test_normalization_scales_the_parts_as_complex_division(self, model, case):
+        # build_jsa multiplies the float parts by 1 / norm; a block holding a
+        # zero part first takes the b 0 and a 0 terms of numpy's division
+        if case == "zero-signs":
+            values = [0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324]
+            f = np.array([complex(a, b) for a in values for b in values] * 2).reshape(6, 12)
+            parts = f.reshape(-1).view(float)
+            want = f / math.sqrt(float(np.dot(parts, parts)))
+            for rows in ([slice(0, 6)], [slice(0, 3), slice(3, 6)]):
+                got = f.copy()
+                spectrum._unit_norm(got, [got[r].view(float) for r in rows])
+                assert np.array_equal(_bits(got), _bits(want))
+            return
+        if case == "masked":
+            cfg = PhaseMatchConfig.from_pump_signal(0.650, 0.780, Axis.Z)
+            pump = PumpSpec.from_bandwidth_nm(0.650, 2.0)
+            grid = make_grid(45.0, 0.05 * cfg.omega_i0, cfg.omega_s0, cfg.omega_i0)
+            structure = periodic_domains(cfg.length_m, 20e-6)
+        else:
+            cfg, gp, structures = preset_structures(model, "o-band-i")
+            structure = structures[case]
+            pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
+            dw = measure_delta_omega(model, cfg, structure, pump, gp.theta_deg)
+            grid = make_grid(gp.theta_deg, dw, cfg.omega_s0, cfg.omega_i0)
+        f, masked = spectrum._JsaEvaluator(model, cfg, grid, pump).amplitude(structure)
+        assert (masked > 0) == (case == "masked")
+        parts = f.reshape(-1).view(float)
+        want = f / math.sqrt(float(np.dot(parts, parts)))
+        got = build_jsa(model, cfg, structure, pump, grid, mask_invalid=True).amplitude
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_no_valid_point_skips_the_pmf(self, model):
+        # a grid whose signal axis lies wholly beyond the 4 um window edge:
+        # the build raises as before, and the placeholder mismatch of the
+        # masked points no longer grows the structure's lattice table
+        cfg, gp, structures = preset_structures(model, "o-band-i")
+        structure = structures["pp"]
+        pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
+        jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg)
+        grid = dataclasses.replace(jsa.grid, omega_s0=2.0 * math.pi * C_LIGHT / 6e-6)
+        table = structure.pmf_table["subcells"]
+        with pytest.raises(ValueError, match=r"^JSA vanished on the grid \(all points masked\?\)$"):
+            build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
+        # nor does a band build, whose rectangles hold no valid point
+        evaluator = spectrum._JsaEvaluator(model, cfg, grid, pump)
+        out = np.full((grid.n_signal, grid.n_idler), np.nan + 1j * np.nan)
+        masked = evaluator.band_amplitude(structure, [(0, 64, 0, 200), (64, 128, 10, 20)], out)
+        assert masked == out.size and not _bits(out).any()
+        assert structure.pmf_table["subcells"] is table
+
     def test_masking_counts_out_of_window_points(self, model):
         # idler at 3.9 um sits near the 4 um transparency edge: a wide grid
         # pushes part of the idler axis outside the window
