@@ -106,6 +106,11 @@ class DispersionModel:
     def refractive_index(self, lambda_um: FloatOrArray, axis: Axis) -> FloatOrArray:
         """n(lam, axis) for lam inside the transparency window."""
         self._check_window(lambda_um)
+        return self._sellmeier_index(lambda_um, axis)
+
+    def _sellmeier_index(self, lambda_um: FloatOrArray, axis: Axis) -> FloatOrArray:
+        """n(lam, axis) without the window check, for callers that have
+        checked or masked lam themselves."""
         A, B1, C1, B2, C2, D = self.coefficients(axis)
         x = np.square(lambda_um)
         n2 = A + B1 / (x - C1) + B2 / (x - C2) - D * x

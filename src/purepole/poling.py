@@ -93,7 +93,8 @@ class _Structure:
     @cached_property
     def pmf_table(self) -> dict:
         """Phase-matching node sums and sub-cell coefficients of this
-        structure, each one contiguous span of lattice blocks, filled by
+        structure, each one contiguous span of lattice blocks, and for a
+        `DomainArray` the FFT of its signs they are taken from, filled by
         `spectrum.pmf_piecewise`; it lives and dies with the structure."""
         return {}
 

@@ -311,14 +311,67 @@ class TestPmfLattice:
         monkeypatch.setattr(spectrum, "_segment_sum", counting_sum)
         phi_below = pmf_piecewise(below, arr)
         phi_above = pmf_piecewise(above, arr)
-        # the exact sum at every point, then the table's aligned node blocks
-        # around the cell blocks of c0 .. c0 + 40
-        block = spectrum._TABLE_BLOCK
-        cell_blocks = (c0 + 40) // block - c0 // block + 1
-        assert summed == [below.size] + [block] * (cell_blocks + 2)
+        # the exact sum at every point; the array's table takes its node sums
+        # from its sign spectrum, with no block sum
+        assert summed == [below.size]
         scale = np.max(np.abs(phi_below))
         assert np.max(np.abs(phi_above[:-1] - phi_below)) <= 1e-12 * scale
         assert phi_above[-1] == phi_above[0]
+        # the same cells of the same crystal as duty cycles: the table sums
+        # the aligned node blocks around the cell blocks of c0 .. c0 + 40
+        duty = dc_domains(arr.length_m, 20e-6, np.full(arr.n_domains // 2, 0.5))
+        assert duty.length_m == arr.length_m
+        summed.clear()
+        phi_duty = pmf_piecewise(above, duty)
+        block = spectrum._TABLE_BLOCK
+        cell_blocks = (c0 + 40) // block - c0 // block + 1
+        assert summed == [block] * (cell_blocks + 2)
+        assert np.max(np.abs(phi_duty - phi_above)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_domains", [1, 2, 133, 400, 1516, 3792])
+    def test_sign_spectrum_node_sums(self, n_domains):
+        # a uniform-width array's node sums from its sign spectrum against the
+        # per-segment sum: below, at and above n = 0, and across n = +-16N,
+        # where the spectrum wraps around
+        rng = np.random.default_rng(n_domains)
+        arr = DomainArray(width_m=rng.uniform(1e-6, 5e-5), signs=rng.choice([1, -1], n_domains))
+        period = LATTICE_NODES_PER_PERIOD * n_domains
+        nodes = np.concatenate([np.arange(-70, 71), np.arange(period - 70, period + 71),
+                                np.arange(-period - 70, -period + 71)])
+        fast = spectrum._domain_node_sums(arr, nodes)
+        exact = spectrum._segment_sum(_lattice_step(arr) * nodes, *spectrum._segments(arr))
+        assert np.max(np.abs(fast - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert arr.pmf_table["sign_spectrum"].shape == (period,)
+
+    def test_sign_spectrum_tables_grow_bit_for_bit(self):
+        # the node blocks and values of a table filled cold equal those of
+        # tables first filled above or below the points, then grown down or up
+        rng = np.random.default_rng(7)
+        arr = DomainArray(width_m=9.4e-6, signs=rng.choice([1, -1], 1516))
+        step = _lattice_step(arr)
+        block = spectrum._TABLE_BLOCK
+        # cells from just below n = 0 to past n = 16N, where the spectrum wraps
+        period = LATTICE_NODES_PER_PERIOD * arr.n_domains
+        dk = step * rng.uniform(-40.0, period + 40.0, 4 * period)
+        cold = dataclasses.replace(arr)
+        from_cold = pmf_piecewise(dk, cold)
+        spectrum_cold = cold.pmf_table["sign_spectrum"]
+        first, coef = cold.pmf_table["subcells"]
+        nodes = cold.pmf_table["nodes"]
+        for shift in (3, -3):
+            warm = dataclasses.replace(arr)
+            pmf_piecewise(dk + shift * block * step, warm)
+            spectrum_warm = warm.pmf_table["sign_spectrum"]
+            assert np.array_equal(pmf_piecewise(dk, warm), from_cold)
+            assert warm.pmf_table["sign_spectrum"] is spectrum_warm
+            assert np.array_equal(spectrum_warm, spectrum_cold)
+            start, span = warm.pmf_table["subcells"]
+            assert start == min(first, first + shift)
+            rows = first - start
+            assert np.array_equal(span[:, rows * block * spectrum.SUBCELLS:][:, :coef.shape[1]], coef)
+            assert np.array_equal(warm.pmf_table["nodes"][rows : rows + len(nodes)], nodes)
+        exact = _per_segment_sum(dk, arr)
+        assert np.max(np.abs(from_cold - exact)) <= 1e-10 * np.max(np.abs(exact))
 
     def test_values_on_lattice_nodes(self):
         arr = dc_domains(5e-3, 20e-6, np.linspace(0.2, 0.8, 125))
