@@ -11,12 +11,11 @@ a unit-norm copy of F whose parts below eps / (16 sqrt(number of parts)) are
 flushed to zero: about 1e-20 on a 1000^2 grid, a floor that provably moves
 the purity by at most eps/2 and lies far above sqrt(tiny), so that no
 product is subnormal.  A column block of the Gram whose first or last row
-the flush left all zero is summed over the rows from its first to its last
-nonzero row only, and over the columns whose nonzero rows reach those rows,
-which drops nothing but zeros; where neither edge row is zero, its products
-are the untrimmed ones bit for bit.  It agrees with the SVD purity of
-`schmidt_decompose`, which still gives the Schmidt coefficients themselves,
-to 1e-12.
+the flush left all zero is summed over pairs of column tiles whose nonzero
+rows meet, over only the rows they share, which drops nothing but zeros;
+where neither edge row is zero, its product is the untrimmed one bit for
+bit.  It agrees with the SVD purity of `schmidt_decompose`, which still
+gives the Schmidt coefficients themselves, to 1e-12.
 """
 
 from __future__ import annotations
@@ -89,8 +88,11 @@ _PSO_INIT_SPREAD = 0.05
 _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
 # Gram purity: real and imaginary parts of the unit-norm amplitude below
 # `_flush_floor` of its part count are zeroed, which provably moves the purity
-# by at most eps/2; the Gram is built in column blocks of this width.
+# by at most eps/2; the Gram is built in column blocks of this width, and a
+# block with an all-zero edge row in column tiles of the second (a divisor of
+# the first; timed against 16, 32 and 128 on 1000^2 and 2000^2 range grids).
 _GRAM_BLOCK = 128
+_GRAM_TILE = 64
 _FLUSH_BLOCK = 1 << 16  # parts per block of the flush to zero
 # Smallest spectral range R, in units of dw, that a purity grid may span.
 MIN_RANGE_DW = 2.0
@@ -209,15 +211,41 @@ def _scaled_to_unit(work: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return work
 
 
-def _column_spans(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, last) nonzero row of each column of `work`, from one N^2 array
-    of bools; an all-zero column gets (rows, -1), a span that meets no row."""
-    nonzero = work.astype(bool)  # a part of either sign that is not zero
-    rows = work.shape[0]
-    filled = nonzero.any(axis=0)
-    first = np.where(filled, nonzero.argmax(axis=0), rows)
-    last = np.where(filled, rows - 1 - nonzero[::-1].argmax(axis=0), -1)
-    return first, last
+def _tile_products(spans: list[tuple[int, int]], c0: int, c1: int, cols: int) -> list:
+    """The Gram products of the column block c0 .. c1 - 1, from the nonzero
+    row `spans` of the column tiles up to c1, as right operands (a, b, s0,
+    s1, lefts): the columns a .. b - 1 over the rows s0 .. s1 - 1, each to
+    be multiplied by the columns lo .. hi - 1 over the rows r0 .. r1 - 1 of
+    every (r0, r1, lo, hi) in `lefts`.
+
+    Each run of neighbouring tiles in the block with one nonzero span is a
+    right operand, and each tile from column 0 to the run's end a left one,
+    over the rows its span shares with the run's; neighbouring left tiles
+    that share the same rows are one product, and tiles that share none are
+    skipped.  So hi <= a, or hi = b with a to b the product's diagonal square.
+    """
+    products = []
+    q, q_end = c0 // _GRAM_TILE, -(-c1 // _GRAM_TILE)
+    while q < q_end:
+        e = q + 1
+        while e < q_end and spans[e] == spans[q]:
+            e += 1
+        s0, s1 = spans[q]
+        shared = [(max(r0, s0), min(r1, s1)) for r0, r1 in spans[:e]]
+        lefts = []
+        p = 0
+        while p < e:
+            h = p + 1
+            while h < e and shared[h] == shared[p]:
+                h += 1
+            r0, r1 = shared[p]
+            if r0 < r1:
+                lefts.append((r0, r1, p * _GRAM_TILE, min(h * _GRAM_TILE, cols)))
+            p = h
+        if lefts:
+            products.append((q * _GRAM_TILE, min(e * _GRAM_TILE, cols), s0, s1, lefts))
+        q = e
+    return products
 
 
 def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> float:
@@ -235,15 +263,21 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> floa
     `purity(schmidt_decompose(jsa))` to 1e-12.
 
     A row that is zero in a column block adds nothing to that block's Gram,
-    nor does a column that is zero in those rows.  So when the block's first
-    or last row is all zero after the flush (the flushed tails of a wide
-    R = 50 grid, or masked edge rows), both operands are cut to the rows
-    from its first to its last nonzero row, and the left operand to the
-    columns from the first whose first-to-last nonzero-row span meets those
-    rows; a block with no nonzero row is skipped.  The spans of all columns
-    are found once, at the first such block.  This is exact in real
-    arithmetic, though BLAS may sum in another order.  When both edge rows
-    are nonzero, the products are the untrimmed ones, bit for bit.
+    nor does a pair of columns whose nonzero rows do not meet.  So when the
+    block's first or last row is all zero after the flush (the flushed tails
+    of a wide R = 50 grid, or masked edge rows), it is summed in column
+    tiles of `_GRAM_TILE`: each tile's first-to-last nonzero-row span is
+    found once per call, in one pass over the tile, and each right tile of
+    the block is multiplied by each tile at or left of it over the rows both
+    spans share (`_tile_products`).  Tile pairs that share no row are
+    skipped, neighbouring tiles with the same span (right) or the same
+    shared rows (left) are one product, and off-diagonal pairs count
+    twice.  On the anti-diagonal band of the o-band-i R = 50 grids that is
+    67 M complex multiply-adds in 78 products, where one product per block
+    over its nonzero rows took 141 M.  It is exact in real arithmetic,
+    though BLAS sums in another order, so the purity may differ from the
+    untrimmed Gram's by a few eps.  When both edge rows are nonzero, the
+    block is the single untrimmed product, bit for bit.
 
     With `overwrite` the amplitude may serve as the working copy (it does
     when it is a writable C-contiguous float64 or complex128 array) and is
@@ -262,27 +296,27 @@ def _gram_purity(work: np.ndarray) -> float:
     """`jsa_purity`'s Gram sum over a 2-D amplitude already scaled to unit
     norm and flushed (`_scaled_to_unit`)."""
     parts = work.view(float).reshape(-1)
-    spans = None  # (first, last) nonzero row per column, once a block trims
+    rows, cols = work.shape
+    spans = []  # (first, last + 1) nonzero row of each column tile, as blocks trim
     gram_sq = 0.0
-    for c0 in range(0, work.shape[1], _GRAM_BLOCK):
-        c1 = min(c0 + _GRAM_BLOCK, work.shape[1])
-        lo, rows = 0, work
-        if not (work[0, c0:c1].any() and work[-1, c0:c1].any()):
-            # rows zero in this column block, and columns zero in its other
-            # rows, add nothing to its Gram
-            if spans is None:
-                spans = _column_spans(work)
-            first, last = spans
-            r0, r1 = int(first[c0:c1].min()), int(last[c0:c1].max()) + 1
-            if r0 >= r1:
-                continue
-            meets = (first[:c0] < r1) & (last[:c0] >= r0)
-            lo = int(np.argmax(meets)) if meets.any() else c0
-            rows = work[r0:r1]
-        block = (rows[:, lo:c1].T @ rows[:, c0:c1].conj()).reshape(-1)
-        split = (c0 - lo) * (c1 - c0)  # rows above c0 are off the diagonal block
-        gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
-        gram_sq += float(np.vdot(block[split:], block[split:]).real)
+    for c0 in range(0, cols, _GRAM_BLOCK):
+        c1 = min(c0 + _GRAM_BLOCK, cols)
+        if work[0, c0:c1].any() and work[-1, c0:c1].any():
+            products = [(c0, c1, 0, rows, [(0, rows, 0, c1)])]
+        else:
+            # rows zero in a column tile, and tile pairs that share no
+            # nonzero row, add nothing to this block's Gram
+            for t0 in range(len(spans) * _GRAM_TILE, c1, _GRAM_TILE):
+                nonzero = np.flatnonzero(work[:, t0 : t0 + _GRAM_TILE].any(axis=1))
+                spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0))
+            products = _tile_products(spans, c0, c1, cols)
+        for a, b, s0, s1, lefts in products:
+            right = work[s0:s1, a:b].conj()
+            for r0, r1, lo, hi in lefts:
+                block = (work[r0:r1, lo:hi].T @ right[r0 - s0 : r1 - s0]).reshape(-1)
+                split = (min(hi, a) - lo) * (b - a)  # left columns below a are off the diagonal
+                gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
+                gram_sq += float(np.vdot(block[split:], block[split:]).real)
     return gram_sq / float(np.dot(parts, parts)) ** 2
 
 
@@ -577,9 +611,11 @@ def purity_vs_range(
     rectangles, while both Frobenius norms are `np.dot`s over the whole
     grid.  On the R = 50 grids (1000 x 1000) of the o-band-i PP and CL
     sweeps the band keeps 16-17 % of the anti-diagonals, in rectangles of
-    34-36 % of the grid; at R = 10 they cover 93-100 %.  A grid whose band
-    is the whole grid is built by `build_jsa` and scored by `jsa_purity` in
-    place.
+    34-36 % of the grid; at R = 10 they cover 93-100 %.  The Gram sum finds
+    the band's column tiles from the flushed data, as `jsa_purity` does,
+    and multiplies only tile pairs whose nonzero rows meet.  A grid whose
+    band is the whole grid is built by `build_jsa` and scored by
+    `jsa_purity` in place.
     Each purity and masked fraction equals that of
     `jsa_purity(standard_jsa(...))`, bit for bit.
     """

@@ -605,8 +605,12 @@ _MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 def _hankel(values: np.ndarray, columns: int) -> np.ndarray:
-    """Read-only view H[j, k] = values[j + k]."""
-    return np.lib.stride_tricks.sliding_window_view(values, columns)
+    """Read-only view H[j, k] = values[j + k] of a 1-D `values`, with
+    values.size - columns + 1 rows: `sliding_window_view(values, columns)`,
+    without its argument checks (about 4 instead of 11 us a view)."""
+    step = values.strides[0]
+    return np.lib.stride_tricks.as_strided(values, (values.size - columns + 1, columns),
+                                           (step, step), writeable=False)
 
 
 def _hankel_block(values: np.ndarray, j0: int, j1: int, k0: int, k1: int) -> np.ndarray:

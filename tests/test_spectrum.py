@@ -505,6 +505,25 @@ class TestGridPlan:
                 worst = max(worst, np.max(np.abs(dk[rows] - ref_dk)[ref_valid]))
         assert worst * cfg.length_m <= 1e-9
 
+    @pytest.mark.parametrize("size, columns", [
+        (1, 1), (7, 1), (7, 7), (7, 3), (400, 200), (1999, 1000)])
+    @pytest.mark.parametrize("dtype", [float, complex, bool])
+    def test_hankel_is_the_sliding_window_view(self, size, columns, dtype):
+        # one-column and one-row views included, on a strided base too
+        rng = np.random.default_rng(size * columns)
+        base = rng.standard_normal(2 * size).astype(dtype)
+        for values in (base[:size], base[::2], base[size - 1 :: -1]):
+            got = spectrum._hankel(values, columns)
+            want = np.lib.stride_tricks.sliding_window_view(values, columns)
+            assert got.shape == want.shape == (size - columns + 1, columns)
+            assert got.dtype == values.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = values[0]
+        j0, j1, k0, k1 = 0, size - columns + 1, 0, columns
+        assert np.array_equal(spectrum._hankel_block(base, j0, j1, k0, k1),
+                              spectrum._hankel(base[:size], columns))
+
     def test_strict_mode_matches_masked_mode_inside_the_window(self, model):
         cfg, gp, structures = preset_structures(model, "o-band-i")
         grid = _standard_grid(model, cfg, gp, structures["pp"], 10.0)
