@@ -606,17 +606,18 @@ def purity_vs_range(
     the sweep, sized for the largest R's grid: each R's JSA is written into
     a C-contiguous prefix of it, reshaped to that R's standard grid.  Only
     the band of anti-diagonals whose parts can survive `jsa_purity`'s flush
-    is built (`_JsaEvaluator.band`; the rest is exactly 0), and the
-    normalization, the scaling to unit norm and the flush touch only its
-    rectangles, while both Frobenius norms are `np.dot`s over the whole
-    grid.  On the R = 50 grids (1000 x 1000) of the o-band-i PP and CL
-    sweeps the band keeps 16-17 % of the anti-diagonals, in rectangles of
-    34-36 % of the grid; at R = 10 they cover 93-100 %.  The Gram sum finds
-    the band's column tiles from the flushed data, as `jsa_purity` does,
-    and multiplies only tile pairs whose nonzero rows meet.  A grid whose
-    band is the whole grid is built by `build_jsa` and scored by
-    `jsa_purity` in place.
-    Each purity and masked fraction equals that of
+    is filled (`_JsaEvaluator.band`, then `_JsaEvaluator.amplitude` over its
+    rectangles, the fill that `build_jsa` makes of the whole grid; the rest
+    is exactly 0), and the normalization, the scaling to unit norm and the
+    flush touch only its rectangles, while both Frobenius norms are
+    `np.dot`s over the whole grid.  On the R = 50 grids (1000 x 1000) of the
+    o-band-i PP and CL sweeps the band keeps 16-17 % of the anti-diagonals,
+    in rectangles of 34-36 % of the grid; at R = 10 they cover 93-100 %.
+    The Gram sum finds the band's column tiles from the flushed data, as
+    `jsa_purity` does, and multiplies only tile pairs whose nonzero rows
+    meet.  A grid whose band is the whole grid, or that the PMF size rule
+    might send to the exact sum, is built by `build_jsa` and scored by
+    `jsa_purity` in place.  Each purity and masked fraction equals that of
     `jsa_purity(standard_jsa(...))`, bit for bit.
     """
     r_values = np.asarray(r_values, dtype=float)
@@ -640,7 +641,7 @@ def purity_vs_range(
             purities[n] = jsa_purity(jsa, overwrite=True)
             masked[n] = jsa.masked_fraction
             continue
-        masked_points = evaluator.band_amplitude(structure, rects, f)
+        _, masked_points = evaluator.amplitude(structure, out=f, rects=rects)
         blocks = [f[j0:j1, k0:k1].view(float) for j0, j1, k0, k1 in rects]
         _unit_norm(f, blocks)
         purities[n] = _gram_purity(_scaled_to_unit(f, blocks))

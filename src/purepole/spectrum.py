@@ -43,8 +43,9 @@ take the exact sum at every point instead.
 
 One `_JsaEvaluator` per (grid, pump) holds the grid plan, the sign
 normalization and the envelope on the 2N - 1 pump sums, and assembles
-envelope x PMF for the dw climb (chosen points), for `build_jsa` (the whole
-grid), for the range sweep (a band of the grid) and for the duty-cycle swarm.
+envelope x PMF for the dw climb (chosen points), for the duty-cycle swarm,
+and by one fill over rectangles of the grid for `build_jsa` (the whole grid
+as one rectangle) and for the range sweep (a band of the grid).
 The swarm's profiles share one period Lambda = 2 l_c, so per period only the
 split point moves: period m adds (2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk
 b_m}) / (i dk) at a lattice node, and the node sums of a whole swarm come
@@ -61,7 +62,7 @@ a part on anti-diagonal m is at most e_m L, so it cannot survive the flush
 when e_m 2L < tau p, with p = max |f| / sqrt(2) on the anti-diagonal of
 largest envelope, a lower bound on the largest part; the factor 2 covers the
 lattice's 1e-10 relative error and the rounding of the scalings.  The sweep
-builds only row blocks of 64 rows, each over the columns that meet the kept
+fills only row blocks of 64 rows, each over the columns that meet the kept
 anti-diagonals, and leaves the rest exactly 0: the flushed amplitude is the
 whole build's, so every purity is too, bit for bit.  A grid whose blocks
 would cover it all, or that the size rule might send to the exact sum, is
@@ -228,7 +229,7 @@ SUBCELLS = 8
 SUBCELL_DEGREE = 5
 _TABLE_BLOCK = 64
 _POINT_BLOCK = 8192  # points per interpolation block
-_BAND_ROWS = 64  # rows per rectangle of a band build (`_JsaEvaluator.band`)
+_BAND_ROWS = 64  # rows per rectangle of a range sweep's band (`_JsaEvaluator.band`)
 _SUM_BLOCK = 1 << 16  # point x segment terms per block of the exact sum
 
 
@@ -657,9 +658,9 @@ class _GridPlan:
         dk -= self.k_idler[None, k0:k1]
         return dk, self.valid_block(j0, j1, k0, k1)
 
-    def full(self, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def full(self) -> tuple[np.ndarray, np.ndarray]:
         """(dk, valid) at every grid point (`block` of the whole grid)."""
-        return self.block(0, self.k_signal.size, 0, self.k_idler.size, out)
+        return self.block(0, self.k_signal.size, 0, self.k_idler.size)
 
 
 def _grid_plan(
@@ -804,12 +805,12 @@ class _JsaEvaluator:
 
     It holds the grid plan, the sign that normalizes the central mismatch to
     +pi/l_c and the pump envelope on the 2N - 1 pump sums, and evaluates the
-    unnormalized JSA four ways: `power` at chosen points (the dw climb),
-    `amplitude` on the whole grid for one structure (`build_jsa`),
-    `band_amplitude` on the rectangles of `band` that can survive the
-    purity flush (the range sweep), and `duty_cycle_amplitudes` on the whole
-    grid for many duty-cycle profiles of one period at once (the duty-cycle
-    swarm).
+    unnormalized JSA three ways: `power` at chosen points (the dw climb),
+    `amplitude` for one structure on rectangles of the grid, either the
+    whole grid (`build_jsa`) or the rectangles of `band` that can survive
+    the purity flush (the range sweep), and `duty_cycle_amplitudes` on the
+    whole grid for many duty-cycle profiles of one period at once (the
+    duty-cycle swarm).
     """
 
     def __init__(
@@ -821,7 +822,6 @@ class _JsaEvaluator:
         mask_invalid: bool = True,
     ):
         self.grid = grid
-        self.mask_invalid = mask_invalid
         self.plan = _grid_plan(model, cfg, grid, mask_invalid)
         self.sign = 1.0 if _central_mismatch(model, cfg) >= 0 else -1.0
         self.envelope = pump_envelope(self.plan.pump_sums, 0.0, pump)
@@ -843,40 +843,63 @@ class _JsaEvaluator:
         structure: DomainArray | DutyCycleStructure,
         out: np.ndarray | None = None,
         work: np.ndarray | None = None,
+        rects: list[tuple[int, int, int, int]] | None = None,
     ) -> tuple[np.ndarray, int]:
-        """(f, masked points) on the whole grid; see `build_jsa`.  With
-        `out` (complex) and `work` (float), both C-contiguous (N_s, N_i)
-        arrays, f is formed in `out` and dk in `work`.
+        """(f, masked points of the whole grid): f on the rectangles of
+        `rects`, each (j0, j1, k0, k1) the rows j0 .. j1 - 1 by the columns
+        k0 .. k1 - 1, their row spans ascending without overlap, and exact
+        zeros elsewhere; on the whole grid when `rects` is None
+        (`build_jsa`).  With `out` (complex) and `work` (float), both
+        C-contiguous (N_s, N_i) arrays, f is formed in `out` and each
+        rectangle's dk in a C-contiguous prefix of `work`.
 
-        Without them its N^2 arrays are dk (sign-normalized in place), the
-        valid mask, the PMF and f; the PMF kernel forms its per-point
-        temporaries in blocks of points.  A fresh call keeps the PMF and f
-        apart: applying the envelope in place lets glibc serve the next large
-        arrays from its heap, which raises a range sweep's peak RSS.  With
-        `out` the PMF is written there and the envelope applied in place,
-        the same products in the same order, so f is equal bit for bit.  The
-        bandwidth search passes two buffers that live only as long as the
-        search, so that its candidates allocate no N^2 float or complex array
-        here (only the valid mask) and nothing outlives the search.
+        Each rectangle takes the same steps: dk from the plan,
+        sign-normalized; the masked points given the first valid point's dk,
+        which keeps the placeholder mismatch out of the structure's lattice
+        table; the PMF, written into f where the rectangle spans whole rows;
+        the envelope, applied in place; the masked points zeroed.  A
+        rectangle with no valid point is left 0 without a PMF.  A point's dk
+        and PMF do not depend on the rectangle, so inside a rectangle f is
+        the whole grid's bit for bit.  The kernel is chosen once per call:
+        the whole grid takes `pmf_piecewise` and its size rule, the
+        rectangles of `band`, which has judged the size rule, the lattice
+        (`_interpolate`).  The bandwidth search passes two buffers that live
+        only as long as the search, so that its candidates allocate no N^2
+        float or complex array here (only the valid mask) and nothing
+        outlives the search.
         """
-        dk, valid = self.plan.full(work)
-        dk *= self.sign
-        masked = int(valid.size - np.count_nonzero(valid)) if self.mask_invalid else 0
-        if masked == valid.size:
-            # no valid point: the PMF at the placeholder mismatch would only
-            # grow the structure's lattice table
-            f = np.empty(valid.shape, dtype=complex) if out is None else out
-            f[...] = 0.0
-            return f, masked
-        if masked:
-            # zeroed below anyway; the first valid point's dk keeps the
-            # placeholder mismatch out of the structure's lattice table
-            dk[~valid] = dk.flat[int(np.argmax(valid))]
-        phi = pmf_piecewise(dk, structure, out=out)
-        f = np.multiply(_hankel(self.envelope, self.grid.n_idler), phi, out=out)
-        if masked:
-            f[~valid] = 0.0
-        return f, masked
+        n_s, n_i = self.grid.n_signal, self.grid.n_idler
+        f = np.empty((n_s, n_i), dtype=complex) if out is None else out
+        if rects is None:
+            rects, kernel = [(0, n_s, 0, n_i)], pmf_piecewise
+        else:
+            kernel = _interpolate
+        edge = 0  # the first row not yet written
+        for j0, j1, k0, k1 in rects:
+            f[edge:j0] = 0.0
+            f[j0:j1, :k0] = 0.0
+            f[j0:j1, k1:] = 0.0
+            edge = j1
+            target = f[j0:j1, k0:k1]
+            dk, ok = self.plan.block(j0, j1, k0, k1, None if work is None
+                                     else work.reshape(-1)[: target.size].reshape(target.shape))
+            dk *= self.sign
+            masked = not ok.all()
+            if masked:
+                if not ok.any():
+                    target[...] = 0.0
+                    continue
+                dk[~ok] = dk.flat[int(np.argmax(ok))]
+            phi = kernel(dk.reshape(-1), structure,
+                         target.reshape(-1) if target.flags.c_contiguous else None)
+            np.multiply(_hankel_block(self.envelope, j0, j1, k0, k1), phi.reshape(ok.shape),
+                        out=target)
+            if masked:
+                target[~ok] = 0.0
+        f[edge:] = 0.0
+        if ok.size < f.size:  # else the last rectangle's flags are the whole grid's
+            ok = self.plan.valid_block(0, n_s, 0, n_i)
+        return f, int(ok.size - np.count_nonzero(ok))
 
     def band(
         self, structure: DomainArray | DutyCycleStructure, floor: float
@@ -915,44 +938,6 @@ class _JsaEvaluator:
         if sum((j1 - j0) * (k1 - k0) for j0, j1, k0, k1 in rects) == n_s * n_i:
             return None
         return rects
-
-    def band_amplitude(
-        self,
-        structure: DomainArray | DutyCycleStructure,
-        rects: list[tuple[int, int, int, int]],
-        out: np.ndarray,
-    ) -> int:
-        """Write f to `out`, a C-contiguous complex (N_s, N_i) array, on the
-        rectangles of `band` and exact zeros elsewhere; return the masked
-        points of the whole grid.  Inside the rectangles f is `amplitude`'s
-        bit for bit: the same dk operations, the lattice PMF, then the
-        envelope.  A rectangle with no valid point is left 0 without a PMF.
-        """
-        plan = self.plan
-        edge = 0  # the first row not yet written
-        for j0, j1, k0, k1 in rects:
-            out[edge:j0] = 0.0
-            out[j0:j1, :k0] = 0.0
-            out[j0:j1, k1:] = 0.0
-            edge = j1
-            target = out[j0:j1, k0:k1]
-            dk, valid = plan.block(j0, j1, k0, k1)
-            dk *= self.sign
-            masked = not valid.all()
-            if masked:
-                if not valid.any():
-                    target[...] = 0.0
-                    continue
-                dk[~valid] = dk.flat[int(np.argmax(valid))]
-            phi = _interpolate(dk.reshape(-1), structure).reshape(dk.shape)
-            np.multiply(_hankel_block(self.envelope, j0, j1, k0, k1), phi, out=target)
-            if masked:
-                target[~valid] = 0.0
-        out[edge:] = 0.0
-        if not self.mask_invalid:
-            return 0
-        valid = plan.valid_block(0, self.grid.n_signal, 0, self.grid.n_idler)
-        return int(valid.size - np.count_nonzero(valid))
 
     @cached_property
     def _valid_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

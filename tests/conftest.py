@@ -20,6 +20,7 @@ from purepole import (
     phase_mismatch_and_lc,
 )
 from purepole.cli import PRESETS
+from purepole.spectrum import _BAND_ROWS
 
 
 @dataclass(frozen=True)
@@ -89,3 +90,21 @@ def preset_structures(model, preset):
     rng = np.random.default_rng(sum(map(ord, preset)))
     structures["dc"] = dc_domains(cfg.length_m, lc, rng.uniform(0.02, 0.98, n_periods))
     return cfg, gp, structures
+
+
+# band rectangles (j0, j1, k0, k1) made by hand, by case, for an (n_s, n_i)
+# grid of at least 3 blocks of `_BAND_ROWS` rows: a last row block shorter
+# than `_BAND_ROWS`; blocks that touch column 0 and column n_i, one of them
+# whole rows; a first block over the first third of the columns, which holds
+# no valid point on the masked wide grid of `TestPurityVsRange` (its first
+# 450 of 1000 idler columns leave the window); the whole grid as one rectangle
+HAND_MADE_RECTS = {
+    "short-last-block": lambda n_s, n_i: [(_BAND_ROWS, 2 * _BAND_ROWS, n_i // 4, n_i // 2),
+                                          (n_s - _BAND_ROWS // 2, n_s, n_i // 2, n_i - 1)],
+    "edge-columns": lambda n_s, n_i: [(0, _BAND_ROWS, 0, n_i // 2),
+                                      (_BAND_ROWS, 2 * _BAND_ROWS, 0, n_i),
+                                      (2 * _BAND_ROWS, 3 * _BAND_ROWS, n_i // 2, n_i)],
+    "no-valid-point": lambda n_s, n_i: [(0, _BAND_ROWS, 0, n_i // 3),
+                                        (_BAND_ROWS, 2 * _BAND_ROWS, n_i // 3, n_i)],
+    "whole-grid": lambda n_s, n_i: [(0, n_s, 0, n_i)],
+}

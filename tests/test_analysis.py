@@ -54,9 +54,9 @@ from purepole.analysis import (
     write_schmidt_csv,
 )
 from purepole.cli import PRESETS
-from purepole.spectrum import _JsaEvaluator, _grid_side
+from purepole.spectrum import _JsaEvaluator, _grid_side, _interpolate
 
-from conftest import case_config, preset_structures
+from conftest import HAND_MADE_RECTS, case_config, preset_structures
 
 
 def _complex_matrix(seed: int, shape=(24, 24)) -> np.ndarray:
@@ -1166,19 +1166,23 @@ class TestPurityVsRange:
             assert got_masked == jsa.masked_fraction
 
     @staticmethod
-    def _band(evaluator, structure):
-        """(band f, masked points, mask of the rectangles) on a grid that held NaN."""
+    def _band(evaluator, structure, rects=None):
+        """(band f, masked points, mask of the rectangles) on a grid that held
+        NaN, over `rects` or, when None, the rectangles of `band`."""
         shape = (evaluator.grid.n_signal, evaluator.grid.n_idler)
         f = np.full(shape, np.nan + 1j * np.nan)
-        rects = evaluator.band(structure, _flush_floor(2 * f.size))
-        masked = evaluator.band_amplitude(structure, rects, f)
+        if rects is None:
+            rects = evaluator.band(structure, _flush_floor(2 * f.size))
+        _, masked = evaluator.amplitude(structure, out=f, rects=rects)
         inside = np.zeros(shape, dtype=bool)
         for j0, j1, k0, k1 in rects:
             inside[j0:j1, k0:k1] = True
         return f, masked, inside
 
-    @pytest.mark.parametrize("case", ["pp", "scl-10", "masked"])
-    def test_band_holds_every_part_the_flush_keeps(self, model, case):
+    @pytest.mark.parametrize("case, rects", [
+        *(pytest.param(case, None, id=case) for case in ("pp", "scl-10", "masked")),
+        *(pytest.param("masked", name, id=f"masked-{name}") for name in HAND_MADE_RECTS)])
+    def test_band_holds_every_part_the_flush_keeps(self, model, case, rects):
         if case == "masked":
             cfg, structure, pump, theta, dw = self._masked_wide_case()
         else:
@@ -1188,13 +1192,27 @@ class TestPurityVsRange:
             dw = measure_delta_omega(model, cfg, structure, pump, theta)
         grid = make_grid(theta, dw, cfg.omega_s0, cfg.omega_i0, r_mult=50.0)
         evaluator = _JsaEvaluator(model, cfg, grid, pump)
-        f, masked, inside = self._band(evaluator, structure)
+        if rects is not None:
+            name, rects = rects, HAND_MADE_RECTS[rects](grid.n_signal, grid.n_idler)
+            # the block the case names holds no valid point on this grid
+            assert evaluator.plan.valid_block(*rects[0]).any() != (name == "no-valid-point")
+        f, masked, inside = self._band(evaluator, structure, rects)
         whole, whole_masked = evaluator.amplitude(structure)
-        assert 0.2 < inside.mean() < 0.6
         assert masked == whole_masked and (masked > 0) == (case == "masked")
-        # the rectangles hold the whole build bit for bit, and zeros elsewhere
+        # the rectangles hold the whole build bit for bit, and +0.0 elsewhere
         assert np.array_equal(_bits_of(f[inside]), _bits_of(whole[inside]))
         assert not _bits_of(f[~inside]).any()
+        # the masked points' placeholder mismatch grows the structure's table
+        # no further than the valid points' own dk do
+        dk, valid = evaluator.plan.full()
+        alone = dataclasses.replace(structure)  # the same structure, an empty table
+        _interpolate(evaluator.sign * dk[valid], alone)
+        have, coef = structure.pmf_table["subcells"]
+        assert (have, coef.shape) == (alone.pmf_table["subcells"][0],
+                                      alone.pmf_table["subcells"][1].shape)
+        if rects is not None:
+            return
+        assert 0.2 < inside.mean() < 0.6
         # every part the band leaves out lies below the flush floor once the
         # whole build is scaled by its largest part and to unit norm
         parts = whole.view(float)

@@ -43,7 +43,7 @@ from purepole.spectrum import (
 )
 from purepole.dispersion import wavelength_um_from_omega
 
-from conftest import case_config, preset_structures
+from conftest import HAND_MADE_RECTS, case_config, preset_structures
 
 
 @pytest.fixture(scope="module")
@@ -728,12 +728,14 @@ class TestBuildJsa:
         table = structure.pmf_table["subcells"]
         with pytest.raises(ValueError, match=r"^JSA vanished on the grid \(all points masked\?\)$"):
             build_jsa(model, cfg, structure, pump, grid, mask_invalid=True)
-        # nor does a band build, whose rectangles hold no valid point
+        # nor does a fill over rectangles, none of which holds a valid point
         evaluator = spectrum._JsaEvaluator(model, cfg, grid, pump)
-        out = np.full((grid.n_signal, grid.n_idler), np.nan + 1j * np.nan)
-        masked = evaluator.band_amplitude(structure, [(0, 64, 0, 200), (64, 128, 10, 20)], out)
-        assert masked == out.size and not _bits(out).any()
-        assert structure.pmf_table["subcells"] is table
+        for name, rects in HAND_MADE_RECTS.items():
+            out = np.full((grid.n_signal, grid.n_idler), np.nan + 1j * np.nan)
+            f, masked = evaluator.amplitude(structure, out=out,
+                                            rects=rects(grid.n_signal, grid.n_idler))
+            assert f is out and masked == out.size and not _bits(out).any(), name
+            assert structure.pmf_table["subcells"] is table, name
 
     def test_masking_counts_out_of_window_points(self, model):
         # idler at 3.9 um sits near the 4 um transparency edge: a wide grid
@@ -746,8 +748,23 @@ class TestBuildJsa:
         arr = periodic_domains(cfg.length_m, 20e-6)
         from purepole import OutOfTransparencyWindow
 
-        with pytest.raises(OutOfTransparencyWindow):
-            build_jsa(model, cfg, arr, pump, grid)
+        # strict mode, the default of both public entries, names the idler
+        # wavelengths beyond the window and the window, and writes nothing
+        lam_i = wavelength_um_from_omega(grid.omega_i)
+        beyond = lam_i[lam_i > model.window_um[1]]
+        buf = np.full((grid.n_signal, grid.n_idler), 1.0 + 2.0j)
+        before = buf.copy()
+        for entry in (lambda: build_jsa(model, cfg, arr, pump, grid, out=buf),
+                      lambda: build_jsa(model, cfg, arr, pump, grid),
+                      lambda: delta_k_grid(model, cfg, grid)):
+            with pytest.raises(OutOfTransparencyWindow) as error:
+                entry()
+            named, _, window = str(error.value).partition(" um outside transparency window ")
+            assert window == f"[0.35, 4.0] um of set '{model.name}'"
+            values = named.removeprefix("wavelength [").removesuffix("]")
+            assert named == f"wavelength [{values}]"
+            assert np.allclose([float(v) for v in values.split()], beyond, rtol=1e-8)
+        assert beyond.size > 0 and np.array_equal(_bits(buf), _bits(before))
         jsa = build_jsa(model, cfg, arr, pump, grid, mask_invalid=True)
         assert jsa.masked_points > 0
         assert float(np.sum(np.abs(jsa.amplitude) ** 2)) == pytest.approx(1.0, abs=1e-12)
