@@ -412,8 +412,9 @@ def cmd_gvm_map(cfg: RunConfig) -> int:
 
 def _periodic_baseline(model: DispersionModel, case: PhaseMatchConfig, gp: GvmPoint):
     """(pump bandwidth nm, purity) of the periodically poled crystal at its
-    optimal pump bandwidth: the summary row's baseline, the duty-cycle
-    swarm's default bandwidth and sweep-range's `pp` bandwidth."""
+    optimal pump bandwidth, with the dw it was scored at (`delta_omega`):
+    the summary row's baseline, the duty-cycle swarm's default bandwidth and
+    sweep-range's `pp` bandwidth and dw."""
     structure = periodic_domains(case.length_m, gp.coherence_length_m)
     return optimize_pump_bandwidth(model, case, structure, gp.theta_deg)
 
@@ -665,14 +666,20 @@ def cmd_sweep_range(cfg: RunConfig) -> int:
     # bandwidth search leaves no output behind
     curves = []
     for scheme in cfg.schemes:
+        dw = None  # measured by the sweep
         if scheme == "pp":
             structure = periodic_domains(case.length_m, gp.coherence_length_m)
-            bw = cfg.pump_bandwidth_nm or _periodic_baseline(model, case, gp)[0]
+            bw = cfg.pump_bandwidth_nm
+            if bw is None:
+                # the search's optimum, with the dw it was scored at on the same pump
+                optimum = _periodic_baseline(model, case, gp)
+                bw, dw = optimum[0], optimum.delta_omega
         else:
             structure, bw = design
         pump = PumpSpec.from_bandwidth_nm(case.lambda_p_um, bw)
         curves.append((scheme, bw, purity_vs_range(
-            model, case, structure, pump, list(cfg.r_list), gp.theta_deg, tag=scheme
+            model, case, structure, pump, list(cfg.r_list), gp.theta_deg,
+            delta_omega=dw, tag=scheme
         )))
 
     out = Path(cfg.out_dir)

@@ -27,15 +27,16 @@ interpolant, on its sub-cell, of the 12-node polynomial of degree 11 through
 the nodes around its cell: a 6-term Horner pass (the interpolants leave about
 7e-15 of the largest cell value).  One fixed (12 x 48) matrix fits the 48
 sub-cell coefficients of a cell from its 12 node sums.  Because the nodes do
-not depend on the points, each structure keeps its node sums and sub-cell
-coefficients in a table that lives as long as the structure: one contiguous
-span of aligned blocks, grown downward or upward as evaluations need, so the
-builds of a bandwidth search and the points of a dw climb share it.  A block
-is fitted once, when it enters the table; a call only indexes the table.  A
-uniform-width array of N domains of width w has L = N w, so at the nodes
-dk_n w = 2 pi n / (16 N) and its sign sum is one length-16N FFT of the signs,
-taken once per structure (Cooley & Tukey, Math. Comp. 19, 297 (1965));
-duty-cycle structures sum their nodes segment by segment.  The
+not depend on the points, each structure keeps its sub-cell coefficients in
+a table that lives as long as the structure: one contiguous span of aligned
+blocks, grown downward or upward as evaluations need, so the builds of a
+bandwidth search and the points of a dw climb share it.  A block is fitted
+once, when it enters the table, from the node sums of its own window; a
+call only indexes the table.  A uniform-width array of N domains of width w
+has L = N w, so at the nodes dk_n w = 2 pi n / (16 N) and its sign sum is
+one length-16N FFT of the signs, taken once per structure (Cooley & Tukey,
+Math. Comp. 19, 297 (1965)), after which each node is one lookup;
+duty-cycle structures take the closed form of their periods (below).  The
 interpolation holds to 1e-10 x max|Phi| against the per-segment sum on the
 standard grids of all presets (at most 1.7e-13 measured).  Size rule: arrays
 with fewer points than twice the lattice nodes they span, scalars among them,
@@ -46,13 +47,14 @@ normalization and the envelope on the 2N - 1 pump sums, and assembles
 envelope x PMF for the dw climb (chosen points), for the duty-cycle swarm,
 and by one fill over rectangles of the grid for `build_jsa` (the whole grid
 as one rectangle) and for the range sweep (a band of the grid).
-The swarm's profiles share one period Lambda = 2 l_c, so per period only the
+A duty-cycle structure has one period Lambda = 2 l_c, so per period only the
 split point moves: period m adds (2 e^{i dk s_m} - e^{i dk a_m} - e^{i dk
-b_m}) / (i dk) at a lattice node, and the node sums of a whole swarm come
-from one batch of exponentials and one stacked matmul, with no per-structure
-table (nodes with |dk| Lambda < 1 take the per-segment sum instead); each
-profile then takes the same sub-cell fit and the Horner pass over the grid's
-fixed sub-cells.
+b_m}) / (i dk) at a lattice node, and a window of nodes takes one batch of
+exponentials and one stacked matmul (nodes with |dk| Lambda < 1 take the
+per-segment sum instead).  A structure's table fits each block from such a
+window; the swarm sums the nodes of all its profiles in one batch, with no
+per-structure table, and each profile then takes the same sub-cell fit and
+the Horner pass over the grid's fixed sub-cells.
 
 The range sweep's purity flushes every part below tau = eps / (16 sqrt(2 N^2))
 after scaling the amplitude by its largest part and to unit norm, and on a
@@ -221,8 +223,7 @@ def pmf_pp_analytic(delta_k, coherence_length_m: float, length_m: float):
 # for integer m, and an even number LATTICE_STENCIL of nodes around each
 # lattice cell.  Each cell is split into SUBCELLS equal sub-cells, each with
 # its own polynomial of degree SUBCELL_DEGREE.  A structure's table holds
-# node sums and sub-cell coefficients in aligned blocks of _TABLE_BLOCK nodes
-# or cells.
+# sub-cell coefficients in aligned blocks of _TABLE_BLOCK cells.
 LATTICE_NODES_PER_PERIOD = 16
 LATTICE_STENCIL = 12
 SUBCELLS = 8
@@ -380,108 +381,6 @@ def _domain_node_sums(structure: DomainArray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_table(structure: DomainArray | DutyCycleStructure, first: int, last: int):
-    """(first block, coefficients) of the structure's table, grown to cover
-    the cell blocks first .. last: `coefficients` holds the rows of
-    `_subcell_fit` over one contiguous span of aligned blocks of _TABLE_BLOCK
-    cells, so sub-cell q of cell c is column SUBCELLS c + q, counted from the
-    span's first cell.
-
-    The node sums (one span of blocks, from one block before the cells to
-    one after) grow with it.  A `DomainArray`'s node sums come from its sign
-    spectrum (`_domain_node_sums`, one FFT per structure, each node on its
-    own); a duty-cycle structure's blocks are each summed by one
-    `_segment_sum` call on the same nodes.  A block is fitted by one
-    `_subcell_fit` of _TABLE_BLOCK cells when it enters the table, so no
-    value depends on which evaluation needed the block first (the exact sum
-    can differ in the last bit with the batch, a matmul with the number of
-    rows).
-    """
-    table = structure.pmf_table
-    if "subcells" not in table:
-        table["subcells"] = (first, np.empty((SUBCELL_DEGREE + 1, 0), dtype=complex))
-        table["nodes"] = np.empty((0, _TABLE_BLOCK), dtype=complex)
-    have, coef = table["subcells"]
-    blocks = coef.shape[1] // (SUBCELLS * _TABLE_BLOCK)
-    if have <= first and last < have + blocks:
-        return have, coef
-    first, last = min(first, have), max(last, have + blocks - 1)
-    nodes = table["nodes"]  # blocks have - 1 .. have + blocks
-    step = _lattice_step(structure.length_m)
-    segments = _segments(structure)
-
-    def summed(blocks: range) -> np.ndarray:
-        n = np.arange(blocks.start * _TABLE_BLOCK, blocks.stop * _TABLE_BLOCK)
-        n = n.reshape(len(blocks), _TABLE_BLOCK)
-        if isinstance(structure, DomainArray):
-            return _domain_node_sums(structure, n)
-        out = np.empty(n.shape, dtype=complex)
-        for row, block_nodes in zip(out, n):
-            row[:] = _segment_sum(step * block_nodes, *segments)
-        return out
-
-    nodes = np.concatenate([summed(range(first - 1, have - 1)), nodes,
-                            summed(range(have - 1 + len(nodes), last + 2))])
-    flat = nodes.reshape(-1)
-    lead = _TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)  # first stencil node of a block
-
-    def fitted(b: int) -> np.ndarray:
-        start = (b - first) * _TABLE_BLOCK + lead
-        window = flat[start : start + _TABLE_BLOCK + LATTICE_STENCIL - 1]
-        return _subcell_fit(window, b * _TABLE_BLOCK, structure.length_m)
-
-    coef = np.concatenate([*map(fitted, range(first, have)), coef,
-                           *map(fitted, range(have + blocks, last + 1))], axis=1)
-    table["nodes"] = nodes
-    table["subcells"] = (first, coef)
-    return first, coef
-
-
-def _subcells(dk: np.ndarray, length_m: float, first_cell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sub-cell index counted from first_cell's first sub-cell, Horner
-    offset u in [-1/2, 1/2) within the sub-cell) of each point of a 1-D dk."""
-    u = dk * (SUBCELLS / _lattice_step(length_m))
-    sub = np.floor(u)
-    u -= sub
-    u -= 0.5
-    index = sub.astype(np.intp)
-    index -= SUBCELLS * first_cell
-    return index, u
-
-
-def _horner(coef: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j coef[j, index] u^j at each point, by Horner over the rows of
-    `coef` (one per degree, lowest first)."""
-    acc = coef[-1].take(index)
-    for row in coef[-2::-1]:
-        acc *= u
-        acc += row.take(index)
-    return acc
-
-
-def _interpolate(
-    dk: np.ndarray, structure: DomainArray | DutyCycleStructure, out: np.ndarray | None = None
-) -> np.ndarray:
-    """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's
-    table, written to `out` (a complex array of dk's size) when given.
-
-    The table is looked up once, and grown to the cell blocks that the points
-    span if it does not cover them; each point takes the coefficients of its
-    sub-cell from the table's rows, evaluated by Horner in blocks of points.
-    A point's value depends only on its dk.
-    """
-    # the blocks of the extreme points' sub-cells, scaled as `_subcells` does
-    scale, width = SUBCELLS / _lattice_step(structure.length_m), SUBCELLS * _TABLE_BLOCK
-    first, coef = _cell_table(structure, math.floor(float(dk.min()) * scale) // width,
-                              math.floor(float(dk.max()) * scale) // width)
-    if out is None:
-        out = np.empty(dk.size, dtype=complex)
-    for start in range(0, dk.size, _POINT_BLOCK):
-        part = slice(start, start + _POINT_BLOCK)
-        out[part] = _horner(coef, *_subcells(dk[part], structure.length_m, first * _TABLE_BLOCK))
-    return out
-
-
 # A duty-cycle lattice node takes the closed form of `_duty_cycle_node_sums`
 # where |dk| period is at least this, and the per-segment sum, which does not
 # cancel, below it.
@@ -542,6 +441,96 @@ def _duty_cycle_edge_sums(first: int, count: int, period_m: float, n_periods: in
     return _lattice_phase_sums(first, count, _lattice_step(length), edges)
 
 
+def _node_sums(structure: DomainArray | DutyCycleStructure, first: int, count: int) -> np.ndarray:
+    """G at the lattice nodes first .. first + count - 1: a `DomainArray`'s
+    from its sign spectrum (`_domain_node_sums`), a duty-cycle structure's
+    from the closed form of `_duty_cycle_node_sums`."""
+    if isinstance(structure, DomainArray):
+        return _domain_node_sums(structure, np.arange(first, first + count))
+    period, n_periods = structure.period_m, structure.n_periods
+    edge_sums = _duty_cycle_edge_sums(first, count, period, n_periods)
+    return _duty_cycle_node_sums(first, count, period, structure.fractions[None], edge_sums)[0]
+
+
+def _cell_table(structure: DomainArray | DutyCycleStructure, first: int, last: int):
+    """(first block, coefficients) of the structure's table, grown to cover
+    the cell blocks first .. last: `coefficients` holds the rows of
+    `_subcell_fit` over one contiguous span of aligned blocks of _TABLE_BLOCK
+    cells, so sub-cell q of cell c is column SUBCELLS c + q, counted from the
+    span's first cell.
+
+    A block b is fitted when it enters the table, by one `_subcell_fit` of
+    its own window of node sums, the `_node_sums` of the nodes b _TABLE_BLOCK
+    - 5 .. (b + 1) _TABLE_BLOCK + 5, so no value depends on which evaluation
+    needed the block first (a duty-cycle structure's closed form can differ
+    in the last bit with the first node and count of its batch).
+    """
+    table = structure.pmf_table
+    if "subcells" not in table:
+        table["subcells"] = (first, np.empty((SUBCELL_DEGREE + 1, 0), dtype=complex))
+    have, coef = table["subcells"]
+    blocks = coef.shape[1] // (SUBCELLS * _TABLE_BLOCK)
+    if have <= first and last < have + blocks:
+        return have, coef
+    first, last = min(first, have), max(last, have + blocks - 1)
+
+    def fitted(b: int) -> np.ndarray:
+        cell = b * _TABLE_BLOCK
+        nodes = _node_sums(structure, cell - (LATTICE_STENCIL // 2 - 1),
+                           _TABLE_BLOCK + LATTICE_STENCIL - 1)
+        return _subcell_fit(nodes, cell, structure.length_m)
+
+    coef = np.concatenate([*map(fitted, range(first, have)), coef,
+                           *map(fitted, range(have + blocks, last + 1))], axis=1)
+    table["subcells"] = (first, coef)
+    return first, coef
+
+
+def _subcells(dk: np.ndarray, length_m: float, first_cell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sub-cell index counted from first_cell's first sub-cell, Horner
+    offset u in [-1/2, 1/2) within the sub-cell) of each point of a 1-D dk."""
+    u = dk * (SUBCELLS / _lattice_step(length_m))
+    sub = np.floor(u)
+    u -= sub
+    u -= 0.5
+    index = sub.astype(np.intp)
+    index -= SUBCELLS * first_cell
+    return index, u
+
+
+def _horner(coef: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j coef[j, index] u^j at each point, by Horner over the rows of
+    `coef` (one per degree, lowest first)."""
+    acc = coef[-1].take(index)
+    for row in coef[-2::-1]:
+        acc *= u
+        acc += row.take(index)
+    return acc
+
+
+def _interpolate(
+    dk: np.ndarray, structure: DomainArray | DutyCycleStructure, out: np.ndarray | None = None
+) -> np.ndarray:
+    """e^{i dk L/2} G(dk) at a nonempty, finite 1-D dk, from the structure's
+    table, written to `out` (a complex array of dk's size) when given.
+
+    The table is looked up once, and grown to the cell blocks that the points
+    span if it does not cover them; each point takes the coefficients of its
+    sub-cell from the table's rows, evaluated by Horner in blocks of points.
+    A point's value depends only on its dk.
+    """
+    # the blocks of the extreme points' sub-cells, scaled as `_subcells` does
+    scale, width = SUBCELLS / _lattice_step(structure.length_m), SUBCELLS * _TABLE_BLOCK
+    first, coef = _cell_table(structure, math.floor(float(dk.min()) * scale) // width,
+                              math.floor(float(dk.max()) * scale) // width)
+    if out is None:
+        out = np.empty(dk.size, dtype=complex)
+    for start in range(0, dk.size, _POINT_BLOCK):
+        part = slice(start, start + _POINT_BLOCK)
+        out[part] = _horner(coef, *_subcells(dk[part], structure.length_m, first * _TABLE_BLOCK))
+    return out
+
+
 def _check_buffer(name: str, array, shape: tuple[int, ...], dtype) -> None:
     """ValueError naming `name` unless `array` is a writable C-contiguous
     ndarray of exactly this shape and dtype."""
@@ -571,11 +560,12 @@ def pmf_piecewise(delta_k, structure: DomainArray | DutyCycleStructure, out=None
     around the cell, with e^{i dk L/2} folded in, fitted from the node sums
     by one fixed matrix, and each point takes the polynomial of its
     sub-cell.  The lattice spans the points' dk range plus LATTICE_STENCIL -
-    1 end nodes.  Node sums and sub-cell coefficients are kept in the
-    structure's table (`pmf_table`) and reused by later calls; a value does
-    not depend on what the table held before.  A `DomainArray`'s node sums
-    come from one FFT of its signs per structure (`_domain_node_sums`), a
-    duty-cycle structure's from the per-segment sum.  Against the exact sum
+    1 end nodes.  Sub-cell coefficients are kept in the structure's table
+    (`pmf_table`) and reused by later calls; a value does not depend on what
+    the table held before.  A `DomainArray`'s node sums come from one FFT of
+    its signs per structure (`_domain_node_sums`), a duty-cycle structure's
+    from the closed form of its periods (`_duty_cycle_node_sums`), with the
+    per-segment sum at nodes of |dk| period < 1.  Against the exact sum
     the error stays within 1e-10 x max|Phi| on the standard grids of all
     presets (at most 1.7e-13 measured, the rounding floor of the sum
     itself).  Smaller arrays, scalars and arrays with non-finite values take

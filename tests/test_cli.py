@@ -377,6 +377,37 @@ class TestSweepRangeCommand:
         ][0]
         assert float(line.split(",")[1]) == pytest.approx(design_purity, abs=1e-9)
 
+    def test_pp_sweep_reuses_the_bandwidth_search_dw(self, tmp_path, monkeypatch):
+        # without --pump-bw-nm the pp curve takes the dw that the bandwidth
+        # search scored its optimum at; a sweep that measures dw again on the
+        # same pump writes the same file, byte for byte
+        import purepole.analysis
+        import purepole.cli
+
+        calls = []
+        real_measure = purepole.analysis.measure_delta_omega
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_measure(*args, **kwargs)
+
+        monkeypatch.setattr(purepole.analysis, "measure_delta_omega", counting)
+        argv = ["sweep-range", "--preset", "o-band-i", "--schemes", "pp", "--r-list", "10,30"]
+        assert run([*argv, "--out-dir", str(tmp_path / "reused")]) == EXIT_OK
+        assert calls == []
+        real_sweep = purepole.cli.purity_vs_range
+
+        def remeasuring(*args, delta_omega, **kwargs):
+            assert delta_omega is not None
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(purepole.cli, "purity_vs_range", remeasuring)
+        assert run([*argv, "--out-dir", str(tmp_path / "measured")]) == EXIT_OK
+        assert len(calls) == 1
+        name = "purity_vs_range_pp.csv"
+        assert (tmp_path / "reused" / name).read_bytes() == \
+            (tmp_path / "measured" / name).read_bytes()
+
     def test_optimized_scheme_requires_design_artifact(self, tmp_path, capsys):
         code = run([
             "sweep-range", "--preset", "o-band-i", "--schemes", "cl-scl",

@@ -244,20 +244,47 @@ def _standard_delta_k(model, cfg, gp, pp, r_mult):
     return math.copysign(1.0, gp.delta_k0) * dk.ravel()
 
 
+def _block_window(structure, block):
+    """`_node_sums` of the LATTICE_STENCIL - 1 + _TABLE_BLOCK nodes a table
+    block of the structure is fitted from."""
+    cells = spectrum._TABLE_BLOCK
+    return spectrum._node_sums(structure, block * cells - (LATTICE_STENCIL // 2 - 1),
+                               cells + LATTICE_STENCIL - 1)
+
+
+def _table_blocks(structure):
+    """The cell blocks of the structure's table, in order."""
+    first, coef = structure.pmf_table["subcells"]
+    return range(first, first + coef.shape[1] // (spectrum.SUBCELLS * spectrum._TABLE_BLOCK))
+
+
+def _assert_blocks_fitted_from_their_windows(structure):
+    # every block of the table is the sub-cell fit of its own node window,
+    # bit for bit
+    first, coef = structure.pmf_table["subcells"]
+    width = spectrum.SUBCELLS * spectrum._TABLE_BLOCK
+    for block in _table_blocks(structure):
+        want = spectrum._subcell_fit(_block_window(structure, block), block * spectrum._TABLE_BLOCK,
+                                     structure.length_m)
+        got = coef[:, (block - first) * width:][:, :width]
+        assert np.array_equal(got, want), block
+
+
 def _table_cell_polynomials(structure):
     """(first block, sub-cell coefficients, degree-11 cell polynomials of
     shape (cells, LATTICE_STENCIL)) of the structure's table, the cell
-    polynomials formed from its stored node sums with the cell's
+    polynomials formed from each block's `_node_sums` window with the cell's
     e^{i dk_mid L/2} as the kernel rounds it."""
     first, coef = structure.pmf_table["subcells"]
-    n_cells = coef.shape[1] // spectrum.SUBCELLS
-    lead = spectrum._TABLE_BLOCK - (LATTICE_STENCIL // 2 - 1)
-    nodes = structure.pmf_table["nodes"].ravel()[lead : lead + n_cells + LATTICE_STENCIL - 1]
-    windows = np.lib.stride_tricks.sliding_window_view(nodes, LATTICE_STENCIL)
-    length = structure.length_m
-    mids = spectrum._lattice_step(length) * (first * spectrum._TABLE_BLOCK + np.arange(n_cells) + 0.5)
-    cells = (windows @ spectrum._interval_polynomials()) * np.exp(0.5j * length * mids)[:, None]
-    return first, coef, cells
+    length, cells = structure.length_m, spectrum._TABLE_BLOCK
+    polynomials = []
+    for block in _table_blocks(structure):
+        windows = np.lib.stride_tricks.sliding_window_view(_block_window(structure, block),
+                                                           LATTICE_STENCIL)
+        mids = spectrum._lattice_step(length) * (block * cells + np.arange(cells) + 0.5)
+        polynomials.append((windows @ spectrum._interval_polynomials())
+                           * np.exp(0.5j * length * mids)[:, None])
+    return first, coef, np.concatenate(polynomials)
 
 
 def _assert_lattice_matches_segment_sum(dk, structure, rng):
@@ -301,31 +328,39 @@ class TestPmfLattice:
         above = np.append(below, below[0])
         assert spectrum._lattice(below, arr.length_m) is None
         assert spectrum._lattice(above, arr.length_m) == (c0, c0 + 40)
-        summed = []
-        real_sum = spectrum._segment_sum
+        summed, windows = [], []
+        real_sum, real_nodes = spectrum._segment_sum, spectrum._node_sums
 
         def counting_sum(dk, *segments):
             summed.append(dk.size)
             return real_sum(dk, *segments)
 
+        def counting_nodes(structure, first, count):
+            windows.append((first, count))
+            return real_nodes(structure, first, count)
+
         monkeypatch.setattr(spectrum, "_segment_sum", counting_sum)
+        monkeypatch.setattr(spectrum, "_node_sums", counting_nodes)
         phi_below = pmf_piecewise(below, arr)
         phi_above = pmf_piecewise(above, arr)
-        # the exact sum at every point; the array's table takes its node sums
-        # from its sign spectrum, with no block sum
-        assert summed == [below.size]
+        # the exact sum at every point below; above, one node window per cell
+        # block of c0 .. c0 + 40, from the array's sign spectrum, with no sum
+        block = spectrum._TABLE_BLOCK
+        blocks = range(c0 // block, (c0 + 40) // block + 1)
+        want = [(b * block - (LATTICE_STENCIL // 2 - 1), block + LATTICE_STENCIL - 1)
+                for b in blocks]
+        assert summed == [below.size] and windows == want
         scale = np.max(np.abs(phi_below))
         assert np.max(np.abs(phi_above[:-1] - phi_below)) <= 1e-12 * scale
         assert phi_above[-1] == phi_above[0]
-        # the same cells of the same crystal as duty cycles: the table sums
-        # the aligned node blocks around the cell blocks of c0 .. c0 + 40
+        # the same cells of the same crystal as duty cycles: the same node
+        # windows, from the closed form, whose nodes all have |dk| period >= 1
         duty = dc_domains(arr.length_m, 20e-6, np.full(arr.n_domains // 2, 0.5))
         assert duty.length_m == arr.length_m
         summed.clear()
+        windows.clear()
         phi_duty = pmf_piecewise(above, duty)
-        block = spectrum._TABLE_BLOCK
-        cell_blocks = (c0 + 40) // block - c0 // block + 1
-        assert summed == [block] * (cell_blocks + 2)
+        assert summed == [] and windows == want
         assert np.max(np.abs(phi_duty - phi_above)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n_domains", [1, 2, 133, 400, 1516, 3792])
@@ -344,8 +379,9 @@ class TestPmfLattice:
         assert arr.pmf_table["sign_spectrum"].shape == (period,)
 
     def test_sign_spectrum_tables_grow_bit_for_bit(self):
-        # the node blocks and values of a table filled cold equal those of
-        # tables first filled above or below the points, then grown down or up
+        # the blocks and values of a table filled cold equal those of tables
+        # first filled above or below the points, then grown down or up, and
+        # each block is the fit of its own node window
         rng = np.random.default_rng(7)
         arr = DomainArray(width_m=9.4e-6, signs=rng.choice([1, -1], 1516))
         step = _lattice_step(arr)
@@ -357,7 +393,7 @@ class TestPmfLattice:
         from_cold = pmf_piecewise(dk, cold)
         spectrum_cold = cold.pmf_table["sign_spectrum"]
         first, coef = cold.pmf_table["subcells"]
-        nodes = cold.pmf_table["nodes"]
+        _assert_blocks_fitted_from_their_windows(cold)
         for shift in (3, -3):
             warm = dataclasses.replace(arr)
             pmf_piecewise(dk + shift * block * step, warm)
@@ -369,7 +405,7 @@ class TestPmfLattice:
             assert start == min(first, first + shift)
             rows = first - start
             assert np.array_equal(span[:, rows * block * spectrum.SUBCELLS:][:, :coef.shape[1]], coef)
-            assert np.array_equal(warm.pmf_table["nodes"][rows : rows + len(nodes)], nodes)
+            _assert_blocks_fitted_from_their_windows(warm)
         exact = _per_segment_sum(dk, arr)
         assert np.max(np.abs(from_cold - exact)) <= 1e-10 * np.max(np.abs(exact))
 
@@ -386,6 +422,43 @@ class TestPmfLattice:
         assert np.all(np.isfinite(phi))
         assert np.max(np.abs(phi - exact)) <= 1e-12 * np.max(np.abs(exact))
 
+    def test_duty_cycle_blocks_are_fits_of_closed_form_windows(self):
+        # each block of a duty-cycle table, from below dk = 0 to past phase
+        # matching (node 16 M), is the sub-cell fit of the closed-form node
+        # sums of its own window, bit for bit
+        rng = np.random.default_rng(29)
+        duty = DutyCycleStructure(period_m=40e-6, fractions=rng.uniform(0.02, 0.98, 125))
+        step, cells = _lattice_step(duty), spectrum._TABLE_BLOCK
+        pmf_piecewise(step * rng.uniform(-300.0, 2400.0, 20000), duty)
+        first, coef = duty.pmf_table["subcells"]
+        assert set(duty.pmf_table) == {"subcells"} and first < 0
+        width = spectrum.SUBCELLS * cells
+        for block in _table_blocks(duty):
+            lo, count = block * cells - (LATTICE_STENCIL // 2 - 1), cells + LATTICE_STENCIL - 1
+            edges = spectrum._duty_cycle_edge_sums(lo, count, duty.period_m, duty.n_periods)
+            nodes = spectrum._duty_cycle_node_sums(lo, count, duty.period_m,
+                                                   duty.fractions[None], edges)[0]
+            want = spectrum._subcell_fit(nodes, block * cells, duty.length_m)
+            assert np.array_equal(coef[:, (block - first) * width:][:, :width], want), block
+
+    def test_duty_cycle_block_near_zero_mismatch(self):
+        # block 0's window holds nodes with |dk| period < 1, where the closed
+        # form cancels and the per-segment sum takes over, and nodes above
+        rng = np.random.default_rng(3)
+        duty = DutyCycleStructure(period_m=40e-6, fractions=rng.uniform(0.3, 0.9, 25))
+        step = _lattice_step(duty)
+        nodes = np.arange(-(LATTICE_STENCIL // 2 - 1), spectrum._TABLE_BLOCK + LATTICE_STENCIL // 2)
+        small = np.abs(step * nodes) * duty.period_m < spectrum._CLOSED_FORM_MIN
+        assert small[nodes == 0] and 1 < np.count_nonzero(small) < nodes.size
+        exact = spectrum._segment_sum(step * nodes, *spectrum._segments(duty))
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(_block_window(duty, 0) - exact)) <= 1e-12 * scale
+        # and the table's values at the nodes of blocks -1 and 0, dk = 0 among them
+        dk = step * np.repeat(np.arange(-64, 64), 4)
+        assert spectrum._lattice(dk, duty.length_m) is not None
+        phi = pmf_piecewise(dk, duty)
+        assert np.max(np.abs(phi - _per_segment_sum(dk, duty))) <= 1e-12 * scale
+
     def test_values_do_not_depend_on_the_table(self, model):
         cfg, gp, structures = preset_structures(model, "o-band-i")
         dk = _standard_delta_k(model, cfg, gp, structures["pp"], 10.0)
@@ -396,7 +469,8 @@ class TestPmfLattice:
             from_cold = pmf_piecewise(dk, cold)
             first, coef = cold.pmf_table["subcells"]
             assert coef.shape[0] == spectrum.SUBCELL_DEGREE + 1 and coef.shape[1] % width == 0
-            assert len(cold.pmf_table["nodes"]) == coef.shape[1] // width + 2
+            assert set(cold.pmf_table) <= {"subcells", "sign_spectrum"}
+            _assert_blocks_fitted_from_their_windows(cold)
             # warm the table on an overlapping range shifted by 37.3 steps
             pmf_piecewise(dk[::7] + 37.3 * _lattice_step(structure), warm)
             assert np.array_equal(pmf_piecewise(dk, warm), from_cold)
@@ -416,12 +490,12 @@ class TestPmfLattice:
                 else:
                     assert after == before < first
                 assert span.flags.c_contiguous and span.shape[1] >= coef.shape[1] + 3 * width
-                assert len(other.pmf_table["nodes"]) == span.shape[1] // width + 2
+                _assert_blocks_fitted_from_their_windows(other)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_subcells_reproduce_the_cell_polynomial(self, model, preset):
         # each stored sub-cell polynomial against the degree-11 polynomial of
-        # its cell, formed here from the stored node sums, on a dense sample
+        # its cell, formed here from its block's node window, on a dense sample
         # of every cell of the tables the standard grid needs; and the stored
         # rows, fitted by one fused matrix, against the two stages it fuses:
         # the cell polynomial, then its Chebyshev sub-cell interpolants
