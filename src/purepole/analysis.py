@@ -6,16 +6,14 @@ is invariant under global scaling/phase and under transposition of the matrix.
 
 P also equals Tr(rho_s^2) = ||F^H F||_F^2 / ||F||_F^4 (Law, Walmsley & Eberly,
 PRL 84, 5304 (2000)), which needs no singular values: `jsa_purity`, used
-wherever only the purity is needed, computes it from a blocked Gram matrix of
-a unit-norm copy of F whose parts below eps / (16 sqrt(number of parts)) are
+wherever only the purity is needed, computes it from the Gram matrix of a
+unit-norm copy of F whose parts below eps / (16 sqrt(number of parts)) are
 flushed to zero: about 1e-20 on a 1000^2 grid, a floor that provably moves
 the purity by at most eps/2 and lies far above sqrt(tiny), so that no
-product is subnormal.  A column block of the Gram whose first or last row
-the flush left all zero is summed over pairs of column tiles whose nonzero
-rows meet, over only the rows they share, which drops nothing but zeros;
-where neither edge row is zero, its product is the untrimmed one bit for
-bit.  It agrees with the SVD purity of `schmidt_decompose`, which still
-gives the Schmidt coefficients themselves, to 1e-12.
+product is subnormal.  The Gram is summed over pairs of 64-column tiles
+whose nonzero rows meet, over only the rows they share, which drops nothing
+but zeros.  It agrees with the SVD purity of `schmidt_decompose`, which
+still gives the Schmidt coefficients themselves, to 1e-12.
 """
 
 from __future__ import annotations
@@ -88,10 +86,9 @@ _PSO_INIT_SPREAD = 0.05
 _DUTY_MIN, _DUTY_MAX = 0.02, 0.98
 # Gram purity: real and imaginary parts of the unit-norm amplitude below
 # `_flush_floor` of its part count are zeroed, which provably moves the purity
-# by at most eps/2; the Gram is built in column blocks of this width, and a
-# block with an all-zero edge row in column tiles of the second (a divisor of
-# the first; timed against 16, 32 and 128 on 1000^2 and 2000^2 range grids).
-_GRAM_BLOCK = 128
+# by at most eps/2; the Gram is summed over pairs of column tiles of this
+# width (timed against 16, 32 and 128 on 1000^2 and 2000^2 range grids, and
+# no slower than 128-column blocks on dense 100^2 to 400^2 grids).
 _GRAM_TILE = 64
 _FLUSH_BLOCK = 1 << 16  # parts per block of the flush to zero
 # Smallest spectral range R, in units of dw, that a purity grid may span.
@@ -171,7 +168,7 @@ def _unit_working_copy(amp: np.ndarray, overwrite: bool = False) -> np.ndarray:
     view, whatever the order of `amp`.
 
     Raises ValueError for non-finite entries and ZeroSpectrum for an
-    all-zero amplitude.
+    all-zero or empty amplitude.
     """
     dtype = np.result_type(amp.dtype, float)
     in_place = (overwrite and amp.dtype == dtype and amp.flags.c_contiguous
@@ -191,11 +188,11 @@ def _scaled_to_unit(work: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     one `np.dot` over all parts, so the result does not depend on them.
 
     Raises ValueError for non-finite entries and ZeroSpectrum for an
-    all-zero amplitude.
+    all-zero or empty amplitude.
     """
     parts = work.view(float).reshape(-1)
-    high = max(float(block.max()) for block in blocks)
-    low = min(float(block.min()) for block in blocks)
+    high = max((float(block.max()) for block in blocks), default=0.0)
+    low = min((float(block.min()) for block in blocks), default=0.0)
     if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("JSA contains non-finite entries")
     peak = max(high, -low)
@@ -211,43 +208,6 @@ def _scaled_to_unit(work: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return work
 
 
-def _tile_products(spans: list[tuple[int, int]], c0: int, c1: int, cols: int) -> list:
-    """The Gram products of the column block c0 .. c1 - 1, from the nonzero
-    row `spans` of the column tiles up to c1, as right operands (a, b, s0,
-    s1, lefts): the columns a .. b - 1 over the rows s0 .. s1 - 1, each to
-    be multiplied by the columns lo .. hi - 1 over the rows r0 .. r1 - 1 of
-    every (r0, r1, lo, hi) in `lefts`.
-
-    Each run of neighbouring tiles in the block with one nonzero span is a
-    right operand, and each tile from column 0 to the run's end a left one,
-    over the rows its span shares with the run's; neighbouring left tiles
-    that share the same rows are one product, and tiles that share none are
-    skipped.  So hi <= a, or hi = b with a to b the product's diagonal square.
-    """
-    products = []
-    q, q_end = c0 // _GRAM_TILE, -(-c1 // _GRAM_TILE)
-    while q < q_end:
-        e = q + 1
-        while e < q_end and spans[e] == spans[q]:
-            e += 1
-        s0, s1 = spans[q]
-        shared = [(max(r0, s0), min(r1, s1)) for r0, r1 in spans[:e]]
-        lefts = []
-        p = 0
-        while p < e:
-            h = p + 1
-            while h < e and shared[h] == shared[p]:
-                h += 1
-            r0, r1 = shared[p]
-            if r0 < r1:
-                lefts.append((r0, r1, p * _GRAM_TILE, min(h * _GRAM_TILE, cols)))
-            p = h
-        if lefts:
-            products.append((q * _GRAM_TILE, min(e * _GRAM_TILE, cols), s0, s1, lefts))
-        q = e
-    return products
-
-
 def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> float:
     """Schmidt purity Tr(rho_s^2) = sum_j c_j^4 of a joint spectrum, from the
     Gram matrix: P = ||F^H F||_F^2 / ||F||_F^4, with no singular values.
@@ -257,34 +217,31 @@ def jsa_purity(jsa: JointSpectrum | np.ndarray, overwrite: bool = False) -> floa
     every real or imaginary part below `_flush_floor` is set to zero: about
     1e-20 on a 1000^2 grid, a floor that provably moves the purity by at
     most eps/2 and lies far above sqrt(tiny), so each product inside the
-    Gram is a normal float.  The Gram is built in column blocks of
-    `_GRAM_BLOCK`, only its upper block triangle, and each block's squared
-    norm is accumulated, off-diagonal blocks twice.  Agrees with
+    Gram is a normal float.  The Gram is summed over its upper triangle of
+    column-tile pairs, tiles `_GRAM_TILE` wide: each right tile q is
+    multiplied by each left tile p <= q, and the product's squared norm
+    counts once when p = q and twice when p < q.  Agrees with
     `purity(schmidt_decompose(jsa))` to 1e-12.
 
-    A row that is zero in a column block adds nothing to that block's Gram,
-    nor does a pair of columns whose nonzero rows do not meet.  So when the
-    block's first or last row is all zero after the flush (the flushed tails
-    of a wide R = 50 grid, or masked edge rows), it is summed in column
-    tiles of `_GRAM_TILE`: each tile's first-to-last nonzero-row span is
-    found once per call, in one pass over the tile, and each right tile of
-    the block is multiplied by each tile at or left of it over the rows both
-    spans share (`_tile_products`).  Tile pairs that share no row are
-    skipped, neighbouring tiles with the same span (right) or the same
-    shared rows (left) are one product, and off-diagonal pairs count
-    twice.  On the anti-diagonal band of the o-band-i R = 50 grids that is
-    67 M complex multiply-adds in 78 products, where one product per block
-    over its nonzero rows took 141 M.  It is exact in real arithmetic,
-    though BLAS sums in another order, so the purity may differ from the
-    untrimmed Gram's by a few eps.  When both edge rows are nonzero, the
-    block is the single untrimmed product, bit for bit.
+    A row that is zero in either tile of a pair adds nothing to the pair's
+    Gram.  So each tile's first-to-last nonzero-row span is found first: a
+    tile whose first and last rows are both nonzero spans all rows without
+    a scan, and any other tile (the flushed tails of a wide R = 50 grid, or
+    masked edge rows) takes one pass over the tile.  Each pair is then
+    multiplied over only the rows both spans share, and a pair that shares
+    none is skipped.  On the anti-diagonal band of the o-band-i R = 50 PP
+    and CL grids that is 61 M and 67 M complex multiply-adds in 81 products
+    each, where the untrimmed Gram takes 0.5 G.  It is exact in real
+    arithmetic, though BLAS sums the shorter products in another order, so
+    the purity may differ from the untrimmed Gram's by a few eps; where no
+    tile has an all-zero edge row, it is the untrimmed Gram bit for bit.
 
     With `overwrite` the amplitude may serve as the working copy (it does
     when it is a writable C-contiguous float64 or complex128 array) and is
     left scaled and flushed; the purity is the same bit for bit.
 
     Raises ValueError for non-finite entries and ZeroSpectrum for an
-    all-zero amplitude.
+    all-zero or empty amplitude.
     """
     amp = jsa.amplitude if isinstance(jsa, JointSpectrum) else np.asarray(jsa)
     if amp.ndim != 2:
@@ -296,27 +253,23 @@ def _gram_purity(work: np.ndarray) -> float:
     """`jsa_purity`'s Gram sum over a 2-D amplitude already scaled to unit
     norm and flushed (`_scaled_to_unit`)."""
     parts = work.view(float).reshape(-1)
-    rows, cols = work.shape
-    spans = []  # (first, last + 1) nonzero row of each column tile, as blocks trim
-    gram_sq = 0.0
-    for c0 in range(0, cols, _GRAM_BLOCK):
-        c1 = min(c0 + _GRAM_BLOCK, cols)
-        if work[0, c0:c1].any() and work[-1, c0:c1].any():
-            products = [(c0, c1, 0, rows, [(0, rows, 0, c1)])]
+    tiles = [work[:, t0 : t0 + _GRAM_TILE] for t0 in range(0, work.shape[1], _GRAM_TILE)]
+    spans = []  # (first, last + 1) nonzero row of each tile
+    for tile in tiles:
+        if tile[0].any() and tile[-1].any():
+            spans.append((0, work.shape[0]))
         else:
-            # rows zero in a column tile, and tile pairs that share no
-            # nonzero row, add nothing to this block's Gram
-            for t0 in range(len(spans) * _GRAM_TILE, c1, _GRAM_TILE):
-                nonzero = np.flatnonzero(work[:, t0 : t0 + _GRAM_TILE].any(axis=1))
-                spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0))
-            products = _tile_products(spans, c0, c1, cols)
-        for a, b, s0, s1, lefts in products:
-            right = work[s0:s1, a:b].conj()
-            for r0, r1, lo, hi in lefts:
-                block = (work[r0:r1, lo:hi].T @ right[r0 - s0 : r1 - s0]).reshape(-1)
-                split = (min(hi, a) - lo) * (b - a)  # left columns below a are off the diagonal
-                gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
-                gram_sq += float(np.vdot(block[split:], block[split:]).real)
+            nonzero = np.flatnonzero(tile.any(axis=1))
+            spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0))
+    gram_sq = 0.0
+    for q, (s0, s1) in enumerate(spans):
+        right = tiles[q][s0:s1].conj()
+        for p, (r0, r1) in enumerate(spans[: q + 1]):
+            # rows zero in either tile add nothing to the pair's Gram
+            r0, r1 = max(r0, s0), min(r1, s1)
+            if r0 < r1:
+                block = tiles[p][r0:r1].T @ right[r0 - s0 : r1 - s0]
+                gram_sq += (1.0 if p == q else 2.0) * float(np.vdot(block, block).real)
     return gram_sq / float(np.dot(parts, parts)) ** 2
 
 
@@ -613,11 +566,11 @@ def purity_vs_range(
     `np.dot`s over the whole grid.  On the R = 50 grids (1000 x 1000) of the
     o-band-i PP and CL sweeps the band keeps 16-17 % of the anti-diagonals,
     in rectangles of 34-36 % of the grid; at R = 10 they cover 93-100 %.
-    The Gram sum finds the band's column tiles from the flushed data, as
-    `jsa_purity` does, and multiplies only tile pairs whose nonzero rows
-    meet.  A grid whose band is the whole grid, or that the PMF size rule
-    might send to the exact sum, is built by `build_jsa` and scored by
-    `jsa_purity` in place.  Each purity and masked fraction equals that of
+    The Gram sum, `jsa_purity`'s own, finds each column tile's nonzero rows
+    from the flushed data and multiplies only tile pairs whose rows meet,
+    over the rows they share.  A grid whose band is the whole grid, or that
+    the PMF size rule might send to the exact sum, is built by `build_jsa`
+    and scored by `jsa_purity` in place.  Each purity and masked fraction equals that of
     `jsa_purity(standard_jsa(...))`, bit for bit.
     """
     r_values = np.asarray(r_values, dtype=float)

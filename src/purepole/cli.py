@@ -286,13 +286,19 @@ def _resolve_model(cfg: RunConfig) -> DispersionModel:
     path = Path(cfg.sellmeier)
     if not path.exists():
         raise ConfigError(f"sellmeier: no built-in set or file named {cfg.sellmeier!r}")
-    return DispersionModel.from_file(path)
+    try:
+        return DispersionModel.from_file(path)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(
+            f"sellmeier: cannot read coefficient file {cfg.sellmeier!r}: {exc}") from None
 
 
 def _resolve_phase_match(cfg: RunConfig, model: DispersionModel) -> tuple[PhaseMatchConfig, GvmPoint]:
     """The run's wavelength case and its GVM angle and coherence length l_c.
-    Every scheme poles at least two coherence lengths, so a crystal of 2 l_c
-    or less is an error naming length_mm."""
+    A Sellmeier set whose index is not real (or not finite) at the case's
+    wavelengths is an error naming sellmeier.  Every scheme poles at least
+    two coherence lengths, so a crystal of 2 l_c or less is an error naming
+    length_mm."""
     if cfg.preset is not None:
         if cfg.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {cfg.preset!r}")
@@ -311,7 +317,12 @@ def _resolve_phase_match(cfg: RunConfig, model: DispersionModel) -> tuple[PhaseM
         )
     except ValueError as exc:
         raise ConfigError(f"pump_nm/signal_nm: {exc}") from exc
-    gp = phase_mismatch_and_lc(model, case)
+    with np.errstate(invalid="ignore", divide="ignore"):  # checked just below
+        gp = phase_mismatch_and_lc(model, case)
+    if not (math.isfinite(gp.theta_deg) and math.isfinite(gp.delta_k0)):
+        raise ConfigError(
+            f"sellmeier: set {model.name!r} gives no real refractive index at pump "
+            f"{pump_nm:g} nm, signal {signal_nm:g} nm")
     if case.length_m <= 2.0 * gp.coherence_length_m:
         raise ConfigError(
             f"length_mm: the crystal must be longer than 2 l_c = "

@@ -45,10 +45,8 @@ from purepole import (
     standard_jsa,
 )
 from purepole.analysis import (
-    _GRAM_BLOCK,
     _GRAM_TILE,
     _flush_floor,
-    _tile_products,
     _unit_working_copy,
     write_curve_csv,
     write_schmidt_csv,
@@ -137,6 +135,10 @@ def _standard_pump_and_dw(model, cfg, gp, pp):
     pump = PumpSpec.from_bandwidth_nm(cfg.lambda_p_um, 2.0)
     return pump, measure_delta_omega(model, cfg, pp, pump, gp.theta_deg)
 
+
+# the column block width of test data: zero rows and zero columns laid out
+# per block, and matrix sides that end in a partial block
+_BLOCK = 128
 
 # the flush floor of the Gram purity before it was derived from the part count
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
@@ -256,10 +258,17 @@ class TestGramPurity:
         with pytest.raises(ZeroSpectrum):
             jsa_purity(JointSpectrum(grid=jsa.grid, amplitude=np.zeros_like(jsa.amplitude)))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_empty_amplitude_rejected(self, shape, dtype):
+        for score in (jsa_purity, schmidt_decompose):
+            with pytest.raises(ZeroSpectrum):
+                score(np.zeros(shape, dtype))
+
     @given(
         seed=st.integers(0, 2**32 - 1),
-        rows=st.integers(1, 300).filter(lambda n: n % _GRAM_BLOCK),
-        cols=st.integers(1, 300).filter(lambda n: n % _GRAM_BLOCK),
+        rows=st.integers(1, 300).filter(lambda n: n % _BLOCK),
+        cols=st.integers(1, 300).filter(lambda n: n % _BLOCK),
         rank=st.integers(1, 6),
         exponent=st.integers(-290, 290),
     )
@@ -294,46 +303,46 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _untrimmed_purity(f, floor=None) -> float:
-    """`jsa_purity` as computed before zero edge rows and columns were
-    trimmed: every column block's Gram summed over all rows and all columns
-    to its left, the working copy flushed at `floor` (default: the
-    `_flush_floor` of `jsa_purity`)."""
+    """`jsa_purity` without its trim of zero rows and tile pairs: the Gram of
+    every pair of column tiles, right tile q against each left tile p <= q,
+    over all rows, off-diagonal pairs twice, the working copy flushed at
+    `floor` (default: the `_flush_floor` of `jsa_purity`)."""
     work = _old_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f),
                              floor)
     parts = work.view(float).reshape(-1)
+    tiles = [work[:, t0 : t0 + _GRAM_TILE] for t0 in range(0, work.shape[1], _GRAM_TILE)]
     gram_sq = 0.0
-    for c0 in range(0, work.shape[1], _GRAM_BLOCK):
-        c1 = min(c0 + _GRAM_BLOCK, work.shape[1])
-        block = (work[:, :c1].T @ work[:, c0:c1].conj()).reshape(-1)
-        split = c0 * (c1 - c0)
-        gram_sq += 2.0 * float(np.vdot(block[:split], block[:split]).real)
-        gram_sq += float(np.vdot(block[split:], block[split:]).real)
+    for q, tile in enumerate(tiles):
+        right = tile.conj()
+        for p in range(q + 1):
+            block = tiles[p].T @ right
+            gram_sq += (1.0 if p == q else 2.0) * float(np.vdot(block, block).real)
     return gram_sq / float(np.dot(parts, parts)) ** 2
 
 
-def _trimmed_blocks(f, floor=None) -> int:
-    """Column blocks of the working copy of `f` flushed at `floor` (default:
+def _trimmed_tiles(f, floor=None) -> int:
+    """Column tiles of the working copy of `f` flushed at `floor` (default:
     the `_flush_floor` of `jsa_purity`) whose first or last row is all zero:
-    at the default floor, the blocks whose Gram `jsa_purity` trims."""
+    at the default floor, the tiles whose products `jsa_purity` trims."""
     work = _old_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f),
                              floor)
-    return sum(not (work[0, c0:c0 + _GRAM_BLOCK].any() and work[-1, c0:c0 + _GRAM_BLOCK].any())
-               for c0 in range(0, work.shape[1], _GRAM_BLOCK))
+    return sum(not (work[0, t0:t0 + _GRAM_TILE].any() and work[-1, t0:t0 + _GRAM_TILE].any())
+               for t0 in range(0, work.shape[1], _GRAM_TILE))
 
 
 def _column_trimmed_blocks(f) -> int:
-    """Trimmed column blocks (`_trimmed_blocks`) right of the first that
-    share no row with some column at their left: the first column whose
-    first-to-last nonzero row span meets the block's nonzero rows lies right
-    of column 0, found column by column."""
+    """Column blocks of `_BLOCK` right of the first with an all-zero edge
+    row that share no row with some column at their left: the first column
+    whose first-to-last nonzero row span meets the block's nonzero rows lies
+    right of column 0, found column by column."""
     work = _unit_working_copy(f.amplitude if isinstance(f, JointSpectrum) else np.asarray(f))
     spans = []
     for j in range(work.shape[1]):
         nonzero = np.flatnonzero(work[:, j])
         spans.append((nonzero[0], nonzero[-1]) if nonzero.size else (work.shape[0], -1))
     count = 0
-    for c0 in range(_GRAM_BLOCK, work.shape[1], _GRAM_BLOCK):
-        block = work[:, c0:c0 + _GRAM_BLOCK]
+    for c0 in range(_BLOCK, work.shape[1], _BLOCK):
+        block = work[:, c0:c0 + _BLOCK]
         rows = np.flatnonzero(block.any(axis=1))
         if rows.size == 0 or (block[0].any() and block[-1].any()):
             continue
@@ -365,12 +374,12 @@ def _zero_rows(f: np.ndarray, pattern: str) -> np.ndarray:
         f[rows - rows // 3 :] = 0.0
     elif pattern == "ridge":
         # each column block has zero edge rows of its own, as on a JSA ridge
-        for c0 in range(0, cols, _GRAM_BLOCK):
+        for c0 in range(0, cols, _BLOCK):
             lo = min(rows - 1, c0 * rows // (2 * cols) + 1)
-            f[:lo, c0 : c0 + _GRAM_BLOCK] = 0.0
-            f[lo + rows // 2 :, c0 : c0 + _GRAM_BLOCK] = 0.0
+            f[:lo, c0 : c0 + _BLOCK] = 0.0
+            f[lo + rows // 2 :, c0 : c0 + _BLOCK] = 0.0
     elif pattern == "zero-block":
-        f[:, _GRAM_BLOCK : 2 * _GRAM_BLOCK] = 0.0
+        f[:, _BLOCK : 2 * _BLOCK] = 0.0
     elif pattern == "single-row":
         f[: rows // 2] = 0.0
         f[rows // 2 + 1 :] = 0.0
@@ -380,9 +389,9 @@ def _zero_rows(f: np.ndarray, pattern: str) -> np.ndarray:
 
 
 class TestGramRowTrim:
-    """The Gram purity of column blocks with an all-zero edge row, summed
-    over pairs of column tiles that share nonzero rows and only over those
-    rows, against the SVD purity and the untrimmed Gram."""
+    """The Gram purity summed over pairs of column tiles that share nonzero
+    rows, and only over those rows, against the SVD purity and the untrimmed
+    Gram of every tile pair over all rows."""
 
     @pytest.mark.parametrize("pattern", [
         "leading", "trailing", "both", "ridge", "zero-block", "single-row", "interior"])
@@ -392,7 +401,7 @@ class TestGramRowTrim:
         u = rng.standard_normal((shape[0], 3)) + 1j * rng.standard_normal((shape[0], 3))
         v = rng.standard_normal((3, shape[1])) + 1j * rng.standard_normal((3, shape[1]))
         f = _zero_rows(u @ v + 0.1 * rng.standard_normal(shape), pattern)
-        trimmed = _trimmed_blocks(f)
+        trimmed = _trimmed_tiles(f)
         if pattern == "interior":
             assert trimmed == 0
             assert _bits(jsa_purity(f)) == _bits(_untrimmed_purity(f))
@@ -406,7 +415,7 @@ class TestGramRowTrim:
 
     def test_masked_points(self, model):
         # part of the idler axis leaves the transparency window, which zeroes
-        # edge rows of some column blocks, in the JSA and in its transpose
+        # edge rows of some column tiles, in the JSA and in its transpose
         cfg = PhaseMatchConfig.from_pump_signal(0.650, 0.780, Axis.Z)
         pump = PumpSpec.from_bandwidth_nm(0.650, 2.0)
         grid = make_grid(45.0, 0.05 * cfg.omega_i0, cfg.omega_s0, cfg.omega_i0)
@@ -417,14 +426,14 @@ class TestGramRowTrim:
         for amp in (jsa.amplitude, jsa.amplitude.T, np.ascontiguousarray(jsa.amplitude.T)):
             assert abs(jsa_purity(amp) - want) <= 1e-12
             assert abs(jsa_purity(amp) - _untrimmed_purity(amp)) <= 1e-12
-        assert _trimmed_blocks(jsa.amplitude) > 0 and _trimmed_blocks(jsa.amplitude.T) > 0
+        assert _trimmed_tiles(jsa.amplitude) > 0 and _trimmed_tiles(jsa.amplitude.T) > 0
 
     def test_wide_range_grid_is_trimmed(self, model):
-        # the R = 50 tails underflow to zero rows in every column block
+        # the R = 50 tails underflow to zero rows in every column tile
         cfg, gp, structures = preset_structures(model, "o-band-i")
         pump, dw = _standard_pump_and_dw(model, cfg, gp, structures["pp"])
         jsa = standard_jsa(model, cfg, structures["pp"], pump, gp.theta_deg, dw, 50.0)
-        assert _trimmed_blocks(jsa) == 8
+        assert _trimmed_tiles(jsa) == 16
         assert abs(jsa_purity(jsa) - _untrimmed_purity(jsa)) <= 1e-12
 
     @given(
@@ -439,17 +448,17 @@ class TestGramRowTrim:
         f = rng.standard_normal((rows, cols))
         if not real:
             f = f + 1j * rng.standard_normal((rows, cols))
-        assert _trimmed_blocks(f) == 0
+        assert _trimmed_tiles(f) == 0
         assert _bits(jsa_purity(f)) == _bits(_untrimmed_purity(f))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_standard_grids_are_not_trimmed(self, model, preset):
         # PP, DC, CL (beta 1) and the SCL arrays on each preset's standard
         # grid. Flushed at sqrt(tiny), the floor before it was derived from
-        # the part count, no column block has a zero edge row. The derived
-        # floor zeroes edge rows of some blocks (six presets): those blocks'
-        # tile products sum in another order than the untrimmed Gram, so
-        # the purity is bit for bit the untrimmed Gram only where no block
+        # the part count, no column tile has a zero edge row. The derived
+        # floor zeroes edge rows of some tiles (on every preset): those tiles'
+        # products run over fewer rows than the untrimmed Gram's, so the
+        # purity is bit for bit the untrimmed Gram only where no tile
         # trims, and within 4 eps of it elsewhere; always within 1e-12 of
         # the SVD and within 4 eps of the untrimmed Gram flushed at sqrt(tiny).
         cfg, gp, structures = preset_structures(model, preset)
@@ -460,8 +469,8 @@ class TestGramRowTrim:
         for label, structure in structures.items():
             jsa = standard_jsa(model, cfg, structure, pump, gp.theta_deg, dw)
             got = jsa_purity(jsa)
-            assert _trimmed_blocks(jsa, _SQRT_TINY) == 0, label
-            if _trimmed_blocks(jsa) == 0:
+            assert _trimmed_tiles(jsa, _SQRT_TINY) == 0, label
+            if _trimmed_tiles(jsa) == 0:
                 assert _bits(got) == _bits(_untrimmed_purity(jsa)), label
             else:
                 assert abs(got - _untrimmed_purity(jsa)) <= 4 * _EPS, label
@@ -471,9 +480,9 @@ class TestGramRowTrim:
     @given(
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(2, 300),
-        cols=st.one_of(st.integers(2, 420).filter(lambda n: n % _GRAM_BLOCK),
+        cols=st.one_of(st.integers(2, 420).filter(lambda n: n % _BLOCK),
                        st.sampled_from([_GRAM_TILE * k + d for k in range(1, 7) for d in (-1, 1)]
-                                       + [_GRAM_BLOCK * k + 1 for k in range(1, 4)])),
+                                       + [_BLOCK * k + 1 for k in range(1, 4)])),
         anti=st.booleans(),
         width=st.floats(0.01, 0.4),
         zero_run=st.integers(0, 200),
@@ -489,7 +498,7 @@ class TestGramRowTrim:
              zero_tiles=[2], bracket=False, real=False)
     @example(seed=4, rows=200, cols=_GRAM_TILE * 3 - 1, anti=False, width=0.1, zero_run=0,
              zero_tiles=[], bracket=False, real=True)
-    @example(seed=5, rows=257, cols=_GRAM_BLOCK * 3 + 1, anti=True, width=0.2, zero_run=0,
+    @example(seed=5, rows=257, cols=_BLOCK * 3 + 1, anti=True, width=0.2, zero_run=0,
              zero_tiles=[0, 6], bracket=True, real=False)
     @settings(deadline=None, max_examples=60)
     def test_column_trim(self, seed, rows, cols, anti, width, zero_run, zero_tiles, bracket,
@@ -533,34 +542,15 @@ class TestGramRowTrim:
         assert abs(jsa_purity(f) - _untrimmed_purity(f)) <= 1e-12
 
     def test_tile_pairs_exact(self):
-        # a banded matrix of three tiles, the last one column wide: block 0
-        # trims, and its right tiles pair with left tiles over different rows
+        # a banded matrix of three tiles, the last one column wide: every
+        # tile trims, and right tiles pair with left tiles over different rows
         rows, cols = 12, 2 * _GRAM_TILE + 1
         f = _complex_matrix(5, (rows, cols))
         r = np.arange(rows)[:, None] / rows
         c = np.arange(cols)[None, :] / cols
         f[np.abs(r + c - 1.0) > 0.15] = 0.0
-        assert _trimmed_blocks(f) == 1
+        assert _trimmed_tiles(f) == 3
         assert abs(jsa_purity(f) - _exact_purity(f)) <= 4 * _EPS
-
-    def test_tile_products(self):
-        # products from the (first, last + 1) nonzero row of each tile
-        t = _GRAM_TILE
-        cols = 4 * t
-        # a dense block with zero edge rows, whose tiles share one span with
-        # every tile at its left, is one product against every column from 0
-        assert _tile_products([(3, 97)] * 4, 2 * t, 4 * t, cols) == [
-            (2 * t, 4 * t, 3, 97, [(3, 97, 0, 4 * t)])]
-        # left tiles that share fewer of its rows are a product of their own
-        assert _tile_products([(0, 90), (0, 90), (3, 97), (3, 97)], 2 * t, 4 * t, cols) == [
-            (2 * t, 4 * t, 3, 97, [(3, 90, 0, 2 * t), (3, 97, 2 * t, 4 * t)])]
-        # an anti-diagonal band: tile 3 shares no row with tile 0, tile 2 is zero
-        spans = [(60, 100), (30, 70), (0, 0), (0, 40)]
-        assert _tile_products(spans, 2 * t, 4 * t, cols) == [
-            (3 * t, 4 * t, 0, 40, [(30, 40, t, 2 * t), (0, 40, 3 * t, 4 * t)])]
-        # a last tile one column wide
-        assert _tile_products([(0, 5), (2, 9)], 0, t + 1, t + 1) == [
-            (0, t, 0, 5, [(0, 5, 0, t)]), (t, t + 1, 2, 9, [(2, 5, 0, t), (2, 9, t, t + 1)])]
 
     @pytest.mark.parametrize("real", [False, True])
     def test_transposed_input(self, real):

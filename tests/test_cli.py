@@ -158,6 +158,37 @@ class TestGvmMapCommand:
         assert code == EXIT_CONFIG
         assert "sellmeier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        # a coefficient set of 3 entries, a line with no "=", a non-number
+        "name = short\ny = 3.45 0.0434 0.046\nz = 4.59 0.0621 0.0476 110.8 86.1 0.0\n"
+        "window_um = 0.35 4.0\n",
+        "name = no-equals\ny 3.45 0.0434 0.046 16.99 39.44 0.0\n"
+        "z = 4.59 0.0621 0.0476 110.8 86.1 0.0\nwindow_um = 0.35 4.0\n",
+        "name = word\ny = 3.45 0.0434 abc 16.99 39.44 0.0\n"
+        "z = 4.59 0.0621 0.0476 110.8 86.1 0.0\nwindow_um = 0.35 4.0\n",
+        b"name = \xff\xfe\n",
+        None,  # a directory
+    ])
+    def test_sellmeier_malformed_file_exit_2(self, tmp_path, capsys, text):
+        custom = tmp_path / "custom.txt"
+        if text is None:
+            custom.mkdir()
+        elif isinstance(text, bytes):
+            custom.write_bytes(text)
+        else:
+            custom.write_text(text)
+        code = run([
+            "gvm-map",
+            "--pump-range-nm", "710:710:1",
+            "--signal-range-nm", "1310:1310:1",
+            "--sellmeier", str(custom),
+            "--out-dir", str(tmp_path / "map"),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: sellmeier: cannot read coefficient file {str(custom)!r}: ")
+        assert not (tmp_path / "map").exists()
+
     def test_reproducible_across_out_dirs(self, tmp_path):
         args = [
             "gvm-map",
@@ -204,6 +235,21 @@ class TestDesignCommand:
         code = run(["design", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "pump_nm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["pp", "cl-scl"])
+    def test_sellmeier_without_real_index_exit_2(self, tmp_path, capsys, scheme):
+        # n^2 < 0 on the Y axis at every wavelength of the case
+        custom = tmp_path / "negative.txt"
+        custom.write_text("name = negative\ny = -100 0.0434 0.046 16.99 39.44 0.0\n"
+                          "z = 4.59 0.0621 0.0476 110.8 86.1 0.0\nwindow_um = 0.35 4.0\n")
+        out = tmp_path / "design"
+        argv = ["design", "--preset", "o-band-i", "--scheme", scheme, "--sellmeier", str(custom),
+                "--out-dir", str(out)]
+        assert run(argv + (["--pump-bw-nm", "3"] if scheme == "pp" else [])) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: sellmeier: set 'negative' gives no real refractive index at pump "
+            "710 nm, signal 1310 nm\n")
+        assert not out.exists()
 
     def test_below_threshold_exit_3_still_writes(self, tmp_path, capsys):
         out = tmp_path / "cl"
